@@ -1,92 +1,3 @@
 """conceptrag: AMR concept distillation and concept-based RAG evaluation."""
 
 __version__ = "0.1.0"
-
-from .corpus import QadPair, SupportDoc, group_by_k, load_dataset, save_dataset, screen_pairs
-from .distill import (
-    Concept,
-    ConceptSet,
-    DistillConfig,
-    IdfIndex,
-    TraversalMode,
-    build_idf_index,
-    concept_backtrace,
-    concept_format,
-    distill_concepts,
-    handle_date,
-    handle_name,
-    handle_wiki,
-)
-from .metrics import (
-    EvalCurve,
-    Interval,
-    IntgReport,
-    accuracy_curve,
-    answer_match,
-    compression_ratio,
-    integrate,
-    latency_summary,
-)
-from .penman import (
-    AmrGraph,
-    AmrNode,
-    AmrParseError,
-    SentenceSubgraph,
-    dfs_nodes,
-    parse_amr,
-    serialize_amr,
-    split_sentences,
-)
-from .ragpipe import (
-    CompressionMode,
-    LlmBackendSpec,
-    PipelineRecord,
-    build_baseline_prompt,
-    build_fact_prompt,
-    query_llm,
-    run_pipeline,
-)
-
-__all__ = [
-    "AmrGraph",
-    "AmrNode",
-    "AmrParseError",
-    "Concept",
-    "ConceptSet",
-    "CompressionMode",
-    "DistillConfig",
-    "EvalCurve",
-    "IdfIndex",
-    "Interval",
-    "IntgReport",
-    "LlmBackendSpec",
-    "PipelineRecord",
-    "QadPair",
-    "SentenceSubgraph",
-    "SupportDoc",
-    "TraversalMode",
-    "accuracy_curve",
-    "answer_match",
-    "build_baseline_prompt",
-    "build_fact_prompt",
-    "build_idf_index",
-    "compression_ratio",
-    "concept_backtrace",
-    "concept_format",
-    "dfs_nodes",
-    "distill_concepts",
-    "group_by_k",
-    "handle_date",
-    "handle_name",
-    "handle_wiki",
-    "integrate",
-    "latency_summary",
-    "load_dataset",
-    "parse_amr",
-    "query_llm",
-    "run_pipeline",
-    "save_dataset",
-    "screen_pairs",
-    "serialize_amr",
-    "split_sentences",
-]

@@ -19,7 +19,6 @@ from .metrics import (
     NORMAL_INTERVAL,
     EvalCurve,
     MetricsError,
-    RecordView,
     accuracy_curve,
     build_report,
     parse_interval,
@@ -33,6 +32,7 @@ from .ragpipe import (
     BackendError,
     CompressionMode,
     LlmBackendSpec,
+    PipelineRecord,
     build_run_manifest,
     run_pipeline,
 )
@@ -59,18 +59,15 @@ def _read_input(path: str) -> str:
 
 
 def _load_distill_config(args) -> DistillConfig:
-    config = DistillConfig.from_file(args.config) if args.config else DistillConfig()
+    data = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
     # explicit flags win over the config file
-    updates = {}
     if args.traversal is not None:
-        updates["traversal"] = args.traversal
+        data["traversal"] = args.traversal
     if args.seed is not None:
-        updates["seed"] = args.seed
-    if updates:
-        config = DistillConfig.from_dict({**config.to_dict(), **updates})
-    if args.traversal is not None and args.traversal != "dfs" and config.seed is None:
+        data["seed"] = args.seed
+    if args.traversal not in (None, "dfs") and data.get("seed") is None:
         raise _UsageError(f"--traversal {args.traversal} requires --seed")
-    return config
+    return DistillConfig.from_dict(data)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,9 +144,7 @@ def cmd_distill(args) -> int:
     config = _load_distill_config(args)
     graph = parse_amr(_read_input(args.penman_file))
     source = _read_input(args.source_file)
-    concept_set = distill_concepts(
-        graph, source, mode=config.traversal_mode(), config=config
-    )
+    concept_set = distill_concepts(graph, source, config=config)
     if args.json:
         payload = [
             {
@@ -183,7 +178,7 @@ def cmd_eval(args) -> int:
         raise _UsageError("eval requires --mode")
     config = _load_distill_config(args)
     backend = LlmBackendSpec.from_file(args.backend)
-    mode = CompressionMode(args.mode, traversal=config.traversal_mode())
+    mode = CompressionMode(args.mode)
     parse_client = AmrParseClient(args.parse_endpoint) if args.parse_endpoint else None
 
     pairs = load_dataset(args.dataset)
@@ -196,7 +191,9 @@ def cmd_eval(args) -> int:
     with open(out_dir / "records.json", "w", encoding="utf-8") as handle:
         json.dump([r.to_dict() for r in records], handle, indent=2, ensure_ascii=False)
         handle.write("\n")
-    manifest = build_run_manifest(mode, backend, config, args.dataset)
+    manifest = build_run_manifest(
+        mode, backend, config, args.dataset, screen=not args.no_screen, s_pop_max=args.s_pop_max
+    )
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, ensure_ascii=False)
         handle.write("\n")
@@ -212,11 +209,12 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _load_records(results_dir: str) -> list[dict]:
+def _load_records(results_dir: str) -> list[PipelineRecord]:
     path = Path(results_dir) / "records.json"
     if not path.exists():
         raise DatasetError(f"no records.json in {results_dir}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    records = json.loads(path.read_text(encoding="utf-8"))
+    return [PipelineRecord.from_dict(data) for data in records]
 
 
 def cmd_report(args) -> int:
@@ -235,9 +233,7 @@ def cmd_report(args) -> int:
             EvalCurve({int(k): v for k, v in report["accuracy_per_k"].items()}, label="run")
         ]
         if baseline:
-            base_curve = accuracy_curve([RecordView.from_dict(d) for d in baseline],
-                                        label="baseline")
-            curves.append(base_curve)
+            curves.append(accuracy_curve(baseline, label="baseline"))
         Path(args.svg).write_text(
             render_accuracy_svg(curves, title="Accuracy vs K"), encoding="utf-8"
         )

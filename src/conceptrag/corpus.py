@@ -93,17 +93,13 @@ def save_dataset(pairs: list[QadPair], path: str | Path) -> None:
             handle.write(json.dumps(pair.to_dict(), ensure_ascii=False) + "\n")
 
 
-def screen_pairs(
-    pairs: list[QadPair],
-    require_all_hasanswer: bool = True,
-    s_pop_max: int | None = None,
-) -> list[QadPair]:
+def screen_pairs(pairs: list[QadPair], s_pop_max: int | None = None) -> list[QadPair]:
     """Keep pairs whose documents all contain an answer and, when a cap is
     given, whose subject is long-tail (s_pop below the cap). Pairs without an
     s_pop value are retained under any cap."""
     kept = []
     for pair in pairs:
-        if require_all_hasanswer and not all(d.hasanswer for d in pair.documents):
+        if not all(d.hasanswer for d in pair.documents):
             continue
         if s_pop_max is not None and pair.s_pop is not None and pair.s_pop >= s_pop_max:
             continue

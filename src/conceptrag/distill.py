@@ -79,35 +79,7 @@ _PRONOUN_LABELS = ("he", "she", "it", "they", "i", "you", "we")
 
 DEFAULT_STOPLIST = frozenset(_ENTITY_TYPE_LABELS + _STRUCTURAL_LABELS + _PRONOUN_LABELS)
 
-
-@dataclass(frozen=True)
-class TraversalMode:
-    """How nodes are ordered within the traversal: depth-first, shuffled per
-    sentence, or shuffled across the whole document. Random modes are fully
-    determined by their seed."""
-
-    kind: str  # 'dfs' | 'local-random' | 'global-random'
-    seed: int | None = None
-
-    _KINDS = ("dfs", "local-random", "global-random")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown traversal kind {self.kind!r}")
-        if self.kind != "dfs" and self.seed is None:
-            raise ValueError(f"{self.kind} traversal requires a seed")
-
-    @classmethod
-    def dfs(cls) -> "TraversalMode":
-        return cls("dfs")
-
-    @classmethod
-    def local_random(cls, seed: int) -> "TraversalMode":
-        return cls("local-random", seed)
-
-    @classmethod
-    def global_random(cls, seed: int) -> "TraversalMode":
-        return cls("global-random", seed)
+_TRAVERSAL_KINDS = ("dfs", "local-random", "global-random")
 
 
 @dataclass(frozen=True)
@@ -168,7 +140,12 @@ class IdfIndex:
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Tunable knobs for distillation, loadable from a JSON file."""
+    """Tunable knobs for distillation, loadable from a JSON file.
+
+    ``traversal`` orders nodes within the traversal: depth-first, shuffled
+    per sentence, or shuffled across the whole document. Random orders are
+    fully determined by ``seed``.
+    """
 
     stoplist_add: tuple[str, ...] = ()
     stoplist_remove: tuple[str, ...] = ()
@@ -178,11 +155,14 @@ class DistillConfig:
     traversal: str = "dfs"
     seed: int | None = None
 
+    def __post_init__(self):
+        if self.traversal not in _TRAVERSAL_KINDS:
+            raise ValueError(f"unknown traversal kind {self.traversal!r}")
+        if self.traversal != "dfs" and self.seed is None:
+            raise ValueError(f"{self.traversal} traversal requires a seed")
+
     def stoplist(self) -> frozenset[str]:
         return (DEFAULT_STOPLIST | set(self.stoplist_add)) - set(self.stoplist_remove)
-
-    def traversal_mode(self) -> TraversalMode:
-        return TraversalMode(self.traversal, self.seed)
 
     @classmethod
     def from_dict(cls, data: dict) -> "DistillConfig":
@@ -302,7 +282,7 @@ def _int_attribute(node: AmrNode, role: str) -> int | None:
 # --- traversal state machine
 
 
-def _is_role_node(graph: AmrGraph, node: AmrNode) -> bool:
+def _is_role_node(node: AmrNode) -> bool:
     return (
         node.instance == "name"
         or node.instance == "date-entity"
@@ -342,7 +322,7 @@ def _run_stream(graph: AmrGraph, stream: list[tuple[int, str]]) -> list[Concept]
     role_buffer: list[Concept] = []
     for sentence_index, variable in stream:
         node = graph.nodes[variable]
-        if _is_role_node(graph, node):
+        if _is_role_node(node):
             role_buffer.extend(_role_contributions(graph, node, sentence_index))
         else:
             if role_buffer:
@@ -356,16 +336,16 @@ def _run_stream(graph: AmrGraph, stream: list[tuple[int, str]]) -> list[Concept]
 
 
 def _traversal_streams(
-    graph: AmrGraph, mode: TraversalMode
+    graph: AmrGraph, config: DistillConfig
 ) -> list[list[tuple[int, str]]]:
     per_sentence = [
         [(sub.index, variable) for variable in dfs_nodes(sub)]
         for sub in split_sentences(graph)
     ]
-    if mode.kind == "dfs":
+    if config.traversal == "dfs":
         return per_sentence
-    rng = random.Random(mode.seed)
-    if mode.kind == "local-random":
+    rng = random.Random(config.seed)
+    if config.traversal == "local-random":
         for sentence in per_sentence:
             rng.shuffle(sentence)
         return per_sentence
@@ -481,18 +461,17 @@ def distill_concepts(
     graph: AmrGraph,
     source_doc: str,
     idf: IdfIndex | None = None,
-    mode: TraversalMode = TraversalMode("dfs"),
     config: DistillConfig | None = None,
 ) -> ConceptSet:
     """Run the full distillation over one document's AMR graph.
 
-    Sentences are traversed in ``mode`` order, the role buffer consolidates
-    name/wiki/date constructs, and the result is formatted and backtraced
-    against ``source_doc``. An empty graph yields an empty set.
+    Sentences are traversed in ``config.traversal`` order, the role buffer
+    consolidates name/wiki/date constructs, and the result is formatted and
+    backtraced against ``source_doc``. An empty graph yields an empty set.
     """
     config = config or DistillConfig()
     concepts: list[Concept] = []
-    for stream in _traversal_streams(graph, mode):
+    for stream in _traversal_streams(graph, config):
         concepts.extend(_run_stream(graph, stream))
     concepts = concept_format(
         concepts,

@@ -189,60 +189,18 @@ def latency_summary(records: Iterable["PipelineRecord"]) -> list[dict]:
 # --- report assembly ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecordView:
-    """The slice of a pipeline record that reporting needs; built either from
-    live records or from a results JSON."""
-
-    k: int
-    correct: bool
-    backend: str
-    mode: str
-    latency_ms: float
-    original_words: int = 0
-    compressed_words: int = 0
-    error: str | None = None
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RecordView":
-        return cls(
-            k=data["k"],
-            correct=bool(data["correct"]),
-            backend=data.get("backend", ""),
-            mode=data.get("mode", ""),
-            latency_ms=data.get("latency_ms", 0.0),
-            original_words=data.get("original_words", 0),
-            compressed_words=data.get("compressed_words", 0),
-            error=data.get("error"),
-        )
-
-
-def _as_views(records: Iterable) -> list[RecordView]:
-    views = []
-    for record in records:
-        if isinstance(record, RecordView):
-            views.append(record)
-        elif isinstance(record, dict):
-            views.append(RecordView.from_dict(record))
-        else:
-            views.append(RecordView.from_dict(record.to_dict()))
-    return views
-
-
 def build_report(
-    records: list,
+    records: list["PipelineRecord"],
     intervals: list[Interval],
-    baseline_records: list | None = None,
+    baseline_records: list["PipelineRecord"] | None = None,
     label: str = "run",
 ) -> dict:
     """Aggregate a run (optionally against a baseline run) into one report
     structure with per-K accuracy, Intg (and delta) per interval, the
     word-level compression ratio, and the latency table."""
-    views = _as_views(records)
-    baseline_views = _as_views(baseline_records) if baseline_records else None
-    curve = accuracy_curve(views, label=label)
+    curve = accuracy_curve(records, label=label)
     baseline_curve = (
-        accuracy_curve(baseline_views, label="baseline") if baseline_views else None
+        accuracy_curve(baseline_records, label="baseline") if baseline_records else None
     )
     intg_rows = []
     for interval in intervals:
@@ -256,19 +214,18 @@ def build_report(
             row["delta"] = report.delta
         intg_rows.append(row)
 
-    original_words = sum(v.original_words for v in views)
-    compressed_words = sum(v.compressed_words for v in views)
+    original_words = sum(r.original_words for r in records)
+    compressed_words = sum(r.compressed_words for r in records)
     ratio = 100.0 * compressed_words / original_words if original_words else None
 
-    all_views = views + (baseline_views or [])
     return {
         "label": label,
-        "records": len(views),
-        "errors": sum(1 for v in views if v.error),
+        "records": len(records),
+        "errors": sum(1 for r in records if r.error),
         "accuracy_per_k": {str(k): curve.points[k] for k in sorted(curve.points)},
         "intg": intg_rows,
         "compression_ratio": ratio,
-        "latency": latency_summary(all_views),
+        "latency": latency_summary(records + (baseline_records or [])),
     }
 
 
@@ -309,7 +266,12 @@ def write_report(report: dict, out_dir: str | Path) -> None:
 
 
 def render_accuracy_svg(curves: list[EvalCurve], title: str = "") -> str:
-    """A static accuracy-vs-K line chart as a standalone SVG document."""
+    """A static accuracy-vs-K line chart as a standalone SVG document; the
+    title and curve labels are XML-escaped."""
+    # imported here: only this function needs it, and it would add to the
+    # start-up time of every CLI command
+    from xml.sax.saxutils import escape
+
     if not curves or not any(c.points for c in curves):
         raise MetricsError("nothing to plot")
     width, height, margin = 640, 420, 50
@@ -328,7 +290,8 @@ def render_accuracy_svg(curves: list[EvalCurve], title: str = "") -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="14">'
+        f"{escape(title)}</text>",
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
         f'y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
@@ -354,7 +317,7 @@ def render_accuracy_svg(curves: list[EvalCurve], title: str = "") -> str:
         )
         parts.append(
             f'<text x="{width - margin + 4}" y="{margin + 16 * i + 10}" font-size="11" '
-            f'fill="{color}">{curve.label or f"curve {i + 1}"}</text>'
+            f'fill="{color}">{escape(curve.label or f"curve {i + 1}")}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

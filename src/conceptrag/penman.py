@@ -67,10 +67,6 @@ class AmrEdge:
     target: Target
     defines: bool = False
 
-    @property
-    def is_attribute(self) -> bool:
-        return isinstance(self.target, Literal)
-
 
 @dataclass(frozen=True)
 class AmrNode:

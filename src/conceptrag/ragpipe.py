@@ -15,7 +15,7 @@ import re
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from random import Random
 
@@ -23,7 +23,7 @@ import requests
 
 from . import metrics
 from .corpus import QadPair
-from .distill import ConceptSet, DistillConfig, TraversalMode, build_idf_index, distill_concepts
+from .distill import DistillConfig, build_idf_index, distill_concepts
 from .penman import parse_amr
 
 FACT_PROMPT_PREFIX = "Refer to the following facts to answer the question. Facts: "
@@ -144,44 +144,47 @@ class CompressionMode:
     """Which representation of the documents reaches the model."""
 
     kind: str  # 'vanilla' | 'concepts' | 'keywords' | 'summary'
-    traversal: TraversalMode = TraversalMode("dfs")
 
     def __post_init__(self):
         if self.kind not in ("vanilla", "concepts", "keywords", "summary"):
             raise ValueError(f"unknown compression mode {self.kind!r}")
 
 
-@dataclass
+@dataclass(slots=True, kw_only=True)
 class PipelineRecord:
-    """Outcome of one question: the prompt sent, the raw answer, latency, and
-    whether the answer matched a gold answer."""
+    """Outcome of one question, as one entry of ``records.json``: the prompt
+    sent, the raw answer, latency, whether the answer matched a gold answer,
+    and the whitespace-split word counts of the documents before and after
+    compression. Fields are in ``records.json`` key order."""
 
-    pair: QadPair
+    question: str = ""
+    gold_answers: tuple[str, ...] = ()
     k: int
-    mode: str
-    backend: str
-    prompt: str
-    raw_answer: str
-    latency_ms: float
+    mode: str = ""
+    backend: str = ""
+    prompt: str = ""
+    raw_answer: str = ""
+    latency_ms: float = 0.0
     correct: bool
-    compressed_docs: list[str] = field(default_factory=list)
+    original_words: int = 0
+    compressed_words: int = 0
     error: str | None = None
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "PipelineRecord":
+        """Inverse of :meth:`to_dict`; absent optional keys take defaults."""
+        record = cls(**{key: data[key] for key in _RECORD_KEYS if key in data})
+        record.gold_answers = tuple(record.gold_answers)
+        record.correct = bool(record.correct)
+        return record
+
     def to_dict(self) -> dict:
-        return {
-            "question": self.pair.question,
-            "gold_answers": list(self.pair.gold_answers),
-            "k": self.k,
-            "mode": self.mode,
-            "backend": self.backend,
-            "prompt": self.prompt,
-            "raw_answer": self.raw_answer,
-            "latency_ms": self.latency_ms,
-            "correct": self.correct,
-            "original_words": sum(len(d.text.split()) for d in self.pair.documents),
-            "compressed_words": sum(len(c.split()) for c in self.compressed_docs),
-            "error": self.error,
-        }
+        data = {key: getattr(self, key) for key in _RECORD_KEYS}
+        data["gold_answers"] = list(self.gold_answers)
+        return data
+
+
+_RECORD_KEYS = tuple(f.name for f in fields(PipelineRecord))
 
 
 # --- prompts -----------------------------------------------------------------
@@ -195,14 +198,6 @@ def fact_prompt_from_strings(doc_facts: list[str], question: str) -> str:
     if not question:
         raise ValueError("question must be non-empty")
     return f"{FACT_PROMPT_PREFIX}{' '.join(doc_facts)}. Question: {question}"
-
-
-def build_fact_prompt(concept_sets: list[ConceptSet], question: str) -> str:
-    """Fact prompt over distilled concepts, one ConceptSet per document;
-    within a document, sentence groups join with '. ' and concepts with ', '."""
-    if not concept_sets or any(not cs.concepts for cs in concept_sets):
-        raise ValueError("every document must contribute a non-empty concept set")
-    return fact_prompt_from_strings([cs.facts_string() for cs in concept_sets], question)
 
 
 def build_baseline_prompt(kind: str, doc: str) -> str:
@@ -265,6 +260,28 @@ def _query_stub(backend: LlmBackendSpec, prompt: str, gold_answers: tuple[str, .
     return "unknown"
 
 
+def _post_json(
+    what: str, url: str, payload: dict, timeout_s: float, headers: dict | None = None
+):
+    """POST ``payload`` as JSON and return the decoded JSON reply. Transport
+    failures, non-2xx statuses and non-JSON bodies raise backend errors whose
+    messages name the endpoint as ``what``."""
+    try:
+        response = requests.post(url, json=payload, headers=headers, timeout=timeout_s)
+    except requests.Timeout as exc:
+        raise BackendTimeout(f"{what} timed out after {timeout_s}s") from exc
+    except requests.ConnectionError as exc:
+        raise BackendTimeout(f"{what} unreachable: {exc}") from exc
+    except requests.RequestException as exc:
+        raise BackendError(f"{what} request failed: {exc}") from exc
+    if not 200 <= response.status_code < 300:
+        raise BackendHttpError(response.status_code, response.text)
+    try:
+        return response.json()
+    except ValueError as exc:
+        raise BackendProtocolError(f"malformed {what} response: {exc}") from exc
+
+
 def _query_http(backend: LlmBackendSpec, prompt: str) -> str:
     headers = {"Content-Type": "application/json"}
     if backend.auth_env:
@@ -277,22 +294,10 @@ def _query_http(backend: LlmBackendSpec, prompt: str) -> str:
         "temperature": backend.temperature,
         "max_tokens": backend.max_tokens,
     }
+    body = _post_json("backend", backend.endpoint_url, payload, backend.timeout_s, headers)
     try:
-        response = requests.post(
-            backend.endpoint_url, json=payload, headers=headers, timeout=backend.timeout_s
-        )
-    except requests.Timeout as exc:
-        raise BackendTimeout(f"backend timed out after {backend.timeout_s}s") from exc
-    except requests.ConnectionError as exc:
-        raise BackendTimeout(f"backend unreachable: {exc}") from exc
-    except requests.RequestException as exc:
-        raise BackendError(f"request failed: {exc}") from exc
-    if not 200 <= response.status_code < 300:
-        raise BackendHttpError(response.status_code, response.text)
-    try:
-        body = response.json()
         content = body["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError) as exc:
         raise BackendProtocolError(f"malformed chat-completions response: {exc}") from exc
     if not isinstance(content, str):
         raise BackendProtocolError("message content is not a string")
@@ -312,21 +317,10 @@ class AmrParseClient:
         self.timeout_s = timeout_s
 
     def parse(self, text: str) -> str:
+        body = _post_json("parse endpoint", self.endpoint_url, {"text": text}, self.timeout_s)
         try:
-            response = requests.post(
-                self.endpoint_url, json={"text": text}, timeout=self.timeout_s
-            )
-        except requests.Timeout as exc:
-            raise BackendTimeout(f"parse endpoint timed out after {self.timeout_s}s") from exc
-        except requests.ConnectionError as exc:
-            raise BackendTimeout(f"parse endpoint unreachable: {exc}") from exc
-        except requests.RequestException as exc:
-            raise BackendError(f"parse request failed: {exc}") from exc
-        if not 200 <= response.status_code < 300:
-            raise BackendHttpError(response.status_code, response.text)
-        try:
-            amr = response.json()["amr"]
-        except (ValueError, KeyError, TypeError) as exc:
+            amr = body["amr"]
+        except (KeyError, TypeError) as exc:
             raise BackendProtocolError(f"malformed parse response: {exc}") from exc
         if not isinstance(amr, str) or not amr:
             raise BackendProtocolError("parse response 'amr' is not a non-empty string")
@@ -354,21 +348,19 @@ def run_pipeline(
     config = config or DistillConfig()
 
     def answer_one(pair: QadPair) -> PipelineRecord:
+        unanswered = PipelineRecord(
+            question=pair.question,
+            gold_answers=pair.gold_answers,
+            k=pair.k,
+            mode=mode.kind,
+            backend=backend.label,
+            correct=False,
+            original_words=sum(len(doc.text.split()) for doc in pair.documents),
+        )
         try:
-            return _answer_pair(pair, mode, backend, config, parse_client)
+            return _answer_pair(unanswered, pair, mode, backend, config, parse_client)
         except (BackendError, ValueError) as exc:
-            return PipelineRecord(
-                pair=pair,
-                k=pair.k,
-                mode=mode.kind,
-                backend=backend.label,
-                prompt="",
-                raw_answer="",
-                latency_ms=0.0,
-                correct=False,
-                compressed_docs=[],
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            return replace(unanswered, error=f"{type(exc).__name__}: {exc}")
 
     if backend.max_parallel > 1:
         with ThreadPoolExecutor(max_workers=backend.max_parallel) as pool:
@@ -377,6 +369,7 @@ def run_pipeline(
 
 
 def _answer_pair(
+    unanswered: PipelineRecord,
     pair: QadPair,
     mode: CompressionMode,
     backend: LlmBackendSpec,
@@ -399,9 +392,7 @@ def _answer_pair(
                         "document has no inline AMR and no parse client was supplied"
                     )
                 penman_text = parse_client.parse(doc.text)
-            concept_set = distill_concepts(
-                parse_amr(penman_text), doc.text, idf=idf, mode=mode.traversal, config=config
-            )
+            concept_set = distill_concepts(parse_amr(penman_text), doc.text, idf=idf, config=config)
             doc_strings.append(concept_set.facts_string())
     else:  # keywords / summary: two-pass compression through the backend
         doc_strings = []
@@ -414,16 +405,13 @@ def _answer_pair(
 
     prompt = fact_prompt_from_strings(doc_strings, pair.question)
     answer, latency = query_llm(backend, prompt, pair.gold_answers)
-    return PipelineRecord(
-        pair=pair,
-        k=pair.k,
-        mode=mode.kind,
-        backend=backend.label,
+    return replace(
+        unanswered,
         prompt=prompt,
         raw_answer=answer,
         latency_ms=latency + compress_latency,
         correct=metrics.answer_match(answer, list(pair.gold_answers)),
-        compressed_docs=doc_strings,
+        compressed_words=sum(len(text.split()) for text in doc_strings),
     )
 
 
@@ -436,13 +424,15 @@ def dataset_content_hash(path: str | Path) -> str:
     return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
 
 
-def config_hash(mode: CompressionMode, backend: LlmBackendSpec, config: DistillConfig) -> str:
+def config_hash(
+    mode: CompressionMode, backend: LlmBackendSpec, config: DistillConfig, screening: dict
+) -> str:
     payload = json.dumps(
         {
             "mode": mode.kind,
-            "traversal": {"kind": mode.traversal.kind, "seed": mode.traversal.seed},
             "backend": backend.redacted_dict(),
             "distill": config.to_dict(),
+            "screening": screening,
         },
         sort_keys=True,
     )
@@ -454,14 +444,23 @@ def build_run_manifest(
     backend: LlmBackendSpec,
     config: DistillConfig,
     dataset_path: str | Path,
+    *,
+    screen: bool,
+    s_pop_max: int | None,
 ) -> dict:
-    """Everything needed to reproduce a run bit-for-bit with stub backends."""
+    """Everything needed to reproduce a run bit-for-bit with stub backends.
+
+    ``screen`` says whether the pairs went through ``screen_pairs``;
+    ``s_pop_max`` is the popularity cap it applied (None when unscreened).
+    """
+    screening = {"screen": screen, "s_pop_max": s_pop_max if screen else None}
     return {
         "mode": mode.kind,
-        "traversal": {"kind": mode.traversal.kind, "seed": mode.traversal.seed},
+        "traversal": {"kind": config.traversal, "seed": config.seed},
         "distill_config": config.to_dict(),
+        "screening": screening,
         "backend": backend.redacted_dict(),
-        "config_hash": config_hash(mode, backend, config),
+        "config_hash": config_hash(mode, backend, config, screening),
         "dataset_path": str(dataset_path),
         "dataset_hash": dataset_content_hash(dataset_path),
     }

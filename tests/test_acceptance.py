@@ -8,7 +8,7 @@ import time
 from collections import Counter
 
 from conceptrag.corpus import load_dataset
-from conceptrag.distill import DistillConfig, TraversalMode, distill_concepts, handle_date
+from conceptrag.distill import DistillConfig, distill_concepts, handle_date
 from conceptrag.metrics import (
     LONG_INTERVAL,
     NORMAL_INTERVAL,
@@ -149,10 +149,11 @@ def test_parser_property_suite():
         assert parse_amr(serialize_amr(graph)) == graph, seed
 
         reference = Counter(distill_concepts(graph, doc).texts())
-        for mode in (TraversalMode.global_random(seed), TraversalMode.local_random(seed)):
-            concepts = distill_concepts(graph, doc, mode=mode)
-            assert Counter(concepts.texts()) == reference, (seed, mode.kind)
-            if mode.kind == "local-random":
+        for traversal in ("global-random", "local-random"):
+            config = DistillConfig(traversal=traversal, seed=seed)
+            concepts = distill_concepts(graph, doc, config=config)
+            assert Counter(concepts.texts()) == reference, (seed, traversal)
+            if traversal == "local-random":
                 order = [c.sentence_index for c in concepts.concepts]
                 assert order == sorted(order), seed
     assert time.perf_counter() - started < 30.0

@@ -99,6 +99,19 @@ class TestDistillCommand:
             "Spectrum Encyclopedia", "1972", "1973",
         ])
 
+    def test_seed_flag_completes_config_traversal(
+        self, tmp_path, table_a1_penman, table_a1_doc, capsys
+    ):
+        amr = tmp_path / "g.amr"
+        doc = tmp_path / "d.txt"
+        config = tmp_path / "config.json"
+        amr.write_text(table_a1_penman)
+        doc.write_text(table_a1_doc)
+        config.write_text(json.dumps({"traversal": "global-random"}))
+        args = ["distill", str(amr), str(doc), "--config", str(config)]
+        assert main(args) == EXIT_DATA
+        assert main([*args, "--seed", "3"]) == EXIT_OK
+
 
 class TestStatsCommand:
     def test_fixture_counts(self, fixture_dataset_path, capsys):
@@ -169,6 +182,25 @@ class TestEvalAndReport:
         before = fixture_dataset_path.read_bytes()
         run_eval(tmp_path, fixture_dataset_path, stub_backend_file, mode="vanilla")
         assert fixture_dataset_path.read_bytes() == before
+
+    def test_screening_settings_change_manifest_and_hash(
+        self, tmp_path, fixture_dataset_path, stub_backend_file, capsys
+    ):
+        manifests = {}
+        for name, extra in (
+            ("default", []), ("cap", ["--s-pop-max", "1000"]), ("unscreened", ["--no-screen"])
+        ):
+            out = tmp_path / name
+            code = main(
+                ["eval", str(fixture_dataset_path), "--backend", stub_backend_file,
+                 "--mode", "vanilla", "--out", str(out), *extra]
+            )
+            assert code == EXIT_OK
+            manifests[name] = json.loads((out / "manifest.json").read_text())
+        assert manifests["default"]["screening"] == {"screen": True, "s_pop_max": None}
+        assert manifests["cap"]["screening"] == {"screen": True, "s_pop_max": 1000}
+        assert manifests["unscreened"]["screening"] == {"screen": False, "s_pop_max": None}
+        assert len({m["config_hash"] for m in manifests.values()}) == 3
 
     def test_manifest_reproducibility(self, tmp_path, fixture_dataset_path, stub_backend_file):
         extra = ["--traversal", "local-random", "--seed", "11"]

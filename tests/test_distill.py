@@ -12,7 +12,6 @@ from conceptrag.distill import (
     Concept,
     DistillConfig,
     DistillError,
-    TraversalMode,
     build_idf_index,
     concept_backtrace,
     concept_format,
@@ -252,19 +251,22 @@ class TestDistill:
 
     def test_global_random_same_multiset_as_dfs(self, table_a1_penman, table_a1_doc):
         graph = parse_amr(table_a1_penman)
-        dfs = distill_concepts(graph, table_a1_doc, mode=TraversalMode.dfs())
-        shuffled = distill_concepts(graph, table_a1_doc, mode=TraversalMode.global_random(7))
+        dfs = distill_concepts(graph, table_a1_doc, config=DistillConfig())
+        shuffled = distill_concepts(
+            graph, table_a1_doc, config=DistillConfig(traversal="global-random", seed=7)
+        )
         assert Counter(dfs.texts()) == Counter(shuffled.texts())
 
     def test_random_modes_are_seed_deterministic(self, table_a1_penman, table_a1_doc):
         graph = parse_amr(table_a1_penman)
-        first = distill_concepts(graph, table_a1_doc, mode=TraversalMode.local_random(42))
-        second = distill_concepts(graph, table_a1_doc, mode=TraversalMode.local_random(42))
+        config = DistillConfig(traversal="local-random", seed=42)
+        first = distill_concepts(graph, table_a1_doc, config=config)
+        second = distill_concepts(graph, table_a1_doc, config=config)
         assert first.texts() == second.texts()
 
     def test_random_mode_requires_seed(self):
         with pytest.raises(ValueError):
-            TraversalMode("global-random")
+            DistillConfig(traversal="global-random")
 
     def test_sentence_groups_and_facts_string(self, table_a1_penman, table_a1_doc):
         concepts = distill_concepts(parse_amr(table_a1_penman), table_a1_doc)
@@ -296,10 +298,11 @@ class TestDistill:
         graph = parse_amr(random_penman(seed))
         doc = "generic placeholder text"
         reference = Counter(distill_concepts(graph, doc).texts())
-        for mode in (TraversalMode.global_random(seed), TraversalMode.local_random(seed)):
-            concepts = distill_concepts(graph, doc, mode=mode)
+        for traversal in ("global-random", "local-random"):
+            config = DistillConfig(traversal=traversal, seed=seed)
+            concepts = distill_concepts(graph, doc, config=config)
             assert Counter(concepts.texts()) == reference
-            if mode.kind == "local-random":
+            if traversal == "local-random":
                 order = [c.sentence_index for c in concepts.concepts]
                 assert order == sorted(order)
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from conceptrag.metrics import (
     EvalCurve,
     Interval,
     MetricsError,
-    RecordView,
     accuracy_curve,
     answer_match,
     build_report,
@@ -26,12 +26,13 @@ from conceptrag.metrics import (
     render_accuracy_svg,
     render_report_tsv,
 )
+from conceptrag.ragpipe import PipelineRecord
 
 TOL = 0.01 + 1e-9  # inclusive +-0.01
 
 
 def view(k=1, correct=True, backend="stub", mode="concepts", latency_ms=1.0):
-    return RecordView(k=k, correct=correct, backend=backend, mode=mode, latency_ms=latency_ms)
+    return PipelineRecord(k=k, correct=correct, backend=backend, mode=mode, latency_ms=latency_ms)
 
 
 class TestAnswerMatch:
@@ -253,7 +254,7 @@ class TestReport:
         for k in range(1, 11):
             for _ in range(4):
                 records.append(
-                    RecordView(
+                    PipelineRecord(
                         k=k,
                         correct=rng.random() < 0.7,
                         backend="stub",
@@ -274,7 +275,7 @@ class TestReport:
     def test_report_delta_with_baseline(self):
         records = self.make_records()
         baseline = [
-            RecordView(k=r.k, correct=False, backend="stub", mode="vanilla", latency_ms=1.0)
+            PipelineRecord(k=r.k, correct=False, backend="stub", mode="vanilla", latency_ms=1.0)
             for r in records
         ]
         report = build_report(records, [NORMAL_INTERVAL], baseline_records=baseline)
@@ -292,6 +293,12 @@ class TestReport:
         curve = EvalCurve({k: 10.0 * k for k in range(1, 11)}, label="run")
         svg = render_accuracy_svg([curve], title="Accuracy vs K")
         assert svg.startswith("<svg") and "<polyline" in svg and "Accuracy vs K" in svg
+
+    def test_svg_escapes_title_and_labels(self):
+        curve = EvalCurve({1: 50.0, 2: 75.0}, label="a<b & c")
+        root = ElementTree.fromstring(render_accuracy_svg([curve], title="Acc & K"))
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "Acc & K" in texts and "a<b & c" in texts
 
     def test_svg_rejects_empty(self):
         with pytest.raises(MetricsError):

@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from conceptrag.corpus import QadPair, SupportDoc, load_dataset
-from conceptrag.distill import DistillConfig, TraversalMode, distill_concepts
+from conceptrag.distill import DistillConfig, distill_concepts
 from conceptrag.penman import parse_amr
 from conceptrag.ragpipe import (
     AmrParseClient,
@@ -18,7 +18,6 @@ from conceptrag.ragpipe import (
     LlmBackendSpec,
     PipelineRecord,
     build_baseline_prompt,
-    build_fact_prompt,
     build_run_manifest,
     dataset_content_hash,
     fact_prompt_from_strings,
@@ -92,7 +91,9 @@ def mock_parse_server(table_a1_penman=None):
 class TestFactPrompt:
     def test_table_a1_prompt_verbatim(self, table_a1_penman, table_a1_doc):
         concepts = distill_concepts(parse_amr(table_a1_penman), table_a1_doc)
-        prompt = build_fact_prompt([concepts], "Where is Alexander Rinnooy Kan from?")
+        prompt = fact_prompt_from_strings(
+            [concepts.facts_string()], "Where is Alexander Rinnooy Kan from?"
+        )
         assert prompt == (
             "Refer to the following facts to answer the question. "
             "Facts: Alexander Rinnooy Kan, Amsterdam. "
@@ -114,11 +115,12 @@ class TestFactPrompt:
         with pytest.raises(ValueError):
             fact_prompt_from_strings(["x"], "")
         with pytest.raises(ValueError):
-            build_fact_prompt([], "q")
+            fact_prompt_from_strings([""], "q")
 
     def test_prompt_is_deterministic(self, table_a1_penman, table_a1_doc):
         concepts = distill_concepts(parse_amr(table_a1_penman), table_a1_doc)
-        assert build_fact_prompt([concepts], "q?") == build_fact_prompt([concepts], "q?")
+        facts = [concepts.facts_string()]
+        assert fact_prompt_from_strings(facts, "q?") == fact_prompt_from_strings(facts, "q?")
 
 
 class TestBaselinePrompt:
@@ -260,7 +262,9 @@ class TestPipeline:
             # echo stub returns the doc text from pass 1, so the final
             # fact prompt quotes the documents verbatim
             assert pair.documents[0].text in record.prompt
-            assert record.compressed_docs == [d.text for d in pair.documents]
+            assert record.prompt == fact_prompt_from_strings(
+                [d.text for d in pair.documents], pair.question
+            )
 
     def test_output_order_preserved_under_parallelism(self, fixture_dataset_path):
         pairs = load_dataset(fixture_dataset_path)[:10]
@@ -272,7 +276,7 @@ class TestPipeline:
             stub_jitter_seed=99,
         )
         records = run_pipeline(pairs, CompressionMode("vanilla"), backend)
-        assert [r.pair.question for r in records] == [p.question for p in pairs]
+        assert [r.question for r in records] == [p.question for p in pairs]
 
     def test_stub_soundness(self, fixture_dataset_path):
         # under the oracle stub, accuracy equals the fraction of prompts
@@ -280,7 +284,7 @@ class TestPipeline:
         pairs = load_dataset(fixture_dataset_path)[:8]
         records = run_pipeline(pairs, CompressionMode("concepts"), ORACLE)
         for record in records:
-            contains = any(g in record.prompt for g in record.pair.gold_answers)
+            contains = any(g in record.prompt for g in record.gold_answers)
             assert record.correct == contains
 
     def test_backend_swap_keeps_prompts(self, fixture_dataset_path):
@@ -291,9 +295,10 @@ class TestPipeline:
 
     def test_reproducible_with_seeded_traversal(self, fixture_dataset_path):
         pairs = self.fixture_pairs(fixture_dataset_path, 3)
-        mode = CompressionMode("concepts", traversal=TraversalMode.local_random(5))
-        first = run_pipeline(pairs, mode, ORACLE)
-        second = run_pipeline(pairs, mode, ORACLE)
+        mode = CompressionMode("concepts")
+        config = DistillConfig(traversal="local-random", seed=5)
+        first = run_pipeline(pairs, mode, ORACLE, config=config)
+        second = run_pipeline(pairs, mode, ORACLE, config=config)
         assert [(r.prompt, r.raw_answer, r.correct) for r in first] == [
             (r.prompt, r.raw_answer, r.correct) for r in second
         ]
@@ -306,6 +311,33 @@ class TestPipeline:
         assert data["correct"] is True
         assert data["original_words"] > data["compressed_words"] > 0
 
+    def test_record_keys_and_round_trip(self, fixture_dataset_path):
+        [pair] = self.fixture_pairs(fixture_dataset_path, 1)
+        [record] = run_pipeline([pair], CompressionMode("concepts"), ORACLE)
+        data = json.loads(json.dumps(record.to_dict()))
+        assert list(data) == [
+            "question", "gold_answers", "k", "mode", "backend", "prompt", "raw_answer",
+            "latency_ms", "correct", "original_words", "compressed_words", "error",
+        ]
+        assert PipelineRecord.from_dict(data) == record
+
+    def test_config_traversal_reaches_every_prompt(self, fixture_dataset_path):
+        pairs = load_dataset(fixture_dataset_path)
+        config = DistillConfig(traversal="global-random", seed=3)
+        records = run_pipeline(pairs, CompressionMode("concepts"), ORACLE, config=config)
+        assert len(records) == 20
+        for pair, record in zip(pairs, records):
+            facts = [
+                distill_concepts(parse_amr(d.amr), d.text, config=config).facts_string()
+                for d in pair.documents
+            ]
+            assert record.prompt == fact_prompt_from_strings(facts, pair.question)
+        manifest = build_run_manifest(
+            CompressionMode("concepts"), ORACLE, config, fixture_dataset_path,
+            screen=True, s_pop_max=None,
+        )
+        assert manifest["traversal"] == {"kind": "global-random", "seed": 3}
+
 
 class TestManifest:
     def test_manifest_fields_and_redaction(self, fixture_dataset_path):
@@ -313,10 +345,12 @@ class TestManifest:
             kind="http-chat", endpoint_url="http://x/v1", model="m", auth_env="SECRET_VAR"
         )
         manifest = build_run_manifest(
-            CompressionMode("concepts", traversal=TraversalMode.global_random(3)),
+            CompressionMode("concepts"),
             backend,
             DistillConfig(seed=3, traversal="global-random"),
             fixture_dataset_path,
+            screen=True,
+            s_pop_max=None,
         )
         blob = json.dumps(manifest)
         assert manifest["traversal"] == {"kind": "global-random", "seed": 3}
@@ -327,6 +361,11 @@ class TestManifest:
 
     def test_config_hash_changes_with_mode(self, fixture_dataset_path):
         config = DistillConfig()
-        a = build_run_manifest(CompressionMode("vanilla"), ORACLE, config, fixture_dataset_path)
-        b = build_run_manifest(CompressionMode("concepts"), ORACLE, config, fixture_dataset_path)
+        screening = {"screen": True, "s_pop_max": None}
+        a = build_run_manifest(
+            CompressionMode("vanilla"), ORACLE, config, fixture_dataset_path, **screening
+        )
+        b = build_run_manifest(
+            CompressionMode("concepts"), ORACLE, config, fixture_dataset_path, **screening
+        )
         assert a["config_hash"] != b["config_hash"]
