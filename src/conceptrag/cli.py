@@ -162,7 +162,13 @@ def cmd_distill(args) -> int:
     return EXIT_OK
 
 
+def _check_screen_flags(args) -> None:
+    if args.no_screen and args.s_pop_max is not None:
+        raise _UsageError("--s-pop-max is a screening rule; it cannot be used with --no-screen")
+
+
 def cmd_stats(args) -> int:
+    _check_screen_flags(args)
     pairs = load_dataset(args.dataset)
     if not args.no_screen:
         pairs = screen_pairs(pairs, s_pop_max=args.s_pop_max)
@@ -176,6 +182,7 @@ def cmd_eval(args) -> int:
         raise _UsageError("eval requires --out")
     if not args.mode:
         raise _UsageError("eval requires --mode")
+    _check_screen_flags(args)
     config = _load_distill_config(args)
     backend = LlmBackendSpec.from_file(args.backend)
     mode = CompressionMode(args.mode)
@@ -214,6 +221,8 @@ def _load_records(results_dir: str) -> list[PipelineRecord]:
     if not path.exists():
         raise DatasetError(f"no records.json in {results_dir}")
     records = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(records, list):
+        raise DatasetError(f"{path} must hold a JSON list of records")
     return [PipelineRecord.from_dict(data) for data in records]
 
 

@@ -396,31 +396,68 @@ def concept_backtrace(
     Name/wiki/date concepts pass through, taking the source casing and span
     when an exact case-insensitive match exists. Never drops or adds.
     """
-    tokens = [(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(source_doc)]
+    # Every token that can match shares its first ``prefix_len`` lowercase
+    # characters with the word, so a word scans only its own bucket. Equal
+    # tokens overlap a word equally, so only the first (earliest) is kept.
+    prefix_len = max(min_overlap, 1)
+    index: dict[str, dict[str, tuple[str, int, int]]] = {}
+    for m in _TOKEN_RE.finditer(source_doc):
+        lower = m.group(0).lower()
+        if len(lower) >= prefix_len:
+            bucket = index.setdefault(lower[:prefix_len], {})
+            if lower not in bucket:
+                bucket[lower] = (m.group(0), m.start(), m.end())
     lowered = source_doc.lower()
+    # lowercasing can lengthen the text ('İ' becomes two characters), so
+    # offsets into ``lowered`` are mapped back to ``source_doc``
+    to_doc: dict[int, int] | None = None
+    if len(lowered) != len(source_doc):
+        to_doc, at = {}, 0
+        for i, ch in enumerate(source_doc):
+            to_doc[at] = i
+            at += len(ch.lower())
+        to_doc[at] = len(source_doc)
     out: list[Concept] = []
     for concept in concepts:
         if concept.provenance == "instance":
-            out.append(_backtrace_instance(concept, tokens, min_overlap))
+            out.append(_backtrace_instance(concept, index, prefix_len))
+            continue
+        span = _find_lowercase(source_doc, lowered, to_doc, concept.text.lower())
+        if span is None:
+            out.append(concept)
         else:
-            at = lowered.find(concept.text.lower())
-            if at >= 0:
-                end = at + len(concept.text)
-                out.append(replace(concept, text=source_doc[at:end], source_span=(at, end)))
-            else:
-                out.append(concept)
+            out.append(replace(concept, text=source_doc[span[0] : span[1]], source_span=span))
     return out
 
 
+def _find_lowercase(
+    source_doc: str, lowered: str, to_doc: dict[int, int] | None, target: str
+) -> tuple[int, int] | None:
+    """Earliest span of ``source_doc`` whose lowercase form is ``target``.
+    A hit in ``lowered`` must start and end on a character of
+    ``source_doc``, and the slice must lowercase alone to ``target`` (a
+    final sigma lowercases by context)."""
+    at = lowered.find(target)
+    while at >= 0:
+        if to_doc is None:
+            start, end = at, at + len(target)
+        else:
+            start, end = to_doc.get(at), to_doc.get(at + len(target))
+        if start is not None and end is not None and source_doc[start:end].lower() == target:
+            return start, end
+        at = lowered.find(target, at + 1)
+    return None
+
+
 def _backtrace_instance(
-    concept: Concept, tokens: list[tuple[str, int, int]], min_overlap: int
+    concept: Concept, index: dict[str, dict[str, tuple[str, int, int]]], prefix_len: int
 ) -> Concept:
     spans: list[tuple[int, int]] = []
     matched_all = True
 
     def substitute(match: re.Match) -> str:
         nonlocal matched_all
-        best = _best_token_match(match.group(0), tokens, min_overlap)
+        best = _best_token_match(match.group(0), index, prefix_len)
         if best is None:
             matched_all = False
             return match.group(0)
@@ -436,15 +473,15 @@ def _backtrace_instance(
 
 
 def _best_token_match(
-    word: str, tokens: list[tuple[str, int, int]], min_overlap: int
+    word: str, index: dict[str, dict[str, tuple[str, int, int]]], prefix_len: int
 ) -> tuple[str, int, int] | None:
     word_lower = word.lower()
     best: tuple[str, int, int] | None = None
     best_len = 0
-    for text, start, end in tokens:
-        overlap = _common_prefix_len(word_lower, text.lower())
-        if overlap >= min_overlap and overlap > best_len:
-            best, best_len = (text, start, end), overlap
+    for lower, token in index.get(word_lower[:prefix_len], {}).items():
+        overlap = _common_prefix_len(word_lower, lower)
+        if overlap > best_len:
+            best, best_len = token, overlap
     return best
 
 

@@ -17,14 +17,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 _VAR_RE = re.compile(r"[a-z][a-z0-9']*\Z")
-_ROLE_RE = re.compile(r":[A-Za-z0-9-]+\Z")
 _NUMERIC_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?\Z")
-_ALIGNMENT_RE = re.compile(r"[A-Za-z]*\.?[0-9]+(,[0-9]+)*")
 _SNT_ROLE_RE = re.compile(r":snt([0-9]+)\Z")
-_SYMBOL_END = set(' \t\r\n()"/:~#')
 
 
 class AmrParseError(ValueError):
@@ -90,18 +87,18 @@ class AmrGraph:
         self.nodes = dict(nodes)
         self.edges = list(edges)
         self._children: dict[str, list[AmrEdge]] = {v: [] for v in self.nodes}
+        self._parents: dict[str, str] = {}
         for edge in self.edges:
             self._children[edge.source].append(edge)
+            if edge.defines:
+                self._parents.setdefault(edge.target, edge.source)
 
     def children(self, variable: str) -> list[AmrEdge]:
         return self._children[variable]
 
     def defining_parent(self, variable: str) -> str | None:
         """Variable of the node under which ``variable`` was defined."""
-        for edge in self.edges:
-            if edge.defines and edge.target == variable:
-                return edge.source
-        return None
+        return self._parents.get(variable)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AmrGraph):
@@ -156,9 +153,30 @@ class SentenceSubgraph:
 
 # --- lexer -----------------------------------------------------------------
 
+# One match per token, in the style of Goodman's ``penman`` library (ACL 2020
+# demo): the whitespace and comments before the token, exactly one
+# alternative, then at most one surface alignment (``~e.4``), which attaches
+# to the token. After the skip some alternative always matches ('end' at the
+# end of input), so the greedy skip never gives back unicode whitespace for a
+# symbol to start with; inside a symbol only ASCII blanks end it. A role runs
+# over every letter, digit and '-', and is invalid if any is non-ASCII. Each
+# error alternative comes after the valid form it shadows.
+_LEX_RE = re.compile(
+    r"(?:\s+|#[^\n]*)*(?:"
+    r"(?P<lparen>\()|(?P<rparen>\))|(?P<slash>/)"
+    r'|"(?P<string>[^"\\]*(?:\\.[^"\\]*)*)"'
+    r"|(?P<role>:[A-Za-z0-9-]+)(?!-|[^\W_])"
+    r'|(?P<symbol>[^ \t\r\n()"/:~#]+)'
+    r"|(?P<end>\Z)"
+    r'|(?P<bad_string>")|(?P<bad_role>:(?:[^\W_]|-)*)|(?P<bad_char>~)'
+    r")(?:~(?:[A-Za-z]*\.?[0-9]+(?:,[0-9]+)*)?)?",
+    re.S,
+)
+_ESCAPE_RE = re.compile(r'\\(["\\])')
+_PLAIN_KINDS = frozenset(("lparen", "rparen", "slash", "role", "symbol"))
 
-@dataclass(frozen=True)
-class _Token:
+
+class _Token(NamedTuple):
     kind: str  # 'lparen' | 'rparen' | 'slash' | 'role' | 'string' | 'symbol'
     text: str
     offset: int  # character offset; converted to bytes when reporting
@@ -170,185 +188,27 @@ def _byte_offset(text: str, char_offset: int) -> int:
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-
-    def err(message: str, at: int) -> AmrParseError:
-        return AmrParseError(message, _byte_offset(text, at))
-
-    def skip_alignment(j: int) -> int:
-        # surface alignments like ~e.4 or ~4,5 attach to the preceding token
-        if j < n and text[j] == "~":
-            m = _ALIGNMENT_RE.match(text, j + 1)
-            if m:
-                return m.end()
-            return j + 1
-        return j
-
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()/":
-            kind = {"(": "lparen", ")": "rparen", "/": "slash"}[ch]
-            tokens.append(_Token(kind, ch, i))
-            i = skip_alignment(i + 1)
-        elif ch == '"':
-            start = i
-            i += 1
-            parts: list[str] = []
-            while True:
-                if i >= n:
-                    raise err("unterminated string literal", start)
-                c = text[i]
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise err("unterminated string literal", start)
-                    nxt = text[i + 1]
-                    parts.append(nxt if nxt in ('"', "\\") else "\\" + nxt)
-                    i += 2
-                elif c == '"':
-                    i += 1
-                    break
-                else:
-                    parts.append(c)
-                    i += 1
-            tokens.append(_Token("string", "".join(parts), start))
-            i = skip_alignment(i)
-        elif ch == ":":
-            start = i
-            i += 1
-            while i < n and (text[i].isalnum() or text[i] == "-"):
-                i += 1
-            role = text[start:i]
-            if not _ROLE_RE.match(role):
-                raise err(f"invalid role token {role!r}", start)
-            tokens.append(_Token("role", role, start))
-            i = skip_alignment(i)
-        else:
-            start = i
-            while i < n and text[i] not in _SYMBOL_END:
-                i += 1
-            if i == start:
-                raise err(f"unexpected character {ch!r}", start)
-            tokens.append(_Token("symbol", text[start:i], start))
-            i = skip_alignment(i)
+    for m in _LEX_RE.finditer(text):
+        kind = m.lastgroup
+        if kind in _PLAIN_KINDS:
+            tokens.append(_Token(kind, m.group(kind), m.start(kind)))
+        elif kind == "string":
+            body = m.group(kind)
+            if "\\" in body:
+                body = _ESCAPE_RE.sub(r"\1", body)
+            tokens.append(_Token(kind, body, m.start(kind) - 1))
+        elif kind != "end":
+            if kind == "bad_string":
+                message = "unterminated string literal"
+            elif kind == "bad_role":
+                message = f"invalid role token {m.group(kind)!r}"
+            else:
+                message = f"unexpected character {m.group(kind)!r}"
+            raise AmrParseError(message, _byte_offset(text, m.start(kind)))
     return tokens
 
 
 # --- parser ----------------------------------------------------------------
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _lex(text)
-        self.pos = 0
-        self.defined: dict[str, int] = {}  # variable -> def offset
-        self.node_instances: dict[str, str] = {}
-        # (source, role, raw target, defines, offset) in textual role order,
-        # with None placeholders while a nested node is being parsed;
-        # symbol targets are resolved after the full parse
-        self.raw_edges: list[tuple[str, str, object, bool, int] | None] = []
-        self.root: str | None = None
-
-    def fail(self, message: str, at: int):
-        raise AmrParseError(message, _byte_offset(self.text, at))
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            self.fail("unbalanced parentheses: unexpected end of input", len(self.text))
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.take()
-        if tok.kind != kind:
-            self.fail(f"expected {what}, found {tok.text!r}", tok.offset)
-        return tok
-
-    def parse(self) -> AmrGraph:
-        first = self.expect("lparen", "'('")
-        self.root = self.parse_node(first)
-        trailing = self.peek()
-        if trailing is not None:
-            self.fail("unexpected content after graph", trailing.offset)
-        return self.build()
-
-    def parse_node(self, lparen: _Token) -> str:
-        var_tok = self.take()
-        if var_tok.kind != "symbol" or not _VAR_RE.match(var_tok.text):
-            self.fail(f"expected variable, found {var_tok.text!r}", var_tok.offset)
-        variable = var_tok.text
-        if variable in self.defined:
-            self.fail(f"duplicate definition of variable {variable!r}", var_tok.offset)
-        self.defined[variable] = var_tok.offset
-        self.expect("slash", "'/'")
-        inst_tok = self.take()
-        if inst_tok.kind != "symbol":
-            self.fail(f"expected instance label, found {inst_tok.text!r}", inst_tok.offset)
-        self.node_instances[variable] = inst_tok.text
-
-        while True:
-            tok = self.take()
-            if tok.kind == "rparen":
-                return variable
-            if tok.kind != "role":
-                self.fail(f"expected role or ')', found {tok.text!r}", tok.offset)
-            value = self.take()
-            if value.kind == "lparen":
-                # reserve the slot first so the edge list keeps the textual
-                # order of roles (the child's own edges come after this one)
-                slot = len(self.raw_edges)
-                self.raw_edges.append(None)
-                child = self.parse_node(value)
-                self.raw_edges[slot] = (variable, tok.text, child, True, value.offset)
-            elif value.kind == "string":
-                literal = Literal(value.text, quoted=True)
-                self.raw_edges.append((variable, tok.text, literal, False, value.offset))
-            elif value.kind == "symbol":
-                # variable reference, number, or polarity; resolved after the
-                # full parse so forward references work
-                self.raw_edges.append((variable, tok.text, value, False, value.offset))
-            else:
-                self.fail(f"expected a value after {tok.text}", value.offset)
-
-    def build(self) -> AmrGraph:
-        edges: list[AmrEdge] = []
-        for raw in self.raw_edges:
-            assert raw is not None  # every placeholder is filled during parse
-            source, role, target, defines, offset = raw
-            if isinstance(target, _Token):
-                sym = target.text
-                if sym in self.defined:
-                    edges.append(AmrEdge(source, role, sym, defines=False))
-                elif _NUMERIC_RE.match(sym) or sym in ("-", "+"):
-                    edges.append(AmrEdge(source, role, Literal(sym), defines=False))
-                elif _VAR_RE.match(sym):
-                    self.fail(f"reference to undefined variable {sym!r}", offset)
-                else:
-                    self.fail(f"invalid attribute value {sym!r}", offset)
-            elif isinstance(target, Literal):
-                edges.append(AmrEdge(source, role, target, defines=False))
-            else:
-                edges.append(AmrEdge(source, role, target, defines=True))
-
-        nodes = {}
-        for variable, instance in self.node_instances.items():
-            attrs = tuple(
-                (e.role, e.target)
-                for e in edges
-                if e.source == variable and isinstance(e.target, Literal)
-            )
-            nodes[variable] = AmrNode(variable, instance, attrs)
-        assert self.root is not None
-        return AmrGraph(self.root, nodes, edges)
 
 
 def parse_amr(text: str) -> AmrGraph:
@@ -358,31 +218,114 @@ def parse_amr(text: str) -> AmrGraph:
     parentheses, unterminated string literals, duplicate variable
     definitions, and references to undefined variables.
     """
-    return _Parser(text).parse()
+    tokens = iter(_lex(text))
+    instances: dict[str, str] = {}  # variable -> instance, in definition order
+    # (source, role, target, defines, offset) in textual role order; symbol
+    # targets stay tokens until the full parse, so forward references work
+    raw_edges: list[tuple[str, str, object, bool, int]] = []
+
+    def fail(message: str, at: int):
+        raise AmrParseError(message, _byte_offset(text, at))
+
+    def take() -> _Token:
+        tok = next(tokens, None)
+        if tok is None:
+            fail("unbalanced parentheses: unexpected end of input", len(text))
+        return tok
+
+    def open_node() -> str:
+        """Read the ``variable / instance`` that follows a '('."""
+        var_tok = take()
+        if var_tok.kind != "symbol" or not _VAR_RE.match(var_tok.text):
+            fail(f"expected variable, found {var_tok.text!r}", var_tok.offset)
+        variable = var_tok.text
+        if variable in instances:
+            fail(f"duplicate definition of variable {variable!r}", var_tok.offset)
+        slash = take()
+        if slash.kind != "slash":
+            fail(f"expected '/', found {slash.text!r}", slash.offset)
+        inst_tok = take()
+        if inst_tok.kind != "symbol":
+            fail(f"expected instance label, found {inst_tok.text!r}", inst_tok.offset)
+        instances[variable] = inst_tok.text
+        return variable
+
+    first = take()
+    if first.kind != "lparen":
+        fail(f"expected '(', found {first.text!r}", first.offset)
+    root = open_node()
+    open_nodes = [root]  # nodes whose ')' is still to come, innermost last
+    while open_nodes:
+        tok = take()
+        if tok.kind == "rparen":
+            open_nodes.pop()
+            continue
+        if tok.kind != "role":
+            fail(f"expected role or ')', found {tok.text!r}", tok.offset)
+        value = take()
+        source = open_nodes[-1]
+        if value.kind == "lparen":
+            child = open_node()
+            raw_edges.append((source, tok.text, child, True, value.offset))
+            open_nodes.append(child)
+        elif value.kind == "string":
+            literal = Literal(value.text, quoted=True)
+            raw_edges.append((source, tok.text, literal, False, value.offset))
+        elif value.kind == "symbol":
+            # variable reference, number, or polarity
+            raw_edges.append((source, tok.text, value, False, value.offset))
+        else:
+            fail(f"expected a value after {tok.text}", value.offset)
+    trailing = next(tokens, None)
+    if trailing is not None:
+        fail("unexpected content after graph", trailing.offset)
+
+    edges: list[AmrEdge] = []
+    attributes: dict[str, list[tuple[str, Literal]]] = {v: [] for v in instances}
+    for source, role, target, defines, offset in raw_edges:
+        if isinstance(target, _Token):
+            sym = target.text
+            if sym in instances:
+                target = sym
+            elif _NUMERIC_RE.match(sym) or sym in ("-", "+"):
+                target = Literal(sym)
+            elif _VAR_RE.match(sym):
+                fail(f"reference to undefined variable {sym!r}", offset)
+            else:
+                fail(f"invalid attribute value {sym!r}", offset)
+        if isinstance(target, Literal):
+            attributes[source].append((role, target))
+        edges.append(AmrEdge(source, role, target, defines=defines))
+    nodes = {
+        v: AmrNode(v, instance, tuple(attributes[v])) for v, instance in instances.items()
+    }
+    return AmrGraph(root, nodes, edges)
 
 
 def serialize_amr(graph: AmrGraph, indent: int = 4) -> str:
     """Render a graph back to PENMAN; ``parse_amr`` of the result is
     structurally equal to the input."""
-
-    def emit(variable: str, depth: int) -> str:
-        node = graph.nodes[variable]
-        head = f"({variable} / {node.instance}"
-        children = graph.children(variable)
-        if not children:
-            return head + ")"
+    out: list[str] = []
+    # pieces still to write, last first: text, or a (variable, depth) to open
+    pending: list[str | tuple[str, int]] = [(graph.root, 0)]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        variable, depth = item
+        out.append(f"({variable} / {graph.nodes[variable].instance}")
+        pending.append(")")
         pad = "\n" + " " * (indent * (depth + 1))
-        parts = [head]
-        for edge in children:
+        for edge in reversed(graph.children(variable)):
             if isinstance(edge.target, Literal):
-                parts.append(f"{pad}{edge.role} {edge.target.penman()}")
+                pending.append(f"{pad}{edge.role} {edge.target.penman()}")
             elif edge.defines:
-                parts.append(f"{pad}{edge.role} {emit(edge.target, depth + 1)}")
+                pending.append((edge.target, depth + 1))
+                pending.append(f"{pad}{edge.role} ")
             else:
-                parts.append(f"{pad}{edge.role} {edge.target}")
-        return "".join(parts) + ")"
-
-    return emit(graph.root, 0)
+                pending.append(f"{pad}{edge.role} {edge.target}")
+    return "".join(out)
 
 
 def split_sentences(graph: AmrGraph) -> list[SentenceSubgraph]:
@@ -434,14 +377,13 @@ def dfs_nodes(subgraph: SentenceSubgraph) -> list[str]:
     textual edge order; re-entrant references are not re-visited."""
     graph = subgraph.graph
     order: list[str] = []
-
-    def visit(variable: str) -> None:
+    stack = [subgraph.root]
+    while stack:
+        variable = stack.pop()
         order.append(variable)
-        for edge in graph.children(variable):
+        for edge in reversed(graph.children(variable)):
             if edge.defines:
-                visit(edge.target)
-
-    visit(subgraph.root)
+                stack.append(edge.target)
     return order
 
 

@@ -15,14 +15,14 @@ import re
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from random import Random
 
 import requests
 
 from . import metrics
-from .corpus import QadPair
+from .corpus import DatasetError, QadPair
 from .distill import DistillConfig, build_idf_index, distill_concepts
 from .penman import parse_amr
 
@@ -172,8 +172,15 @@ class PipelineRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineRecord":
-        """Inverse of :meth:`to_dict`; absent optional keys take defaults."""
-        record = cls(**{key: data[key] for key in _RECORD_KEYS if key in data})
+        """Inverse of :meth:`to_dict`; absent optional keys take defaults.
+        Raises :class:`DatasetError` for a non-object or a missing required key."""
+        try:
+            record = cls(**{key: data[key] for key in _RECORD_KEYS if key in data})
+        except TypeError:
+            if not isinstance(data, dict):
+                raise DatasetError(f"record must be a JSON object, not {type(data).__name__}") from None
+            missing = [key for key in _REQUIRED_KEYS if key not in data]
+            raise DatasetError(f"record is missing required keys: {', '.join(missing)}") from None
         record.gold_answers = tuple(record.gold_answers)
         record.correct = bool(record.correct)
         return record
@@ -185,6 +192,7 @@ class PipelineRecord:
 
 
 _RECORD_KEYS = tuple(f.name for f in fields(PipelineRecord))
+_REQUIRED_KEYS = tuple(f.name for f in fields(PipelineRecord) if f.default is MISSING)
 
 
 # --- prompts -----------------------------------------------------------------

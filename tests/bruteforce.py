@@ -1,0 +1,281 @@
+"""Straightforward reference versions of the fast paths in ``penman`` and
+``distill``, for the property tests in ``test_fast_paths.py`` to compare
+against.
+
+These are the earlier implementations kept as they were: the
+character-at-a-time lexer, the recursive-descent parser with its per-node
+attribute scan, the linear ``defining_parent`` scan, and the backtrace that
+compares every concept word with every source token. They are quadratic or
+recursive on purpose; only their output matters.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import replace
+from typing import NamedTuple
+
+from conceptrag.distill import Concept
+from conceptrag.penman import AmrEdge, AmrGraph, AmrNode, AmrParseError, Literal
+
+_VAR_RE = re.compile(r"[a-z][a-z0-9']*\Z")
+_ROLE_RE = re.compile(r":[A-Za-z0-9-]+\Z")
+_NUMERIC_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?\Z")
+_ALIGNMENT_RE = re.compile(r"[A-Za-z]*\.?[0-9]+(,[0-9]+)*")
+_SYMBOL_END = set(' \t\r\n()"/:~#')
+_TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z0-9]+)*")
+
+
+class Token(NamedTuple):
+    kind: str
+    text: str
+    offset: int
+
+
+def _byte_offset(text: str, char_offset: int) -> int:
+    return len(text[:char_offset].encode("utf-8"))
+
+
+def lex(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    i, n = 0, len(text)
+
+    def err(message: str, at: int) -> AmrParseError:
+        return AmrParseError(message, _byte_offset(text, at))
+
+    def skip_alignment(j: int) -> int:
+        if j < n and text[j] == "~":
+            m = _ALIGNMENT_RE.match(text, j + 1)
+            if m:
+                return m.end()
+            return j + 1
+        return j
+
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()/":
+            kind = {"(": "lparen", ")": "rparen", "/": "slash"}[ch]
+            tokens.append(Token(kind, ch, i))
+            i = skip_alignment(i + 1)
+        elif ch == '"':
+            start = i
+            i += 1
+            parts: list[str] = []
+            while True:
+                if i >= n:
+                    raise err("unterminated string literal", start)
+                c = text[i]
+                if c == "\\":
+                    if i + 1 >= n:
+                        raise err("unterminated string literal", start)
+                    nxt = text[i + 1]
+                    parts.append(nxt if nxt in ('"', "\\") else "\\" + nxt)
+                    i += 2
+                elif c == '"':
+                    i += 1
+                    break
+                else:
+                    parts.append(c)
+                    i += 1
+            tokens.append(Token("string", "".join(parts), start))
+            i = skip_alignment(i)
+        elif ch == ":":
+            start = i
+            i += 1
+            while i < n and (text[i].isalnum() or text[i] == "-"):
+                i += 1
+            role = text[start:i]
+            if not _ROLE_RE.match(role):
+                raise err(f"invalid role token {role!r}", start)
+            tokens.append(Token("role", role, start))
+            i = skip_alignment(i)
+        else:
+            start = i
+            while i < n and text[i] not in _SYMBOL_END:
+                i += 1
+            if i == start:
+                raise err(f"unexpected character {ch!r}", start)
+            tokens.append(Token("symbol", text[start:i], start))
+            i = skip_alignment(i)
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = lex(text)
+        self.pos = 0
+        self.defined: dict[str, int] = {}
+        self.node_instances: dict[str, str] = {}
+        self.raw_edges: list[tuple[str, str, object, bool, int] | None] = []
+        self.root: str | None = None
+
+    def fail(self, message: str, at: int):
+        raise AmrParseError(message, _byte_offset(self.text, at))
+
+    def peek(self) -> Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self) -> Token:
+        tok = self.peek()
+        if tok is None:
+            self.fail("unbalanced parentheses: unexpected end of input", len(self.text))
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> Token:
+        tok = self.take()
+        if tok.kind != kind:
+            self.fail(f"expected {what}, found {tok.text!r}", tok.offset)
+        return tok
+
+    def parse(self) -> AmrGraph:
+        first = self.expect("lparen", "'('")
+        self.root = self.parse_node(first)
+        trailing = self.peek()
+        if trailing is not None:
+            self.fail("unexpected content after graph", trailing.offset)
+        return self.build()
+
+    def parse_node(self, lparen: Token) -> str:
+        var_tok = self.take()
+        if var_tok.kind != "symbol" or not _VAR_RE.match(var_tok.text):
+            self.fail(f"expected variable, found {var_tok.text!r}", var_tok.offset)
+        variable = var_tok.text
+        if variable in self.defined:
+            self.fail(f"duplicate definition of variable {variable!r}", var_tok.offset)
+        self.defined[variable] = var_tok.offset
+        self.expect("slash", "'/'")
+        inst_tok = self.take()
+        if inst_tok.kind != "symbol":
+            self.fail(f"expected instance label, found {inst_tok.text!r}", inst_tok.offset)
+        self.node_instances[variable] = inst_tok.text
+
+        while True:
+            tok = self.take()
+            if tok.kind == "rparen":
+                return variable
+            if tok.kind != "role":
+                self.fail(f"expected role or ')', found {tok.text!r}", tok.offset)
+            value = self.take()
+            if value.kind == "lparen":
+                slot = len(self.raw_edges)
+                self.raw_edges.append(None)
+                child = self.parse_node(value)
+                self.raw_edges[slot] = (variable, tok.text, child, True, value.offset)
+            elif value.kind == "string":
+                literal = Literal(value.text, quoted=True)
+                self.raw_edges.append((variable, tok.text, literal, False, value.offset))
+            elif value.kind == "symbol":
+                self.raw_edges.append((variable, tok.text, value, False, value.offset))
+            else:
+                self.fail(f"expected a value after {tok.text}", value.offset)
+
+    def build(self) -> AmrGraph:
+        edges: list[AmrEdge] = []
+        for raw in self.raw_edges:
+            source, role, target, defines, offset = raw
+            if isinstance(target, Token):
+                sym = target.text
+                if sym in self.defined:
+                    edges.append(AmrEdge(source, role, sym, defines=False))
+                elif _NUMERIC_RE.match(sym) or sym in ("-", "+"):
+                    edges.append(AmrEdge(source, role, Literal(sym), defines=False))
+                elif _VAR_RE.match(sym):
+                    self.fail(f"reference to undefined variable {sym!r}", offset)
+                else:
+                    self.fail(f"invalid attribute value {sym!r}", offset)
+            elif isinstance(target, Literal):
+                edges.append(AmrEdge(source, role, target, defines=False))
+            else:
+                edges.append(AmrEdge(source, role, target, defines=True))
+
+        nodes = {}
+        for variable, instance in self.node_instances.items():
+            attrs = tuple(
+                (e.role, e.target)
+                for e in edges
+                if e.source == variable and isinstance(e.target, Literal)
+            )
+            nodes[variable] = AmrNode(variable, instance, attrs)
+        return AmrGraph(self.root, nodes, edges)
+
+
+def parse_amr(text: str) -> AmrGraph:
+    return _Parser(text).parse()
+
+
+def defining_parent(graph: AmrGraph, variable: str) -> str | None:
+    for edge in graph.edges:
+        if edge.defines and edge.target == variable:
+            return edge.source
+    return None
+
+
+def concept_backtrace(
+    concepts: list[Concept], source_doc: str, min_overlap: int = 4
+) -> list[Concept]:
+    tokens = [(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(source_doc)]
+    lowered = source_doc.lower()
+    out: list[Concept] = []
+    for concept in concepts:
+        if concept.provenance == "instance":
+            out.append(_backtrace_instance(concept, tokens, min_overlap))
+        else:
+            at = lowered.find(concept.text.lower())
+            if at >= 0:
+                end = at + len(concept.text)
+                out.append(replace(concept, text=source_doc[at:end], source_span=(at, end)))
+            else:
+                out.append(concept)
+    return out
+
+
+def _backtrace_instance(
+    concept: Concept, tokens: list[tuple[str, int, int]], min_overlap: int
+) -> Concept:
+    spans: list[tuple[int, int]] = []
+    matched_all = True
+
+    def substitute(match: re.Match) -> str:
+        nonlocal matched_all
+        best = best_token_match(match.group(0), tokens, min_overlap)
+        if best is None:
+            matched_all = False
+            return match.group(0)
+        text, start, end = best
+        spans.append((start, end))
+        return text
+
+    new_text = _TOKEN_RE.sub(substitute, concept.text)
+    if not spans:
+        return concept
+    span = (min(s for s, _ in spans), max(e for _, e in spans)) if matched_all else None
+    return replace(concept, text=new_text, source_span=span)
+
+
+def best_token_match(
+    word: str, tokens: list[tuple[str, int, int]], min_overlap: int
+) -> tuple[str, int, int] | None:
+    word_lower = word.lower()
+    best: tuple[str, int, int] | None = None
+    best_len = 0
+    for text, start, end in tokens:
+        overlap = _common_prefix_len(word_lower, text.lower())
+        if overlap >= min_overlap and overlap > best_len:
+            best, best_len = (text, start, end), overlap
+    return best
+
+
+def _common_prefix_len(a: str, b: str) -> int:
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n

@@ -1,13 +1,20 @@
 import json
+import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 DATA_DIR = Path(__file__).parent / "data"
 
 # make tests/graphgen.py and tests/gen_fixture.py importable from any test
 sys.path.insert(0, str(Path(__file__).parent))
+
+# HYPOTHESIS_PROFILE=ci derandomizes every property, so a failing example
+# fails the same way on each rerun; without it, runs use the default profile
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

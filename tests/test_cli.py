@@ -113,6 +113,18 @@ class TestDistillCommand:
         assert main([*args, "--seed", "3"]) == EXIT_OK
 
 
+    def test_deeply_nested_graph(self, tmp_path, capsys):
+        depth = 5000  # far past the interpreter's recursion limit
+        amr = tmp_path / "deep.amr"
+        doc = tmp_path / "deep.txt"
+        amr.write_text(
+            "".join(f"(v{i} / walk-01 :ARG0 " for i in range(depth)) + "(b / boy" + ")" * (depth + 1)
+        )
+        doc.write_text("The boy walked.")
+        assert main(["distill", str(amr), str(doc)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == ["walked"] * depth + ["boy"]
+
+
 class TestStatsCommand:
     def test_fixture_counts(self, fixture_dataset_path, capsys):
         assert main(["stats", str(fixture_dataset_path)]) == EXIT_OK
@@ -133,6 +145,14 @@ class TestStatsCommand:
         bad.write_text("{broken\n")
         assert main(["stats", str(bad)]) == EXIT_DATA
         assert "line 1" in capsys.readouterr().err
+
+
+    def test_no_screen_with_s_pop_max_is_usage_error(self, fixture_dataset_path, capsys):
+        code = main(["stats", str(fixture_dataset_path), "--no-screen", "--s-pop-max", "1"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and "--no-screen" in captured.err
+        assert captured.out == ""
 
 
 class TestEvalAndReport:
@@ -201,6 +221,35 @@ class TestEvalAndReport:
         assert manifests["cap"]["screening"] == {"screen": True, "s_pop_max": 1000}
         assert manifests["unscreened"]["screening"] == {"screen": False, "s_pop_max": None}
         assert len({m["config_hash"] for m in manifests.values()}) == 3
+
+    def test_no_screen_with_s_pop_max_is_usage_error(
+        self, tmp_path, fixture_dataset_path, stub_backend_file, capsys
+    ):
+        out = tmp_path / "results"
+        code = main(
+            ["eval", str(fixture_dataset_path), "--backend", stub_backend_file,
+             "--mode", "vanilla", "--out", str(out), "--no-screen", "--s-pop-max", "1"]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ('[{"question": "q"}]', "missing required keys: k, correct"),
+            ('[{"k": 1}]', "missing required keys: correct"),
+            ("[7]", "must be a JSON object"),
+            ('{"k": 1}', "must hold a JSON list"),
+        ],
+    )
+    def test_malformed_records_are_data_errors(self, tmp_path, records, message, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "records.json").write_text(records)
+        assert main(["report", str(run)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_manifest_reproducibility(self, tmp_path, fixture_dataset_path, stub_backend_file):
         extra = ["--traversal", "local-random", "--seed", "11"]

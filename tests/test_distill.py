@@ -4,7 +4,7 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conceptrag.distill import (
@@ -204,6 +204,43 @@ class TestBacktrace:
     def test_conservatism_count_preserved(self, labels):
         concepts = [Concept(lbl, "instance", 1, label=lbl) for lbl in labels]
         assert len(concept_backtrace(concepts, self.SOURCE)) == len(concepts)
+
+
+    def test_unicode_before_a_match_keeps_offsets(self):
+        # 'İ' lowercases to two characters, which shifted later spans
+        graph = parse_amr(
+            '(v / visit-01 :ARG1 (c / city :name (n / name :op1 "Zurich"))'
+            ' :ARG2 (c2 / city :wiki "Zurich"))'
+        )
+        source = "İİ visited Zurich."
+        concepts = distill_concepts(graph, source).concepts
+        assert [c.text for c in concepts] == ["visited", "Zurich", "Zurich"]
+        assert [c.source_span for c in concepts] == [(3, 10), (11, 17), (11, 17)]
+
+    @given(
+        st.text(alphabet=st.sampled_from("İiIı\u0307ΣσςßẞK\u212akÅ\u212båǅǆé .-"), max_size=24),
+        st.lists(
+            st.tuples(
+                st.integers(0, 24), st.integers(0, 24),
+                st.sampled_from(["name", "wiki", "date"]),
+                st.sampled_from([str, str.upper, str.lower]),
+            ),
+            min_size=1, max_size=6,
+        ),
+    )
+    # a final sigma lowercases to 'ς' in "KΣ" but to 'σ' on its own
+    @example("KΣ ς", [(3, 4, "name", str)])
+    @settings(max_examples=300, deadline=None)
+    def test_spans_index_non_ascii_source(self, source, picks):
+        concepts = [
+            Concept(case(source[a:b]) or "k", provenance, 1) for a, b, provenance, case in picks
+        ]
+        for before, after in zip(concepts, concept_backtrace(concepts, source)):
+            if after.source_span is None:
+                continue
+            start, end = after.source_span
+            assert source[start:end] == after.text
+            assert source[start:end].lower() == before.text.lower()
 
 
 class TestIdfIndex:

@@ -1,0 +1,112 @@
+"""The fast lexer, parser, parent map and backtrace against the
+straightforward versions in ``bruteforce.py``: same tokens, graphs and
+concepts, or the same error message at the same byte offset."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bruteforce
+from conceptrag import penman
+from conceptrag.distill import Concept, concept_backtrace
+from conceptrag.penman import AmrParseError, parse_amr
+from graphgen import random_penman
+
+# every character the lexer treats specially, unicode whitespace (only
+# skipped between tokens), unicode letters and digits (alphanumeric, but not
+# allowed in roles), and the characters of numbers and alignments
+HOSTILE = list('()/:"\\~#\n') + ["\xa0", "\u2003", "İ", "é", "٣", " ", "\t"] + list(
+    "0123456789-_.,+aeEzZ"
+)
+# longer pieces that reach deeper lexer states: roles, escapes inside
+# strings, alignments, comments
+FRAGMENTS = HOSTILE + [
+    ":ARG0", ":a-é", ":", '"x\\"y"', '"a\\\nb"', "~e.1", "~1,2", "~ab", "~e.1~e.2",
+    "#c\n", "v1", "walk-01", ":op1", "(", ")",
+]
+
+
+def outcome(func, text):
+    try:
+        return "ok", func(text)
+    except AmrParseError as exc:
+        return "error", str(exc), exc.offset
+
+
+class TestLexer:
+    @given(st.text(alphabet=st.sampled_from(HOSTILE), max_size=40))
+    @settings(max_examples=500, deadline=None)
+    def test_hostile_characters(self, text):
+        assert outcome(penman._lex, text) == outcome(bruteforce.lex, text)
+
+    def test_seeded_fragments(self):
+        rng = random.Random(11)
+        for _ in range(20_000):
+            text = "".join(rng.choice(FRAGMENTS) for _ in range(rng.randint(0, 12)))
+            assert outcome(penman._lex, text) == outcome(bruteforce.lex, text), repr(text)
+
+    def test_trailing_unicode_whitespace_is_skipped(self):
+        tokens = penman._lex("(a / b)\xa0\u2003")
+        assert [t.kind for t in tokens] == ["lparen", "symbol", "slash", "symbol", "rparen"]
+
+    def test_unicode_whitespace_inside_a_symbol(self):
+        assert penman._lex("a\xa0b")[0].text == "a\xa0b"
+
+    def test_backslash_newline_stays_in_string(self):
+        [token] = penman._lex('"a\\\nb"')
+        assert token.text == "a\\\nb"
+
+
+class TestParser:
+    def test_graphgen_graphs(self):
+        for seed in range(300):
+            text = random_penman(seed)
+            assert parse_amr(text) == bruteforce.parse_amr(text), seed
+
+    def test_damaged_graphs_fail_alike(self):
+        rng = random.Random(5)
+        for seed in range(1000):
+            text = random_penman(seed)
+            at = rng.randrange(len(text))
+            text = text[:at] + rng.choice(FRAGMENTS) + text[at + rng.randint(0, 3) :]
+            assert outcome(parse_amr, text) == outcome(bruteforce.parse_amr, text), repr(text)
+
+    def test_defining_parent(self):
+        for seed in range(300):
+            graph = parse_amr(random_penman(seed))
+            for variable in [*graph.nodes, "absent"]:
+                expected = bruteforce.defining_parent(graph, variable)
+                assert graph.defining_parent(variable) == expected, (seed, variable)
+
+
+WORDS = [
+    "work", "worked", "Workers", "wor", "w", "walk", "walking", "WALKED", "run",
+    "ran", "river", "bank", "don't", "a1", "1972", "Zurich", "zur", "riverbank",
+]
+SEPARATORS = ["", " ", " ", ", ", ". ", "-", "é ", "'s "]
+
+
+class TestBacktrace:
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_linear_scan(self, seed):
+        rng = random.Random(seed)
+        doc = "".join(
+            rng.choice(WORDS) + rng.choice(SEPARATORS) for _ in range(rng.randint(0, 20))
+        )
+        concepts = []
+        for _ in range(rng.randint(1, 6)):
+            text = " ".join(rng.sample(WORDS, rng.randint(1, 2)))
+            if rng.random() < 0.3:
+                text = text.replace(" ", "-")
+            provenance = rng.choice(["instance", "instance", "name", "wiki", "date"])
+            concepts.append(Concept(text, provenance, 1, label=text))
+        for min_overlap in range(7):
+            assert concept_backtrace(concepts, doc, min_overlap) == bruteforce.concept_backtrace(
+                concepts, doc, min_overlap
+            ), min_overlap
+
+    def test_overlap_floor_zero_still_needs_one_character(self):
+        [out] = concept_backtrace([Concept("xyz", "instance", 1)], "abc def", min_overlap=0)
+        assert out.text == "xyz" and out.source_span is None

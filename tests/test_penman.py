@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conceptrag.penman import (
+    AmrEdge,
     AmrParseError,
     GraphError,
     Literal,
@@ -228,6 +229,33 @@ class TestDfs:
         graph = parse_amr("(x / top :mod (z / last) :ARG0 (a / first) :time (m / mid))")
         order = instances(graph, dfs_nodes(split_sentences(graph)[0]))
         assert order == ["top", "last", "first", "mid"]
+
+
+class TestDeepGraphs:
+    DEPTH = 5000  # far past the interpreter's recursion limit
+
+    def deep_chain(self) -> str:
+        opening = "".join(f"(v{i} / walk-01 :mod (m{i} / leaf) :ARG0 " for i in range(self.DEPTH))
+        closing = "".join(f" :quant {i})" for i in reversed(range(self.DEPTH)))
+        return opening + "(z / boy)" + closing
+
+    def test_parse_serialize_and_dfs(self):
+        graph = parse_amr(self.deep_chain())
+        assert len(graph.nodes) == 2 * self.DEPTH + 1
+        assert [(e.source, e.role) for e in graph.edges[:4]] == [
+            ("v0", ":mod"), ("v0", ":ARG0"), ("v1", ":mod"), ("v1", ":ARG0"),
+        ]
+        assert graph.edges[-1] == AmrEdge("v0", ":quant", Literal("0"))
+        # indent=0 keeps the text linear in depth
+        assert parse_amr(serialize_amr(graph, indent=0)) == graph
+        expected = [v for i in range(self.DEPTH) for v in (f"v{i}", f"m{i}")] + ["z"]
+        assert dfs_nodes(split_sentences(graph)[0]) == expected
+
+    def test_unbalanced_deep_chain_offset(self):
+        text = self.deep_chain()[:-1]
+        with pytest.raises(AmrParseError) as exc:
+            parse_amr(text)
+        assert exc.value.offset == len(text)
 
 
 class TestCorpusBlocks:
