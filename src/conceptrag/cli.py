@@ -75,49 +75,51 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"conceptrag {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="distill config JSON file")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--seed", type=int, help="seed for random traversal modes")
-    common.add_argument(
-        "--mode",
-        choices=["vanilla", "concepts", "keywords", "summary"],
-        help="compression mode",
-    )
-    common.add_argument(
+    # each subcommand takes only the flags it reads; any other is a usage error
+    distill_opts = _Parser(add_help=False)
+    distill_opts.add_argument("--config", help="distill config JSON file")
+    distill_opts.add_argument("--seed", type=int, help="seed for random traversal modes")
+    distill_opts.add_argument(
         "--traversal",
         choices=["dfs", "global-random", "local-random"],
-        default=None,
         help="concept traversal order",
     )
-    common.add_argument(
-        "--interval",
-        action="append",
-        help="evaluation interval: normal, long, or a,b (repeatable)",
-    )
+    screen_opts = _Parser(add_help=False)
+    screen_opts.add_argument("--no-screen", action="store_true", help="skip hasanswer screening")
+    screen_opts.add_argument("--s-pop-max", type=int, help="drop pairs with s_pop >= N")
 
-    p_parse = sub.add_parser("parse", parents=[common], help="parse PENMAN to a JSON graph")
+    p_parse = sub.add_parser("parse", help="parse PENMAN to a JSON graph")
     p_parse.add_argument("input", help="PENMAN file, or - for stdin")
+    p_parse.add_argument("--out", help="write graph.json into this directory")
 
-    p_distill = sub.add_parser("distill", parents=[common], help="distill concepts")
+    p_distill = sub.add_parser("distill", parents=[distill_opts], help="distill concepts")
     p_distill.add_argument("penman_file", help="PENMAN graph file")
     p_distill.add_argument("source_file", help="source document text file")
     p_distill.add_argument("--json", action="store_true", help="emit JSON with spans")
 
-    p_stats = sub.add_parser("stats", parents=[common], help="dataset counts per K")
+    p_stats = sub.add_parser("stats", parents=[screen_opts], help="dataset counts per K")
     p_stats.add_argument("dataset", help="JSONL dataset file")
-    p_stats.add_argument("--no-screen", action="store_true", help="skip hasanswer screening")
-    p_stats.add_argument("--s-pop-max", type=int, default=None, help="drop pairs with s_pop >= N")
 
-    p_eval = sub.add_parser("eval", parents=[common], help="run the QA pipeline")
+    p_eval = sub.add_parser(
+        "eval", parents=[distill_opts, screen_opts], help="run the QA pipeline"
+    )
     p_eval.add_argument("dataset", help="JSONL dataset file")
     p_eval.add_argument("--backend", required=True, help="backend spec JSON file")
+    p_eval.add_argument(
+        "--mode",
+        required=True,
+        choices=["vanilla", "concepts", "keywords", "summary"],
+        help="compression mode",
+    )
+    p_eval.add_argument("--out", required=True, help="output directory")
     p_eval.add_argument("--parse-endpoint", help="text-to-AMR parse endpoint URL")
-    p_eval.add_argument("--no-screen", action="store_true", help="skip hasanswer screening")
-    p_eval.add_argument("--s-pop-max", type=int, default=None)
 
-    p_report = sub.add_parser("report", parents=[common], help="render metrics for a run")
+    p_report = sub.add_parser("report", help="render metrics for a run")
     p_report.add_argument("results_dir", help="directory written by eval")
+    p_report.add_argument("--out", help="output directory (default: results_dir)")
+    p_report.add_argument(
+        "--interval", action="append", help="evaluation interval: normal, long, or a,b (repeatable)"
+    )
     p_report.add_argument("--baseline", help="baseline results directory (for delta)")
     p_report.add_argument("--svg", help="also write an accuracy-curve SVG to this path")
     return parser
@@ -178,10 +180,6 @@ def cmd_stats(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not args.out:
-        raise _UsageError("eval requires --out")
-    if not args.mode:
-        raise _UsageError("eval requires --mode")
     _check_screen_flags(args)
     config = _load_distill_config(args)
     backend = LlmBackendSpec.from_file(args.backend)
@@ -236,7 +234,7 @@ def cmd_report(args) -> int:
     )
     report = build_report(records, intervals, baseline_records=baseline, label=args.results_dir)
     out_dir = Path(args.out) if args.out else Path(args.results_dir)
-    write_report(report, out_dir)
+    tsv = write_report(report, out_dir)
     if args.svg:
         curves = [
             EvalCurve({int(k): v for k, v in report["accuracy_per_k"].items()}, label="run")
@@ -246,7 +244,7 @@ def cmd_report(args) -> int:
         Path(args.svg).write_text(
             render_accuracy_svg(curves, title="Accuracy vs K"), encoding="utf-8"
         )
-    sys.stdout.write((out_dir / "report.tsv").read_text(encoding="utf-8"))
+    sys.stdout.write(tsv)
     return EXIT_OK
 
 

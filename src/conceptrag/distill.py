@@ -91,7 +91,6 @@ class Concept:
     provenance: str  # 'instance' | 'name' | 'wiki' | 'date'
     sentence_index: int
     source_span: tuple[int, int] | None = None
-    label: str | None = None  # originating instance label, for stoplisting
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,6 @@ class ConceptSet:
     """Ordered concepts distilled from one supporting document."""
 
     concepts: tuple[Concept, ...]
-    source_doc: str
 
     def texts(self) -> list[str]:
         return [c.text for c in self.concepts]
@@ -328,9 +326,7 @@ def _run_stream(graph: AmrGraph, stream: list[tuple[int, str]]) -> list[Concept]
             if role_buffer:
                 concepts.extend(role_buffer)
                 role_buffer = []
-            concepts.append(
-                Concept(node.instance, "instance", sentence_index, label=node.instance)
-            )
+            concepts.append(Concept(node.instance, "instance", sentence_index))
     concepts.extend(role_buffer)
     return concepts
 
@@ -367,14 +363,12 @@ def concept_format(
     for concept in concepts:
         text = concept.text
         if concept.provenance == "instance":
-            label = concept.label if concept.label is not None else concept.text
-            base = strip_sense(label)
-            if label in stoplist or base in stoplist:
+            text = strip_sense(concept.text)
+            if concept.text in stoplist or text in stoplist:
                 continue
-            text = base
         if idf is not None and idf.document_fraction(text) > idf_threshold:
             continue
-        out.append(replace(concept, text=text))
+        out.append(concept if text == concept.text else replace(concept, text=text))
     return out
 
 
@@ -517,4 +511,4 @@ def distill_concepts(
         idf_threshold=config.idf_threshold,
     )
     concepts = concept_backtrace(concepts, source_doc, config.min_backtrace_overlap)
-    return ConceptSet(concepts=tuple(concepts), source_doc=source_doc)
+    return ConceptSet(concepts=tuple(concepts))

@@ -253,13 +253,16 @@ def render_report_tsv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: dict, out_dir: str | Path) -> None:
+def write_report(report: dict, out_dir: str | Path) -> str:
+    """Write ``report.json`` and ``report.tsv`` into ``out_dir``; returns the TSV text."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(
         json.dumps(report, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
-    (out / "report.tsv").write_text(render_report_tsv(report), encoding="utf-8")
+    tsv = render_report_tsv(report)
+    (out / "report.tsv").write_text(tsv, encoding="utf-8")
+    return tsv
 
 
 # --- SVG accuracy plot ---------------------------------------------------------

@@ -142,12 +142,11 @@ class AmrGraph:
 
 @dataclass(frozen=True)
 class SentenceSubgraph:
-    """One sentence of a document graph: 1-based ordinal, its root variable,
-    and the set of node variables it owns."""
+    """One sentence of a document graph: its 1-based ordinal and root
+    variable. It owns the nodes its root reaches over defining edges."""
 
     index: int
     root: str
-    members: frozenset[str]
     graph: AmrGraph = field(compare=False)
 
 
@@ -337,7 +336,7 @@ def split_sentences(graph: AmrGraph) -> list[SentenceSubgraph]:
     """
     root_node = graph.nodes[graph.root]
     if root_node.instance != "multi-sentence":
-        return [SentenceSubgraph(1, graph.root, _defining_closure(graph, graph.root), graph)]
+        return [SentenceSubgraph(1, graph.root, graph)]
 
     numbered: list[tuple[int, str]] = []
     seen: set[int] = set()
@@ -356,20 +355,9 @@ def split_sentences(graph: AmrGraph) -> list[SentenceSubgraph]:
         numbered.append((n, edge.target))
     numbered.sort(key=lambda item: item[0])
     return [
-        SentenceSubgraph(ordinal, target, _defining_closure(graph, target), graph)
+        SentenceSubgraph(ordinal, target, graph)
         for ordinal, (_, target) in enumerate(numbered, start=1)
     ]
-
-
-def _defining_closure(graph: AmrGraph, root: str) -> frozenset[str]:
-    members = {root}
-    stack = [root]
-    while stack:
-        for edge in graph.children(stack.pop()):
-            if edge.defines and edge.target not in members:
-                members.add(edge.target)
-                stack.append(edge.target)
-    return frozenset(members)
 
 
 def dfs_nodes(subgraph: SentenceSubgraph) -> list[str]:

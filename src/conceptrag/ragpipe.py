@@ -173,7 +173,8 @@ class PipelineRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineRecord":
         """Inverse of :meth:`to_dict`; absent optional keys take defaults.
-        Raises :class:`DatasetError` for a non-object or a missing required key."""
+        Raises :class:`DatasetError` for a non-object, a missing required key,
+        a non-integer ``k`` or a non-numeric latency or word count."""
         try:
             record = cls(**{key: data[key] for key in _RECORD_KEYS if key in data})
         except TypeError:
@@ -181,6 +182,17 @@ class PipelineRecord:
                 raise DatasetError(f"record must be a JSON object, not {type(data).__name__}") from None
             missing = [key for key in _REQUIRED_KEYS if key not in data]
             raise DatasetError(f"record is missing required keys: {', '.join(missing)}") from None
+        # exact types: JSON true/false load as bool, which isinstance takes for int
+        if (
+            type(record.k) is not int
+            or type(record.latency_ms) not in _NUMBER
+            or type(record.original_words) not in _NUMBER
+            or type(record.compressed_words) not in _NUMBER
+        ):
+            raise DatasetError(
+                "record needs an integer k and numeric latency_ms, original_words"
+                " and compressed_words"
+            )
         record.gold_answers = tuple(record.gold_answers)
         record.correct = bool(record.correct)
         return record
@@ -193,6 +205,7 @@ class PipelineRecord:
 
 _RECORD_KEYS = tuple(f.name for f in fields(PipelineRecord))
 _REQUIRED_KEYS = tuple(f.name for f in fields(PipelineRecord) if f.default is MISSING)
+_NUMBER = (int, float)
 
 
 # --- prompts -----------------------------------------------------------------

@@ -1,10 +1,11 @@
 """CLI subcommands, exit codes, and run artifacts."""
 
+import argparse
 import json
 
 import pytest
 
-from conceptrag.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from conceptrag.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from conceptrag.metrics import LONG_INTERVAL, NORMAL_INTERVAL, EvalCurve, integrate
 
 
@@ -241,6 +242,9 @@ class TestEvalAndReport:
             ('[{"k": 1}]', "missing required keys: correct"),
             ("[7]", "must be a JSON object"),
             ('{"k": 1}', "must hold a JSON list"),
+            ('[{"k": "x", "correct": true}]', "integer k and numeric"),
+            ('[{"k": 1, "correct": true, "latency_ms": "slow"}]', "integer k and numeric"),
+            ('[{"k": 1, "correct": true, "original_words": "7"}]', "integer k and numeric"),
         ],
     )
     def test_malformed_records_are_data_errors(self, tmp_path, records, message, capsys):
@@ -291,3 +295,67 @@ class TestExitCodes:
         assert len(records) == 20
         assert all(r["error"] for r in records)
         assert not any(r["correct"] for r in records)
+
+
+class TestFlagsPerCommand:
+    OPTIONS = {
+        "parse": {"--out"},
+        "distill": {"--config", "--seed", "--traversal", "--json"},
+        "stats": {"--no-screen", "--s-pop-max"},
+        "eval": {
+            "--config", "--seed", "--traversal", "--no-screen", "--s-pop-max",
+            "--backend", "--mode", "--out", "--parse-endpoint",
+        },
+        "report": {"--out", "--interval", "--baseline", "--svg"},
+    }
+    # (command, flag) pairs the CLI once accepted on every command but never read
+    UNREAD = [
+        *(("parse", f) for f in ("--config", "--seed", "--mode", "--traversal", "--interval")),
+        *(("distill", f) for f in ("--out", "--mode", "--interval")),
+        *(("stats", f) for f in ("--config", "--out", "--seed", "--mode", "--traversal",
+                                 "--interval")),
+        ("eval", "--interval"),
+        *(("report", f) for f in ("--config", "--seed", "--mode", "--traversal")),
+    ]
+
+    def test_each_command_takes_exactly_its_flags(self):
+        actions = build_parser()._actions
+        [commands] = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, sub in commands.choices.items()
+        }
+        assert options == self.OPTIONS
+        assert sum(len(flags) for flags in options.values()) == 20
+
+    @pytest.mark.parametrize("command, flag", UNREAD)
+    def test_unread_flag_is_usage_error(
+        self, command, flag, tmp_path, table_a1_penman, table_a1_doc, fixture_dataset_path,
+        stub_backend_file, capsys,
+    ):
+        amr = tmp_path / "g.amr"
+        doc = tmp_path / "d.txt"
+        config = tmp_path / "config.json"
+        amr.write_text(table_a1_penman)
+        doc.write_text(table_a1_doc)
+        config.write_text("{}")
+        dataset = str(fixture_dataset_path)
+        argv = {
+            "parse": ["parse", str(amr)],
+            "distill": ["distill", str(amr), str(doc)],
+            "stats": ["stats", dataset],
+            "eval": ["eval", dataset, "--backend", stub_backend_file,
+                     "--mode", "vanilla", "--out", str(tmp_path / "eval")],
+        }.get(command)
+        if command == "report":
+            run = run_eval(tmp_path, fixture_dataset_path, stub_backend_file, mode="vanilla")
+            argv = ["report", str(run)]
+        value = {
+            "--config": str(config), "--out": str(tmp_path / "out"), "--seed": "3",
+            "--mode": "concepts", "--traversal": "dfs", "--interval": "long",
+        }[flag]
+        capsys.readouterr()
+        assert main([*argv, flag, value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and flag in captured.err
+        assert captured.out == ""

@@ -33,7 +33,7 @@ def name_node(*ops, roles=None):
 
 
 def instance_concepts(labels):
-    return [Concept(lbl, "instance", 1, label=lbl) for lbl in labels]
+    return [Concept(lbl, "instance", 1) for lbl in labels]
 
 
 class TestHandleName:
@@ -202,7 +202,7 @@ class TestBacktrace:
 
     @given(st.lists(st.sampled_from(["work", "run", "Amsterdam", "storm", "1973"]), max_size=8))
     def test_conservatism_count_preserved(self, labels):
-        concepts = [Concept(lbl, "instance", 1, label=lbl) for lbl in labels]
+        concepts = [Concept(lbl, "instance", 1) for lbl in labels]
         assert len(concept_backtrace(concepts, self.SOURCE)) == len(concepts)
 
 

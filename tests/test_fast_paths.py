@@ -101,7 +101,7 @@ class TestBacktrace:
             if rng.random() < 0.3:
                 text = text.replace(" ", "-")
             provenance = rng.choice(["instance", "instance", "name", "wiki", "date"])
-            concepts.append(Concept(text, provenance, 1, label=text))
+            concepts.append(Concept(text, provenance, 1))
         for min_overlap in range(7):
             assert concept_backtrace(concepts, doc, min_overlap) == bruteforce.concept_backtrace(
                 concepts, doc, min_overlap

@@ -192,7 +192,7 @@ class TestSplitSentences:
     def test_partition_of_non_root_nodes(self, seed):
         graph = parse_amr(random_penman(seed))
         subs = split_sentences(graph)
-        owned = [v for s in subs for v in s.members]
+        owned = [v for s in subs for v in dfs_nodes(s)]
         assert len(owned) == len(set(owned))
         non_root = set(graph.nodes) - {graph.root}
         if graph.nodes[graph.root].instance == "multi-sentence":
