@@ -12,14 +12,14 @@ import hashlib
 import json
 import os
 import re
+import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from random import Random
-
-import requests
+from urllib.parse import unquote, urlsplit
 
 from . import metrics
 from .corpus import DatasetError, QadPair
@@ -174,7 +174,8 @@ class PipelineRecord:
     def from_dict(cls, data: dict) -> "PipelineRecord":
         """Inverse of :meth:`to_dict`; absent optional keys take defaults.
         Raises :class:`DatasetError` for a non-object, a missing required key,
-        a non-integer ``k`` or a non-numeric latency or word count."""
+        a non-integer ``k``, a non-numeric latency or word count, a non-bool
+        ``correct`` or ``gold_answers`` that are not a list of strings."""
         try:
             record = cls(**{key: data[key] for key in _RECORD_KEYS if key in data})
         except TypeError:
@@ -182,19 +183,24 @@ class PipelineRecord:
                 raise DatasetError(f"record must be a JSON object, not {type(data).__name__}") from None
             missing = [key for key in _REQUIRED_KEYS if key not in data]
             raise DatasetError(f"record is missing required keys: {', '.join(missing)}") from None
+        gold = record.gold_answers
+        if type(gold) is list:
+            gold = record.gold_answers = tuple(gold)
         # exact types: JSON true/false load as bool, which isinstance takes for int
         if (
             type(record.k) is not int
             or type(record.latency_ms) not in _NUMBER
             or type(record.original_words) not in _NUMBER
             or type(record.compressed_words) not in _NUMBER
+            or type(record.correct) is not bool
+            or type(gold) is not tuple
+            or not all(map(str.__instancecheck__, gold))  # map: no generator per record
         ):
             raise DatasetError(
                 "record needs an integer k and numeric latency_ms, original_words"
-                " and compressed_words"
+                " and compressed_words, a boolean correct and a list of string"
+                " gold_answers"
             )
-        record.gold_answers = tuple(record.gold_answers)
-        record.correct = bool(record.correct)
         return record
 
     def to_dict(self) -> dict:
@@ -281,30 +287,124 @@ def _query_stub(backend: LlmBackendSpec, prompt: str, gold_answers: tuple[str, .
     return "unknown"
 
 
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+_local = threading.local()
+
+
+class _Connections(dict):
+    """One thread's kept-alive connections, keyed by (scheme, host, port);
+    each value is a route from :func:`_open_route`. Closed when the thread
+    ends and drops them."""
+
+    def __del__(self):
+        for conn, _, _ in self.values():
+            conn.close()
+
+
 def _post_json(
     what: str, url: str, payload: dict, timeout_s: float, headers: dict | None = None
 ):
     """POST ``payload`` as JSON and return the decoded JSON reply. Transport
     failures, non-2xx statuses and non-JSON bodies raise backend errors whose
-    messages name the endpoint as ``what``."""
+    messages name the endpoint as ``what``.
+
+    Each thread keeps one connection per (scheme, host, port) alive between
+    calls. A kept connection that the server has closed in the meantime gets
+    one reconnect and resend; any other failure drops the connection."""
+    import http.client
+
+    parts = urlsplit(url)
     try:
-        response = requests.post(url, json=payload, headers=headers, timeout=timeout_s)
-    except requests.Timeout as exc:
-        raise BackendTimeout(f"{what} timed out after {timeout_s}s") from exc
-    except requests.ConnectionError as exc:
-        raise BackendTimeout(f"{what} unreachable: {exc}") from exc
-    except requests.RequestException as exc:
+        if parts.scheme not in _DEFAULT_PORTS or not parts.hostname:
+            raise ValueError(f"{url!r} is not an http or https URL with a host")
+        key = (parts.scheme, parts.hostname, parts.port or _DEFAULT_PORTS[parts.scheme])
+    except ValueError as exc:  # .port raises it too, for a port that is not a number
         raise BackendError(f"{what} request failed: {exc}") from exc
-    if not 200 <= response.status_code < 300:
-        raise BackendHttpError(response.status_code, response.text)
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    body = json.dumps(payload).encode("utf-8")
+    headers = {"Content-Type": "application/json", **(headers or {})}
+
+    connections = getattr(_local, "connections", None)
+    if connections is None:
+        connections = _local.connections = _Connections()
+    route = connections.pop(key, None)
+    reused = route is not None
+    while True:
+        try:
+            if route is None:
+                route = _open_route(*key, parts.netloc.rpartition("@")[2], timeout_s)
+            conn, prefix, proxy_headers = route
+            if reused:
+                conn.sock.settimeout(timeout_s)
+            conn.request("POST", prefix + target, body, {**headers, **proxy_headers})
+            response = conn.getresponse()
+            data = response.read()
+            break
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            if route is not None:
+                route[0].close()
+                route = None
+            # RemoteDisconnected is a ConnectionResetError
+            if reused and isinstance(exc, (ConnectionResetError, BrokenPipeError)):
+                reused = False  # the server closed the kept connection: resend once
+                continue
+            if isinstance(exc, TimeoutError):
+                raise BackendTimeout(f"{what} timed out after {timeout_s}s") from exc
+            if isinstance(exc, (ValueError, http.client.InvalidURL)):
+                raise BackendError(f"{what} request failed: {exc}") from exc
+            raise BackendTimeout(f"{what} unreachable: {exc}") from exc
+
+    if not 200 <= response.status < 300:
+        conn.close()
+        raise BackendHttpError(response.status, data.decode("utf-8", "replace"))
     try:
-        return response.json()
+        reply = json.loads(data)
     except ValueError as exc:
+        conn.close()
         raise BackendProtocolError(f"malformed {what} response: {exc}") from exc
+    if response.will_close:
+        conn.close()
+    else:
+        connections[key] = route
+    return reply
+
+
+def _open_route(scheme: str, host: str, port: int, authority: str, timeout_s: float):
+    """A new connection to ``host``, through the proxy that the environment
+    names for ``scheme`` unless ``NO_PROXY`` exempts the host. Returns the
+    connection, the prefix of each request target (the absolute URI's start,
+    for an ``http://`` target sent to a proxy) and headers for the proxy.
+    HTTPS is verified against the default CA store."""
+    import base64
+    import http.client
+    import ssl
+    import urllib.request
+
+    context = ssl.create_default_context() if scheme == "https" else None
+    proxy = urllib.request.getproxies().get(scheme)
+    if not proxy or urllib.request.proxy_bypass(host):
+        if context is None:
+            return http.client.HTTPConnection(host, port, timeout=timeout_s), "", {}
+        return http.client.HTTPSConnection(host, port, timeout=timeout_s, context=context), "", {}
+    proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    if proxy_parts.scheme != "http" or not proxy_parts.hostname:
+        raise ValueError(f"unsupported {scheme} proxy {proxy!r}")
+    proxy_headers = {}
+    if proxy_parts.username is not None:
+        credentials = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password or '')}"
+        proxy_headers["Proxy-Authorization"] = "Basic " + base64.b64encode(
+            credentials.encode("utf-8")).decode("ascii")
+    proxy_address = (proxy_parts.hostname, proxy_parts.port or 80)
+    if context is None:
+        conn = http.client.HTTPConnection(*proxy_address, timeout=timeout_s)
+        return conn, f"http://{authority}", proxy_headers
+    conn = http.client.HTTPSConnection(*proxy_address, timeout=timeout_s, context=context)
+    conn.set_tunnel(host, port, headers=proxy_headers)
+    return conn, "", {}
 
 
 def _query_http(backend: LlmBackendSpec, prompt: str) -> str:
-    headers = {"Content-Type": "application/json"}
+    headers = {}
     if backend.auth_env:
         token = os.environ.get(backend.auth_env, "")
         if token:

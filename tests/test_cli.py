@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +249,9 @@ class TestEvalAndReport:
             ('[{"k": "x", "correct": true}]', "integer k and numeric"),
             ('[{"k": 1, "correct": true, "latency_ms": "slow"}]', "integer k and numeric"),
             ('[{"k": 1, "correct": true, "original_words": "7"}]', "integer k and numeric"),
+            ('[{"k": 1, "correct": true, "gold_answers": 5}]', "list of string gold_answers"),
+            ('[{"k": 1, "correct": true, "gold_answers": ["a", 5]}]', "list of string gold_answers"),
+            ('[{"k": 1, "correct": "no"}]', "a boolean correct"),
         ],
     )
     def test_malformed_records_are_data_errors(self, tmp_path, records, message, capsys):
@@ -359,3 +366,18 @@ class TestFlagsPerCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("usage error: ") and flag in captured.err
         assert captured.out == ""
+
+
+def test_cli_import_loads_no_http_client():
+    # only HTTP backends need an HTTP client, so start-up must not pay for one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys, conceptrag.cli; "
+        "print([m for m in ('requests', 'urllib3', 'http.client') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
