@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -17,9 +18,7 @@ from .distill import DistillConfig, DistillError, distill_concepts
 from .metrics import (
     LONG_INTERVAL,
     NORMAL_INTERVAL,
-    EvalCurve,
     MetricsError,
-    accuracy_curve,
     build_report,
     parse_interval,
     render_accuracy_svg,
@@ -36,6 +35,7 @@ from .ragpipe import (
     build_run_manifest,
     run_pipeline,
 )
+from .schema import from_json, to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,14 +60,15 @@ def _read_input(path: str) -> str:
 
 def _load_distill_config(args) -> DistillConfig:
     data = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
-    # explicit flags win over the config file
-    if args.traversal is not None:
-        data["traversal"] = args.traversal
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.traversal not in (None, "dfs") and data.get("seed") is None:
-        raise _UsageError(f"--traversal {args.traversal} requires --seed")
-    return DistillConfig.from_dict(data)
+    # explicit flags win over the config file; from_json rejects a non-object
+    if type(data) is dict:
+        if args.traversal is not None:
+            data["traversal"] = args.traversal
+        if args.seed is not None:
+            data["seed"] = args.seed
+        if args.traversal not in (None, "dfs") and data.get("seed") is None:
+            raise _UsageError(f"--traversal {args.traversal} requires --seed")
+    return from_json(DistillConfig, data, "distill config")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,7 +183,8 @@ def cmd_stats(args) -> int:
 def cmd_eval(args) -> int:
     _check_screen_flags(args)
     config = _load_distill_config(args)
-    backend = LlmBackendSpec.from_file(args.backend)
+    spec = json.loads(Path(args.backend).read_text(encoding="utf-8"))
+    backend = from_json(LlmBackendSpec, spec, "backend spec")
     mode = CompressionMode(args.mode)
     parse_client = AmrParseClient(args.parse_endpoint) if args.parse_endpoint else None
 
@@ -194,7 +196,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "records.json", "w", encoding="utf-8") as handle:
-        json.dump([r.to_dict() for r in records], handle, indent=2, ensure_ascii=False)
+        json.dump([to_json(r) for r in records], handle, indent=2, ensure_ascii=False)
         handle.write("\n")
     manifest = build_run_manifest(
         mode, backend, config, args.dataset, screen=not args.no_screen, s_pop_max=args.s_pop_max
@@ -218,10 +220,10 @@ def _load_records(results_dir: str) -> list[PipelineRecord]:
     path = Path(results_dir) / "records.json"
     if not path.exists():
         raise DatasetError(f"no records.json in {results_dir}")
-    records = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(records, list):
+    records = json.loads(path.read_bytes())  # bytes: no text-mode decoding pass
+    if type(records) is not list:
         raise DatasetError(f"{path} must hold a JSON list of records")
-    return [PipelineRecord.from_dict(data) for data in records]
+    return [from_json(PipelineRecord, data, "record") for data in records]
 
 
 def cmd_report(args) -> int:
@@ -232,15 +234,11 @@ def cmd_report(args) -> int:
         if args.interval
         else [NORMAL_INTERVAL, LONG_INTERVAL]
     )
-    report = build_report(records, intervals, baseline_records=baseline, label=args.results_dir)
+    report, curves = build_report(records, intervals, baseline, label=args.results_dir)
     out_dir = Path(args.out) if args.out else Path(args.results_dir)
     tsv = write_report(report, out_dir)
     if args.svg:
-        curves = [
-            EvalCurve({int(k): v for k, v in report["accuracy_per_k"].items()}, label="run")
-        ]
-        if baseline:
-            curves.append(accuracy_curve(baseline, label="baseline"))
+        curves[0] = replace(curves[0], label="run")
         Path(args.svg).write_text(
             render_accuracy_svg(curves, title="Accuracy vs K"), encoding="utf-8"
         )

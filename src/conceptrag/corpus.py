@@ -51,24 +51,29 @@ class QadPair:
         return record
 
 
-def _pair_from_dict(data: dict, where: str) -> QadPair:
+def _pair_from_dict(data, where: str) -> QadPair:
+    def require(ok, message: str) -> None:
+        if not ok:
+            raise DatasetError(f"{where}: {message}")
+
+    require(type(data) is dict, "record must be a JSON object")
     for key in ("question", "answers", "docs"):
-        if key not in data:
-            raise DatasetError(f"{where}: missing required field {key!r}")
-    answers = tuple(str(a) for a in data["answers"])
-    if not answers or any(not a for a in answers):
-        raise DatasetError(f"{where}: answers must be a non-empty list of non-empty strings")
-    docs = []
-    for i, doc in enumerate(data["docs"], start=1):
-        if "text" not in doc or "hasanswer" not in doc:
-            raise DatasetError(f"{where}: doc {i} needs 'text' and 'hasanswer'")
-        if not doc["text"]:
-            raise DatasetError(f"{where}: doc {i} has empty text")
-        docs.append(SupportDoc(doc["text"], bool(doc["hasanswer"]), doc.get("amr")))
-    if not docs:
-        raise DatasetError(f"{where}: at least one supporting document is required")
-    s_pop = data.get("s_pop")
-    return QadPair(str(data["question"]), answers, tuple(docs), s_pop)
+        require(key in data, f"missing required field {key!r}")
+    answers, docs, s_pop = data["answers"], data["docs"], data.get("s_pop")
+    require(type(data["question"]) is str, "question must be a string")
+    require(
+        type(answers) is list and answers and all(type(a) is str and a for a in answers),
+        "answers must be a non-empty list of non-empty strings",
+    )
+    require(type(s_pop) in (int, type(None)), "s_pop must be an integer or null")
+    require(type(docs) is list and docs, "docs must be a non-empty list of documents")
+    for i, doc in enumerate(docs, start=1):
+        require(type(doc) is dict and type(doc.get("text")) is str and doc["text"],
+                f"doc {i} needs a non-empty string 'text'")
+        require(type(doc.get("hasanswer")) is bool, f"doc {i} needs a boolean 'hasanswer'")
+        require(type(doc.get("amr")) in (str, type(None)), f"doc {i} amr must be a string or null")
+    documents = tuple(SupportDoc(d["text"], d["hasanswer"], d.get("amr")) for d in docs)
+    return QadPair(data["question"], tuple(answers), documents, s_pop)
 
 
 def load_dataset(path: str | Path) -> list[QadPair]:

@@ -9,11 +9,9 @@ that restores each concept to the surface form used in the source document.
 from __future__ import annotations
 
 import calendar
-import json
 import random
 import re
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 from .penman import AmrGraph, AmrNode, dfs_nodes, split_sentences
 
@@ -102,9 +100,6 @@ class ConceptSet:
     def texts(self) -> list[str]:
         return [c.text for c in self.concepts]
 
-    def word_count(self) -> int:
-        return sum(len(c.text.split()) for c in self.concepts)
-
     def sentence_groups(self) -> list[list[Concept]]:
         """Consecutive runs of concepts sharing a sentence index."""
         groups: list[list[Concept]] = []
@@ -138,7 +133,8 @@ class IdfIndex:
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Tunable knobs for distillation, loadable from a JSON file.
+    """Tunable knobs for distillation, read from a JSON file by
+    :func:`conceptrag.schema.from_json`.
 
     ``traversal`` orders nodes within the traversal: depth-first, shuffled
     per sentence, or shuffled across the whole document. Random orders are
@@ -161,33 +157,6 @@ class DistillConfig:
 
     def stoplist(self) -> frozenset[str]:
         return (DEFAULT_STOPLIST | set(self.stoplist_add)) - set(self.stoplist_remove)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DistillConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown distill config keys: {sorted(unknown)}")
-        data = dict(data)
-        for key in ("stoplist_add", "stoplist_remove"):
-            if key in data:
-                data[key] = tuple(data[key])
-        return cls(**data)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "DistillConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-    def to_dict(self) -> dict:
-        return {
-            "stoplist_add": list(self.stoplist_add),
-            "stoplist_remove": list(self.stoplist_remove),
-            "idf_threshold": self.idf_threshold,
-            "idf_enabled": self.idf_enabled,
-            "min_backtrace_overlap": self.min_backtrace_overlap,
-            "traversal": self.traversal,
-            "seed": self.seed,
-        }
 
 
 def normalize_term(text: str) -> str:

@@ -143,44 +143,50 @@ def _trapezoid_area(curve: EvalCurve, interval: Interval) -> float:
     )
 
 
-def compression_ratio(originals: list[str], compressed: list[str]) -> float:
+def compression_ratio(original_words: list[int], compressed_words: list[int]) -> float:
     """Word-level size of the compressed texts as a percentage of the
-    originals (the uncompressed baseline is 100.0)."""
-    if len(originals) != len(compressed):
+    originals (the uncompressed baseline is 100.0), from per-text word counts."""
+    if len(original_words) != len(compressed_words):
         raise MetricsError(
-            f"originals ({len(originals)}) and compressed ({len(compressed)}) differ in length"
+            f"originals ({len(original_words)}) and compressed ({len(compressed_words)}) differ"
         )
-    original_words = sum(len(text.split()) for text in originals)
-    if original_words == 0:
+    total = sum(original_words)
+    if total == 0:
         raise MetricsError("original texts contain no words")
-    compressed_words = sum(len(text.split()) for text in compressed)
-    return 100.0 * compressed_words / original_words
+    return 100.0 * sum(compressed_words) / total
 
 
 def percentile(values: list[float], q: float) -> float:
     """Nearest-rank percentile over a non-empty list."""
     if not values:
         raise MetricsError("cannot take a percentile of no values")
-    ordered = sorted(values)
+    return _nearest_rank(sorted(values), q)
+
+
+def _nearest_rank(ordered: list[float], q: float) -> float:
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return ordered[min(rank, len(ordered)) - 1]
 
 
 def latency_summary(records: Iterable["PipelineRecord"]) -> list[dict]:
-    """Mean/p50/p95 latency in ms per (backend, mode) group."""
+    """Mean/p50/p95 latency in ms per (backend, mode) group. Failed records
+    are left out: their latency is 0, not the time they took."""
     groups: dict[tuple[str, str], list[float]] = {}
     for record in records:
-        groups.setdefault((record.backend, record.mode), []).append(record.latency_ms)
+        if not record.error:
+            groups.setdefault((record.backend, record.mode), []).append(record.latency_ms)
     rows = []
     for (backend, mode), latencies in sorted(groups.items()):
+        mean = sum(latencies) / len(latencies)  # summed in record order
+        latencies.sort()
         rows.append(
             {
                 "backend": backend,
                 "mode": mode,
                 "count": len(latencies),
-                "mean_ms": sum(latencies) / len(latencies),
-                "p50_ms": percentile(latencies, 50),
-                "p95_ms": percentile(latencies, 95),
+                "mean_ms": mean,
+                "p50_ms": _nearest_rank(latencies, 50),
+                "p95_ms": _nearest_rank(latencies, 95),
             }
         )
     return rows
@@ -194,10 +200,12 @@ def build_report(
     intervals: list[Interval],
     baseline_records: list["PipelineRecord"] | None = None,
     label: str = "run",
-) -> dict:
+) -> tuple[dict, list[EvalCurve]]:
     """Aggregate a run (optionally against a baseline run) into one report
     structure with per-K accuracy, Intg (and delta) per interval, the
-    word-level compression ratio, and the latency table."""
+    word-level compression ratio, and the latency table. Failed records count
+    as wrong answers but are left out of the ratio and the latency table.
+    Also returns the accuracy curves: the run's, then the baseline's."""
     curve = accuracy_curve(records, label=label)
     baseline_curve = (
         accuracy_curve(baseline_records, label="baseline") if baseline_records else None
@@ -214,11 +222,12 @@ def build_report(
             row["delta"] = report.delta
         intg_rows.append(row)
 
-    original_words = sum(r.original_words for r in records)
-    compressed_words = sum(r.compressed_words for r in records)
-    ratio = 100.0 * compressed_words / original_words if original_words else None
+    answered = [r for r in records if not r.error]
+    originals = [r.original_words for r in answered]
+    compressed = [r.compressed_words for r in answered]
+    ratio = compression_ratio(originals, compressed) if sum(originals) else None
 
-    return {
+    report = {
         "label": label,
         "records": len(records),
         "errors": sum(1 for r in records if r.error),
@@ -227,6 +236,7 @@ def build_report(
         "compression_ratio": ratio,
         "latency": latency_summary(records + (baseline_records or [])),
     }
+    return report, [curve, baseline_curve] if baseline_curve else [curve]
 
 
 def render_report_tsv(report: dict) -> str:
@@ -268,13 +278,14 @@ def write_report(report: dict, out_dir: str | Path) -> str:
 # --- SVG accuracy plot ---------------------------------------------------------
 
 
+def _escape(text: str) -> str:
+    # xml.sax.saxutils.escape would import urllib.request and http.client
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_accuracy_svg(curves: list[EvalCurve], title: str = "") -> str:
     """A static accuracy-vs-K line chart as a standalone SVG document; the
     title and curve labels are XML-escaped."""
-    # imported here: only this function needs it, and it would add to the
-    # start-up time of every CLI command
-    from xml.sax.saxutils import escape
-
     if not curves or not any(c.points for c in curves):
         raise MetricsError("nothing to plot")
     width, height, margin = 640, 420, 50
@@ -294,7 +305,7 @@ def render_accuracy_svg(curves: list[EvalCurve], title: str = "") -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="14">'
-        f"{escape(title)}</text>",
+        f"{_escape(title)}</text>",
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
         f'y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
@@ -320,7 +331,7 @@ def render_accuracy_svg(curves: list[EvalCurve], title: str = "") -> str:
         )
         parts.append(
             f'<text x="{width - margin + 4}" y="{margin + 16 * i + 10}" font-size="11" '
-            f'fill="{color}">{escape(curve.label or f"curve {i + 1}")}</text>'
+            f'fill="{color}">{_escape(curve.label or f"curve {i + 1}")}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -16,15 +16,16 @@ import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from random import Random
 from urllib.parse import unquote, urlsplit
 
 from . import metrics
-from .corpus import DatasetError, QadPair
+from .corpus import QadPair
 from .distill import DistillConfig, build_idf_index, distill_concepts
 from .penman import parse_amr
+from .schema import to_json
 
 FACT_PROMPT_PREFIX = "Refer to the following facts to answer the question. Facts: "
 BASELINE_INSTRUCTIONS = {
@@ -105,18 +106,6 @@ class LlmBackendSpec:
             return f"stub:{self.policy}"
         return f"http:{self.model or self.endpoint_url}"
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LlmBackendSpec":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown backend spec keys: {sorted(unknown)}")
-        return cls(**data)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "LlmBackendSpec":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
     def redacted_dict(self) -> dict:
         """Spec as written to run manifests: names the auth variable, never
         its value."""
@@ -155,7 +144,8 @@ class PipelineRecord:
     """Outcome of one question, as one entry of ``records.json``: the prompt
     sent, the raw answer, latency, whether the answer matched a gold answer,
     and the whitespace-split word counts of the documents before and after
-    compression. Fields are in ``records.json`` key order."""
+    compression. Fields are in ``records.json`` key order; the file is read
+    and written by :mod:`conceptrag.schema`."""
 
     question: str = ""
     gold_answers: tuple[str, ...] = ()
@@ -169,49 +159,6 @@ class PipelineRecord:
     original_words: int = 0
     compressed_words: int = 0
     error: str | None = None
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineRecord":
-        """Inverse of :meth:`to_dict`; absent optional keys take defaults.
-        Raises :class:`DatasetError` for a non-object, a missing required key,
-        a non-integer ``k``, a non-numeric latency or word count, a non-bool
-        ``correct`` or ``gold_answers`` that are not a list of strings."""
-        try:
-            record = cls(**{key: data[key] for key in _RECORD_KEYS if key in data})
-        except TypeError:
-            if not isinstance(data, dict):
-                raise DatasetError(f"record must be a JSON object, not {type(data).__name__}") from None
-            missing = [key for key in _REQUIRED_KEYS if key not in data]
-            raise DatasetError(f"record is missing required keys: {', '.join(missing)}") from None
-        gold = record.gold_answers
-        if type(gold) is list:
-            gold = record.gold_answers = tuple(gold)
-        # exact types: JSON true/false load as bool, which isinstance takes for int
-        if (
-            type(record.k) is not int
-            or type(record.latency_ms) not in _NUMBER
-            or type(record.original_words) not in _NUMBER
-            or type(record.compressed_words) not in _NUMBER
-            or type(record.correct) is not bool
-            or type(gold) is not tuple
-            or not all(map(str.__instancecheck__, gold))  # map: no generator per record
-        ):
-            raise DatasetError(
-                "record needs an integer k and numeric latency_ms, original_words"
-                " and compressed_words, a boolean correct and a list of string"
-                " gold_answers"
-            )
-        return record
-
-    def to_dict(self) -> dict:
-        data = {key: getattr(self, key) for key in _RECORD_KEYS}
-        data["gold_answers"] = list(self.gold_answers)
-        return data
-
-
-_RECORD_KEYS = tuple(f.name for f in fields(PipelineRecord))
-_REQUIRED_KEYS = tuple(f.name for f in fields(PipelineRecord) if f.default is MISSING)
-_NUMBER = (int, float)
 
 
 # --- prompts -----------------------------------------------------------------
@@ -552,7 +499,7 @@ def config_hash(
         {
             "mode": mode.kind,
             "backend": backend.redacted_dict(),
-            "distill": config.to_dict(),
+            "distill": to_json(config),
             "screening": screening,
         },
         sort_keys=True,
@@ -578,7 +525,7 @@ def build_run_manifest(
     return {
         "mode": mode.kind,
         "traversal": {"kind": config.traversal, "seed": config.seed},
-        "distill_config": config.to_dict(),
+        "distill_config": to_json(config),
         "screening": screening,
         "backend": backend.redacted_dict(),
         "config_hash": config_hash(mode, backend, config, screening),

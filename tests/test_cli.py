@@ -117,6 +117,35 @@ class TestDistillCommand:
         assert main(args) == EXIT_DATA
         assert main([*args, "--seed", "3"]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ('{"min_backtrace_overlap": "4"}', "'min_backtrace_overlap' must be an integer"),
+            ('{"min_backtrace_overlap": null}', "'min_backtrace_overlap' must be an integer"),
+            ('{"stoplist_add": 5}', "'stoplist_add' must be a list of strings"),
+            ('{"stoplist_add": "person"}', "'stoplist_add' must be a list of strings"),
+            ('{"stoplist_remove": ["it", 3]}', "'stoplist_remove' must be a list of strings"),
+            ('{"seed": "3"}', "'seed' must be an integer or null"),
+            ('{"idf_enabled": 1}', "'idf_enabled' must be a boolean"),
+            ('{"idf_threshold": "0.5"}', "'idf_threshold' must be a number"),
+            ('{"stoplst": []}', "unknown keys: stoplst"),
+            ('["seed"]', "must be a JSON object"),
+        ],
+    )
+    def test_malformed_config_is_data_error(
+        self, config, key, tmp_path, table_a1_penman, table_a1_doc, capsys
+    ):
+        amr = tmp_path / "g.amr"
+        doc = tmp_path / "d.txt"
+        path = tmp_path / "config.json"
+        amr.write_text(table_a1_penman)
+        doc.write_text(table_a1_doc)
+        path.write_text(config)
+        assert main(["distill", str(amr), str(doc), "--config", str(path)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: distill config ") and key in captured.err
+        assert captured.out == ""
+
 
     def test_deeply_nested_graph(self, tmp_path, capsys):
         depth = 5000  # far past the interpreter's recursion limit
@@ -150,6 +179,34 @@ class TestStatsCommand:
         bad.write_text("{broken\n")
         assert main(["stats", str(bad)]) == EXIT_DATA
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ({"docs": 5}, "docs"),
+            ({"docs": [5]}, "doc 1"),
+            ({"s_pop": "x"}, "s_pop"),
+            ({"answers": "abc"}, "answers"),
+            ({"answers": ["a", 5]}, "answers"),
+            ({"question": 5}, "question"),
+            ({"docs": [{"text": "t", "hasanswer": True, "amr": 5}]}, "amr"),
+            ({"docs": [{"text": 5, "hasanswer": True}]}, "text"),
+            ({"docs": [{"text": "t", "hasanswer": "no"}]}, "hasanswer"),
+        ],
+    )
+    def test_mistyped_dataset_field_is_data_error(self, record, field, tmp_path, capsys):
+        good = {"question": "q", "answers": ["a"], "docs": [{"text": "t", "hasanswer": True}]}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(good) + "\n" + json.dumps({**good, **record}) + "\n")
+        assert main(["stats", str(bad), "--s-pop-max", "100"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and field in err
+
+    def test_non_object_dataset_line_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("5\n")
+        assert main(["stats", str(bad)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: line 1: ")
 
 
     def test_no_screen_with_s_pop_max_is_usage_error(self, fixture_dataset_path, capsys):
@@ -198,6 +255,7 @@ class TestEvalAndReport:
         assert report["intg"][0]["interval"] == "long"
         assert "delta" in report["intg"][0]
         assert svg_path.read_text().startswith("<svg")
+        assert "run</text>" in svg_path.read_text() and "baseline</text>" in svg_path.read_text()
 
     def test_eval_requires_mode_and_out(self, fixture_dataset_path, stub_backend_file, capsys):
         code = main(["eval", str(fixture_dataset_path), "--backend", stub_backend_file])
@@ -240,18 +298,65 @@ class TestEvalAndReport:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ('{"kind": "stub", "max_parallel": "2"}', "'max_parallel' must be an integer"),
+            ('{"kind": "stub", "max_parallel": 2.5}', "'max_parallel' must be an integer"),
+            ('{"kind": "stub", "stub_delay_ms": "1"}', "'stub_delay_ms' must be a number"),
+            ('{"kind": "stub", "retries": "1"}', "'retries' must be an integer"),
+            ('{"kind": "http-chat", "endpoint_url": 5}', "'endpoint_url' must be a string"),
+            ('{"kind": "stub", "stub_jitter_seed": true}', "'stub_jitter_seed' must be an integer"),
+            ('{"kind": "stub", "model_name": "m"}', "unknown keys: model_name"),
+            ('{"policy": "echo-facts"}', "missing required keys: kind"),
+            ('["kind"]', "must be a JSON object"),
+        ],
+    )
+    def test_malformed_backend_spec_is_data_error(
+        self, spec, key, tmp_path, fixture_dataset_path, capsys
+    ):
+        backend = tmp_path / "backend.json"
+        backend.write_text(spec)
+        out = tmp_path / "results"
+        code = main(
+            ["eval", str(fixture_dataset_path), "--backend", str(backend),
+             "--mode", "vanilla", "--out", str(out)]
+        )
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: backend spec ") and key in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "records, message",
         [
             ('[{"question": "q"}]', "missing required keys: k, correct"),
             ('[{"k": 1}]', "missing required keys: correct"),
             ("[7]", "must be a JSON object"),
             ('{"k": 1}', "must hold a JSON list"),
-            ('[{"k": "x", "correct": true}]', "integer k and numeric"),
-            ('[{"k": 1, "correct": true, "latency_ms": "slow"}]', "integer k and numeric"),
-            ('[{"k": 1, "correct": true, "original_words": "7"}]', "integer k and numeric"),
-            ('[{"k": 1, "correct": true, "gold_answers": 5}]', "list of string gold_answers"),
-            ('[{"k": 1, "correct": true, "gold_answers": ["a", 5]}]', "list of string gold_answers"),
-            ('[{"k": 1, "correct": "no"}]', "a boolean correct"),
+            ('[{"k": "x", "correct": true}]', "'k' must be an integer"),
+            ('[{"k": 1, "correct": true, "latency_ms": "slow"}]', "'latency_ms' must be a number"),
+            (
+                '[{"k": 1, "correct": true, "original_words": "7"}]',
+                "'original_words' must be an integer",
+            ),
+            (
+                '[{"k": 1, "correct": true, "gold_answers": 5}]',
+                "'gold_answers' must be a list of strings",
+            ),
+            (
+                '[{"k": 1, "correct": true, "gold_answers": ["a", 5]}]',
+                "'gold_answers' must be a list of strings",
+            ),
+            ('[{"k": 1, "correct": "no"}]', "'correct' must be a boolean"),
+            ('[{"k": 1, "correct": true, "backend": ["x"]}]', "'backend' must be a string"),
+            ('[{"k": 1, "correct": true, "mode": 5}]', "'mode' must be a string"),
+            ('[{"k": 1, "correct": true, "error": 7}]', "'error' must be a string or null"),
+            ('[{"k": true, "correct": true}]', "'k' must be an integer"),
+            (
+                '[{"k": 1, "correct": true, "compressed_words": 7.5}]',
+                "'compressed_words' must be an integer",
+            ),
+            ('[{"k": 1, "correct": true, "stages": {}}]', "unknown keys: stages"),
         ],
     )
     def test_malformed_records_are_data_errors(self, tmp_path, records, message, capsys):
@@ -369,10 +474,13 @@ class TestFlagsPerCommand:
 
 
 def test_cli_import_loads_no_http_client():
-    # only HTTP backends need an HTTP client, so start-up must not pay for one
+    # only HTTP backends need an HTTP client, so neither start-up nor an SVG
+    # report may pay for one
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         "import sys, conceptrag.cli; "
+        "from conceptrag.metrics import EvalCurve, render_accuracy_svg; "
+        "render_accuracy_svg([EvalCurve({1: 50.0}, label='a&b')]); "
         "print([m for m in ('requests', 'urllib3', 'http.client') if m in sys.modules])"
     )
     env = {**os.environ, "PYTHONPATH": src}

@@ -22,6 +22,7 @@ from conceptrag.distill import (
     strip_sense,
 )
 from conceptrag.penman import parse_amr
+from conceptrag.schema import from_json, to_json
 from graphgen import random_penman
 
 
@@ -327,7 +328,7 @@ class TestDistill:
 
     def test_concept_word_count_below_source(self, table_a1_penman, table_a1_doc):
         concepts = distill_concepts(parse_amr(table_a1_penman), table_a1_doc)
-        assert concepts.word_count() < len(table_a1_doc.split())
+        assert len(concepts.facts_string().split()) < len(table_a1_doc.split())
 
     @given(st.integers(min_value=0, max_value=3_000))
     @settings(max_examples=150, deadline=None)
@@ -350,12 +351,13 @@ class TestDistillConfig:
             stoplist_add=("violin",), idf_threshold=0.3, traversal="local-random", seed=9
         )
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
-        assert DistillConfig.from_file(path) == config
+        path.write_text(json.dumps(to_json(config)), encoding="utf-8")
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert from_json(DistillConfig, data, "distill config") == config
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
-            DistillConfig.from_dict({"stoplst": []})
+            from_json(DistillConfig, {"stoplst": []}, "distill config")
 
     def test_strip_sense(self):
         assert strip_sense("work-01") == "work"

@@ -199,23 +199,23 @@ class TestInterval:
 
 class TestCompressionRatio:
     def test_identical_texts_are_baseline(self):
-        assert compression_ratio(["a b c"], ["a b c"]) == pytest.approx(100.0)
+        assert compression_ratio([3], [3]) == pytest.approx(100.0)
 
     def test_fully_compressed(self):
-        assert compression_ratio(["a b c"], [""]) == pytest.approx(0.0)
+        assert compression_ratio([3], [0]) == pytest.approx(0.0)
 
     def test_halved_corpus(self):
-        originals = ["w1 w2 w3 w4", "w5 w6"]
-        halved = ["w1 w2", "w5"]
+        originals = [4, 2]  # "w1 w2 w3 w4", "w5 w6"
+        halved = [2, 1]  # "w1 w2", "w5"
         assert compression_ratio(originals, halved) == pytest.approx(50.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(MetricsError):
-            compression_ratio(["a"], [])
+            compression_ratio([1], [])
 
     def test_zero_original_words_rejected(self):
         with pytest.raises(MetricsError):
-            compression_ratio([""], [""])
+            compression_ratio([0], [0])
 
 
 class TestLatency:
@@ -238,6 +238,13 @@ class TestLatency:
         assert {(r["backend"], r["mode"]) for r in rows} == {
             ("stub", "vanilla"), ("stub", "concepts"), ("http:m", "concepts"),
         }
+
+    def test_summary_percentiles_of_unordered_latencies(self):
+        rng = random.Random(3)
+        values = [rng.uniform(0, 100) for _ in range(101)]
+        [row] = latency_summary([view(latency_ms=v) for v in values])
+        assert (row["p50_ms"], row["p95_ms"]) == (percentile(values, 50), percentile(values, 95))
+        assert row["mean_ms"] == sum(values) / len(values)
 
     def test_percentiles_match_sort_oracle(self):
         rng = random.Random(2)
@@ -267,7 +274,7 @@ class TestReport:
         return records
 
     def test_report_structure(self):
-        report = build_report(self.make_records(), [NORMAL_INTERVAL, LONG_INTERVAL])
+        report, _ = build_report(self.make_records(), [NORMAL_INTERVAL, LONG_INTERVAL])
         assert set(report["accuracy_per_k"]) == {str(k) for k in range(1, 11)}
         assert [row["interval"] for row in report["intg"]] == ["normal", "long"]
         assert report["compression_ratio"] == pytest.approx(40.0)
@@ -278,11 +285,34 @@ class TestReport:
             PipelineRecord(k=r.k, correct=False, backend="stub", mode="vanilla", latency_ms=1.0)
             for r in records
         ]
-        report = build_report(records, [NORMAL_INTERVAL], baseline_records=baseline)
+        report, _ = build_report(records, [NORMAL_INTERVAL], baseline_records=baseline)
         assert report["intg"][0]["delta"] == pytest.approx(report["intg"][0]["intg"])
 
+    def test_failed_records_leave_ratio_and_latency_unchanged(self):
+        records = self.make_records()
+        failed = PipelineRecord(
+            k=3, correct=False, backend="stub", mode="concepts", original_words=20,
+            error="BackendTimeout: backend timed out",
+        )
+        report, curves = build_report(records, [NORMAL_INTERVAL])
+        with_failure, failed_curves = build_report([*records, failed], [NORMAL_INTERVAL])
+        assert with_failure["compression_ratio"] == report["compression_ratio"]
+        assert with_failure["latency"] == report["latency"]
+        assert with_failure["errors"] == 1
+        # the failure still counts as a wrong answer at its K
+        assert failed_curves[0].points[3] < curves[0].points[3]
+
+    def test_returns_the_curves_it_reports(self):
+        records = self.make_records()
+        baseline = [PipelineRecord(k=r.k, correct=True) for r in records]
+        report, curves = build_report(records, [NORMAL_INTERVAL], baseline_records=baseline)
+        assert curves == [
+            accuracy_curve(records, label="run"), accuracy_curve(baseline, label="baseline")
+        ]
+        assert report["accuracy_per_k"] == {str(k): v for k, v in curves[0].points.items()}
+
     def test_tsv_rendering_rounds_to_two_decimals(self):
-        report = build_report(self.make_records(), [NORMAL_INTERVAL])
+        report, _ = build_report(self.make_records(), [NORMAL_INTERVAL])
         tsv = render_report_tsv(report)
         assert "K\tAcc" in tsv
         for line in tsv.splitlines():

@@ -28,6 +28,7 @@ from conceptrag.ragpipe import (
     query_llm,
     run_pipeline,
 )
+from conceptrag.schema import from_json, to_json
 
 ORACLE = LlmBackendSpec(kind="stub", policy="oracle-substring")
 ECHO = LlmBackendSpec(kind="stub", policy="echo-facts")
@@ -72,6 +73,7 @@ def mock_llm_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +95,7 @@ def mock_parse_server(table_a1_penman=None):
     threading.Thread(target=server.serve_forever, daemon=True).start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 class TestFactPrompt:
@@ -513,7 +516,7 @@ class TestPipeline:
     def test_record_serialization(self, fixture_dataset_path):
         [pair] = self.fixture_pairs(fixture_dataset_path, 1)
         [record] = run_pipeline([pair], CompressionMode("concepts"), ORACLE)
-        data = record.to_dict()
+        data = to_json(record)
         assert data["k"] == pair.k
         assert data["correct"] is True
         assert data["original_words"] > data["compressed_words"] > 0
@@ -521,12 +524,12 @@ class TestPipeline:
     def test_record_keys_and_round_trip(self, fixture_dataset_path):
         [pair] = self.fixture_pairs(fixture_dataset_path, 1)
         [record] = run_pipeline([pair], CompressionMode("concepts"), ORACLE)
-        data = json.loads(json.dumps(record.to_dict()))
+        data = json.loads(json.dumps(to_json(record)))
         assert list(data) == [
             "question", "gold_answers", "k", "mode", "backend", "prompt", "raw_answer",
             "latency_ms", "correct", "original_words", "compressed_words", "error",
         ]
-        assert PipelineRecord.from_dict(data) == record
+        assert from_json(PipelineRecord, data, "record") == record
 
     def test_config_traversal_reaches_every_prompt(self, fixture_dataset_path):
         pairs = load_dataset(fixture_dataset_path)
