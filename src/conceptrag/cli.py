@@ -58,8 +58,19 @@ def _read_input(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _read_json(path: Path, kind: str):
+    """Parse a JSON file the CLI reads. ``json`` takes ``NaN`` and
+    ``Infinity``, which are not JSON and which no key here can hold."""
+
+    def reject(constant: str):
+        raise DatasetError(f"{kind} {path} holds {constant}, which is not a JSON number")
+
+    # bytes: no text-mode decoding pass
+    return json.loads(path.read_bytes(), parse_constant=reject)
+
+
 def _load_distill_config(args) -> DistillConfig:
-    data = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    data = _read_json(Path(args.config), "distill config") if args.config else {}
     # explicit flags win over the config file; from_json rejects a non-object
     if type(data) is dict:
         if args.traversal is not None:
@@ -183,7 +194,7 @@ def cmd_stats(args) -> int:
 def cmd_eval(args) -> int:
     _check_screen_flags(args)
     config = _load_distill_config(args)
-    spec = json.loads(Path(args.backend).read_text(encoding="utf-8"))
+    spec = _read_json(Path(args.backend), "backend spec")
     backend = from_json(LlmBackendSpec, spec, "backend spec")
     mode = CompressionMode(args.mode)
     parse_client = AmrParseClient(args.parse_endpoint) if args.parse_endpoint else None
@@ -220,7 +231,7 @@ def _load_records(results_dir: str) -> list[PipelineRecord]:
     path = Path(results_dir) / "records.json"
     if not path.exists():
         raise DatasetError(f"no records.json in {results_dir}")
-    records = json.loads(path.read_bytes())  # bytes: no text-mode decoding pass
+    records = _read_json(path, "records file")
     if type(records) is not list:
         raise DatasetError(f"{path} must hold a JSON list of records")
     return [from_json(PipelineRecord, data, "record") for data in records]

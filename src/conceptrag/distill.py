@@ -11,7 +11,7 @@ from __future__ import annotations
 import calendar
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .penman import AmrGraph, AmrNode, dfs_nodes, split_sentences
 
@@ -337,7 +337,9 @@ def concept_format(
                 continue
         if idf is not None and idf.document_fraction(text) > idf_threshold:
             continue
-        out.append(concept if text == concept.text else replace(concept, text=text))
+        if text != concept.text:
+            concept = Concept(text, concept.provenance, concept.sentence_index, concept.source_span)
+        out.append(concept)
     return out
 
 
@@ -389,7 +391,8 @@ def concept_backtrace(
         if span is None:
             out.append(concept)
         else:
-            out.append(replace(concept, text=source_doc[span[0] : span[1]], source_span=span))
+            text = source_doc[span[0] : span[1]]
+            out.append(Concept(text, concept.provenance, concept.sentence_index, span))
     return out
 
 
@@ -432,7 +435,7 @@ def _backtrace_instance(
     if not spans:
         return concept
     span = (min(s for s, _ in spans), max(e for _, e in spans)) if matched_all else None
-    return replace(concept, text=new_text, source_span=span)
+    return Concept(new_text, concept.provenance, concept.sentence_index, span)
 
 
 def _best_token_match(

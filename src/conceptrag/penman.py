@@ -9,7 +9,7 @@ nodes. Multi-sentence documents parse to a ``multi-sentence`` root whose
 The dialect accepted here is AMR 3.0 style: variables ``[a-z][a-z0-9']*``,
 roles ``:[A-Za-z0-9-]+``, double-quoted string literals with backslash
 escapes, bare numeric literals, and the bare ``-``/``+`` polarity markers.
-Surface-alignment suffixes (``~e.4``) are stripped while lexing, and ``#``
+Surface-alignment suffixes (``~e.4``) are stripped while parsing, and ``#``
 comments are tolerated outside string literals.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, NoReturn, Union
 
 _VAR_RE = re.compile(r"[a-z][a-z0-9']*\Z")
 _NUMERIC_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?\Z")
@@ -36,8 +36,7 @@ class GraphError(ValueError):
     """A structurally invalid graph operation (e.g. bad :sntN layout)."""
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     """An attribute value: a quoted string, a number, or a polarity marker."""
 
     text: str
@@ -53,8 +52,7 @@ class Literal:
 Target = Union[str, Literal]
 
 
-@dataclass(frozen=True)
-class AmrEdge:
+class AmrEdge(NamedTuple):
     """One role edge. ``defines`` is True where the target node's
     ``(var / instance ...)`` expansion appeared; re-entrant references and
     literal attributes have ``defines=False``."""
@@ -65,8 +63,7 @@ class AmrEdge:
     defines: bool = False
 
 
-@dataclass(frozen=True)
-class AmrNode:
+class AmrNode(NamedTuple):
     variable: str
     instance: str
     attributes: tuple[tuple[str, Literal], ...] = ()
@@ -152,23 +149,33 @@ class SentenceSubgraph:
 
 # --- lexer -----------------------------------------------------------------
 
+# Pieces shared by the lexer and the grammar regex. Each one matches
+# maximally and cannot be made to give text back, so a piece that more
+# pattern follows never backtracks into a shorter, wrong split (Python 3.10's
+# re has no atomic groups or possessive quantifiers). The skip ends only
+# before a character that is neither whitespace nor a comment, and its loop
+# takes one blank or one whole comment at a time, so a failed match
+# backtracks through it in linear time. A surface alignment (``~e.4``) takes
+# every digit and ``,N`` it can, or ``~`` alone only where no alignment
+# starts. A role runs over every letter, digit and '-', and is invalid if any
+# is non-ASCII. Only ASCII blanks end a symbol, so unicode whitespace is
+# skipped between tokens but kept inside a symbol. An optional piece is
+# written ``(?:X|)``, which re runs faster than ``X?``.
+_SKIP = r"\s*(?:#[^\n]*(?![^\n])(?:\s|#[^\n]*(?![^\n]))*|)(?![\s#])"
+_ALIGN = r"(?:~(?:[A-Za-z]*\.?[0-9]+(?:,[0-9]+)*(?![0-9]|,[0-9])|(?![A-Za-z]*\.?[0-9]))|)"
+_ROLE = r":[A-Za-z0-9-]+(?!-|[^\W_])"
+_SYMBOL = r'[^ \t\r\n()"/:~#]+'
+_STRING = r'"(?P<string>[^"\\]*(?:\\.[^"\\]*)*)"'
+
 # One match per token, in the style of Goodman's ``penman`` library (ACL 2020
-# demo): the whitespace and comments before the token, exactly one
-# alternative, then at most one surface alignment (``~e.4``), which attaches
-# to the token. After the skip some alternative always matches ('end' at the
-# end of input), so the greedy skip never gives back unicode whitespace for a
-# symbol to start with; inside a symbol only ASCII blanks end it. A role runs
-# over every letter, digit and '-', and is invalid if any is non-ASCII. Each
-# error alternative comes after the valid form it shadows.
+# demo): the skip, exactly one alternative, then at most one alignment, which
+# attaches to the token. After the skip some alternative always matches
+# ('end' at the end of input). Each error alternative comes after the valid
+# form it shadows. The parser lexes only a text it rejects, to word the error.
 _LEX_RE = re.compile(
-    r"(?:\s+|#[^\n]*)*(?:"
-    r"(?P<lparen>\()|(?P<rparen>\))|(?P<slash>/)"
-    r'|"(?P<string>[^"\\]*(?:\\.[^"\\]*)*)"'
-    r"|(?P<role>:[A-Za-z0-9-]+)(?!-|[^\W_])"
-    r'|(?P<symbol>[^ \t\r\n()"/:~#]+)'
-    r"|(?P<end>\Z)"
-    r'|(?P<bad_string>")|(?P<bad_role>:(?:[^\W_]|-)*)|(?P<bad_char>~)'
-    r")(?:~(?:[A-Za-z]*\.?[0-9]+(?:,[0-9]+)*)?)?",
+    _SKIP + r"(?:(?P<lparen>\()|(?P<rparen>\))|(?P<slash>/)|" + _STRING
+    + f"|(?P<role>{_ROLE})|(?P<symbol>{_SYMBOL})|(?P<end>\\Z)"
+    + r'|(?P<bad_string>")|(?P<bad_role>:(?:[^\W_]|-)*)|(?P<bad_char>~))' + _ALIGN,
     re.S,
 )
 _ESCAPE_RE = re.compile(r'\\(["\\])')
@@ -209,6 +216,20 @@ def _lex(text: str) -> list[_Token]:
 
 # --- parser ----------------------------------------------------------------
 
+# One match per grammar unit: an optional run of ')', then a node head
+# ``( var / instance`` (the root's has no role), an edge ``:role value`` whose
+# value is a node head, a string or a symbol, or the end of input. Each
+# piece cuts the text where the lexer would, so text that this regex takes
+# lexes without error.
+_GRAMMAR_RE = re.compile(
+    f"{_SKIP}(?:(?P<close>(?:\\){_ALIGN}{_SKIP})+)|)"
+    f"(?:(?:(?P<role>{_ROLE}){_ALIGN}{_SKIP}|)"
+    f"(?:\\({_ALIGN}{_SKIP}(?P<variable>[a-z][a-z0-9']*(?!{_SYMBOL})){_ALIGN}"
+    f"{_SKIP}/{_ALIGN}{_SKIP}(?P<node>{_SYMBOL}){_ALIGN}"
+    f"|{_STRING}{_ALIGN}|(?P<symbol>{_SYMBOL}){_ALIGN})|(?P<end>\\Z))",
+    re.S,
+)
+
 
 def parse_amr(text: str) -> AmrGraph:
     """Parse one PENMAN s-expression into an :class:`AmrGraph`.
@@ -217,13 +238,86 @@ def parse_amr(text: str) -> AmrGraph:
     parentheses, unterminated string literals, duplicate variable
     definitions, and references to undefined variables.
     """
-    tokens = iter(_lex(text))
     instances: dict[str, str] = {}  # variable -> instance, in definition order
-    # (source, role, target, defines, offset) in textual role order; symbol
-    # targets stay tokens until the full parse, so forward references work
-    raw_edges: list[tuple[str, str, object, bool, int]] = []
+    attributes: dict[str, list[tuple[str, Literal]]] = {}
+    edges: list[AmrEdge | None] = []  # in textual role order
+    # symbols that are neither a variable defined so far nor a literal, as
+    # (edge index, source, role, symbol, offset): forward references, or
+    # errors that count only once the whole text has parsed
+    later: list[tuple[int, str, str, str, int]] = []
+    match = _GRAMMAR_RE.match
+    new = tuple.__new__  # builds a NamedTuple without a call to its Python __new__
+    m = match(text)
+    if m is None or m["variable"] is None or m["close"] or m["role"]:
+        _raise_parse_error(text, 0, 0, instances)
+    root = m["variable"]
+    instances[root] = m["node"]
+    attributes[root] = []
+    stack = [root]  # nodes whose ')' is still to come, innermost last
+    pos = m.end()  # where the next unit starts, or the edge after a run of ')'
+    while True:
+        m = match(text, pos)
+        if m is None:
+            break
+        run, role, variable, instance, body, symbol, end = m.groups()
+        if run is not None:
+            closed = run.count(")")
+            if "#" in run:  # a comment in the run may hold ')'
+                closed = sum(line.partition("#")[0].count(")") for line in run.split("\n"))
+            if closed > len(stack):
+                break
+            del stack[len(stack) - closed :]
+            pos = m.end("close")
+        if role is None or not stack:
+            break
+        source = stack[-1]
+        if variable is not None:
+            if variable in instances:
+                break
+            instances[variable] = instance
+            attributes[variable] = []
+            edges.append(new(AmrEdge, (source, role, variable, True)))
+            stack.append(variable)
+        elif body is not None:
+            if "\\" in body:
+                body = _ESCAPE_RE.sub(r"\1", body)
+            literal = new(Literal, (body, True))
+            edges.append(new(AmrEdge, (source, role, literal, False)))
+            attributes[source].append((role, literal))
+        elif symbol in instances:  # a variable reference, number, or polarity
+            edges.append(new(AmrEdge, (source, role, symbol, False)))
+        elif _NUMERIC_RE.match(symbol) or symbol in ("-", "+"):
+            literal = new(Literal, (symbol, False))
+            edges.append(new(AmrEdge, (source, role, literal, False)))
+            attributes[source].append((role, literal))
+        else:
+            later.append((len(edges), source, role, symbol, m.start("symbol")))
+            edges.append(None)
+        pos = m.end()
+    if stack or end is None:
+        _raise_parse_error(text, pos, len(stack), instances)
+    for at, source, role, symbol, offset in later:
+        if symbol not in instances:
+            if _VAR_RE.match(symbol):
+                message = f"reference to undefined variable {symbol!r}"
+            else:
+                message = f"invalid attribute value {symbol!r}"
+            raise AmrParseError(message, _byte_offset(text, offset))
+        edges[at] = new(AmrEdge, (source, role, symbol, False))
+    nodes = {
+        v: new(AmrNode, (v, instance, tuple(attributes[v]))) for v, instance in instances.items()
+    }
+    return AmrGraph(root, nodes, edges)
 
-    def fail(message: str, at: int):
+
+def _raise_parse_error(text: str, pos: int, depth: int, defined: dict[str, str]) -> NoReturn:
+    """Word the error at ``pos``, in the first grammar unit that
+    ``parse_amr`` rejected, where ``depth`` nodes are open and ``defined``
+    holds the variables defined before it. The whole text is lexed first,
+    as a lex error anywhere wins over a structural one."""
+    tokens = iter([tok for tok in _lex(text) if tok.offset >= pos])
+
+    def fail(message: str, at: int) -> NoReturn:
         raise AmrParseError(message, _byte_offset(text, at))
 
     def take() -> _Token:
@@ -232,73 +326,30 @@ def parse_amr(text: str) -> AmrGraph:
             fail("unbalanced parentheses: unexpected end of input", len(text))
         return tok
 
-    def open_node() -> str:
-        """Read the ``variable / instance`` that follows a '('."""
-        var_tok = take()
-        if var_tok.kind != "symbol" or not _VAR_RE.match(var_tok.text):
-            fail(f"expected variable, found {var_tok.text!r}", var_tok.offset)
-        variable = var_tok.text
-        if variable in instances:
-            fail(f"duplicate definition of variable {variable!r}", var_tok.offset)
-        slash = take()
-        if slash.kind != "slash":
-            fail(f"expected '/', found {slash.text!r}", slash.offset)
-        inst_tok = take()
-        if inst_tok.kind != "symbol":
-            fail(f"expected instance label, found {inst_tok.text!r}", inst_tok.offset)
-        instances[variable] = inst_tok.text
-        return variable
-
-    first = take()
-    if first.kind != "lparen":
-        fail(f"expected '(', found {first.text!r}", first.offset)
-    root = open_node()
-    open_nodes = [root]  # nodes whose ')' is still to come, innermost last
-    while open_nodes:
+    tok = take()
+    while depth and tok.kind == "rparen":
+        depth -= 1
         tok = take()
-        if tok.kind == "rparen":
-            open_nodes.pop()
-            continue
+    if defined and not depth:
+        fail("unexpected content after graph", tok.offset)
+    if depth:
         if tok.kind != "role":
             fail(f"expected role or ')', found {tok.text!r}", tok.offset)
-        value = take()
-        source = open_nodes[-1]
-        if value.kind == "lparen":
-            child = open_node()
-            raw_edges.append((source, tok.text, child, True, value.offset))
-            open_nodes.append(child)
-        elif value.kind == "string":
-            literal = Literal(value.text, quoted=True)
-            raw_edges.append((source, tok.text, literal, False, value.offset))
-        elif value.kind == "symbol":
-            # variable reference, number, or polarity
-            raw_edges.append((source, tok.text, value, False, value.offset))
-        else:
-            fail(f"expected a value after {tok.text}", value.offset)
-    trailing = next(tokens, None)
-    if trailing is not None:
-        fail("unexpected content after graph", trailing.offset)
-
-    edges: list[AmrEdge] = []
-    attributes: dict[str, list[tuple[str, Literal]]] = {v: [] for v in instances}
-    for source, role, target, defines, offset in raw_edges:
-        if isinstance(target, _Token):
-            sym = target.text
-            if sym in instances:
-                target = sym
-            elif _NUMERIC_RE.match(sym) or sym in ("-", "+"):
-                target = Literal(sym)
-            elif _VAR_RE.match(sym):
-                fail(f"reference to undefined variable {sym!r}", offset)
-            else:
-                fail(f"invalid attribute value {sym!r}", offset)
-        if isinstance(target, Literal):
-            attributes[source].append((role, target))
-        edges.append(AmrEdge(source, role, target, defines=defines))
-    nodes = {
-        v: AmrNode(v, instance, tuple(attributes[v])) for v, instance in instances.items()
-    }
-    return AmrGraph(root, nodes, edges)
+        role, tok = tok, take()
+        if tok.kind != "lparen":  # a string or symbol value would have parsed
+            fail(f"expected a value after {role.text}", tok.offset)
+    elif tok.kind != "lparen":
+        fail(f"expected '(', found {tok.text!r}", tok.offset)
+    tok = take()
+    if tok.kind != "symbol" or not _VAR_RE.match(tok.text):
+        fail(f"expected variable, found {tok.text!r}", tok.offset)
+    if tok.text in defined:
+        fail(f"duplicate definition of variable {tok.text!r}", tok.offset)
+    tok = take()
+    if tok.kind != "slash":
+        fail(f"expected '/', found {tok.text!r}", tok.offset)
+    tok = take()  # not a symbol, or the node head would have parsed
+    fail(f"expected instance label, found {tok.text!r}", tok.offset)
 
 
 def serialize_amr(graph: AmrGraph, indent: int = 4) -> str:

@@ -97,8 +97,16 @@ class LlmBackendSpec:
             raise ValueError("http-chat backend requires an endpoint_url")
         if self.kind == "stub" and self.policy not in ("echo-facts", "oracle-substring"):
             raise ValueError(f"unknown stub policy {self.policy!r}")
+        if not self.timeout_s > 0:  # also rejects NaN
+            raise ValueError("backend spec key 'timeout_s' must be above 0")
         if self.max_parallel < 1:
-            raise ValueError("max_parallel must be >= 1")
+            raise ValueError("backend spec key 'max_parallel' must be at least 1")
+        if self.max_tokens < 1:
+            raise ValueError("backend spec key 'max_tokens' must be at least 1")
+        if self.retries < 0:
+            raise ValueError("backend spec key 'retries' must be at least 0")
+        if not self.stub_delay_ms >= 0:
+            raise ValueError("backend spec key 'stub_delay_ms' must be at least 0")
 
     @property
     def label(self) -> str:

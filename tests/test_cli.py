@@ -130,6 +130,7 @@ class TestDistillCommand:
             ('{"idf_threshold": "0.5"}', "'idf_threshold' must be a number"),
             ('{"stoplst": []}', "unknown keys: stoplst"),
             ('["seed"]', "must be a JSON object"),
+            ('{"idf_threshold": NaN}', "holds NaN, which is not a JSON number"),
         ],
     )
     def test_malformed_config_is_data_error(
@@ -309,6 +310,15 @@ class TestEvalAndReport:
             ('{"kind": "stub", "model_name": "m"}', "unknown keys: model_name"),
             ('{"policy": "echo-facts"}', "missing required keys: kind"),
             ('["kind"]', "must be a JSON object"),
+            (
+                '{"kind": "http-chat", "endpoint_url": "http://127.0.0.1:9/x", "timeout_s": -1}',
+                "'timeout_s' must be above 0",
+            ),
+            ('{"kind": "stub", "timeout_s": 0}', "'timeout_s' must be above 0"),
+            ('{"kind": "stub", "max_tokens": 0}', "'max_tokens' must be at least 1"),
+            ('{"kind": "stub", "retries": -1}', "'retries' must be at least 0"),
+            ('{"kind": "stub", "stub_delay_ms": -0.5}', "'stub_delay_ms' must be at least 0"),
+            ('{"kind": "stub", "temperature": Infinity}', "holds Infinity, which is not a JSON"),
         ],
     )
     def test_malformed_backend_spec_is_data_error(
@@ -357,6 +367,8 @@ class TestEvalAndReport:
                 "'compressed_words' must be an integer",
             ),
             ('[{"k": 1, "correct": true, "stages": {}}]', "unknown keys: stages"),
+            ('[{"k": 1, "correct": true, "latency_ms": NaN}]', "holds NaN, which is not a JSON"),
+            ('[{"k": 1, "correct": -Infinity}]', "holds -Infinity, which is not a JSON"),
         ],
     )
     def test_malformed_records_are_data_errors(self, tmp_path, records, message, capsys):

@@ -3,7 +3,9 @@ straightforward versions in ``bruteforce.py``: same tokens, graphs and
 concepts, or the same error message at the same byte offset."""
 
 import random
+import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +27,10 @@ FRAGMENTS = HOSTILE + [
     ":ARG0", ":a-é", ":", '"x\\"y"', '"a\\\nb"', "~e.1", "~1,2", "~ab", "~e.1~e.2",
     "#c\n", "v1", "walk-01", ":op1", "(", ")",
 ]
+# pieces the parser's grammar regex must cut exactly where the lexer does:
+# alignments that a shorter match would split another way, a comment that
+# holds '/' and ')', and unicode whitespace (only skipped between tokens)
+HAZARDS = ["~ab1913", "~e.12", "/~1x", "# a / b )\n", "\xa0", "\u2003", "\u2028", "\x85", "\x0b"]
 
 
 def outcome(func, text):
@@ -71,6 +77,54 @@ class TestParser:
             at = rng.randrange(len(text))
             text = text[:at] + rng.choice(FRAGMENTS) + text[at + rng.randint(0, 3) :]
             assert outcome(parse_amr, text) == outcome(bruteforce.parse_amr, text), repr(text)
+
+    def test_regex_hazards_fail_alike(self):
+        rng = random.Random(17)
+        parsed = 0
+        for seed in range(1500):
+            text = random_penman(seed)
+            for _ in range(rng.randint(1, 3)):
+                # after a '(', inside a ')' run, or where a blank separates two pieces
+                spots = [
+                    i for i in range(1, len(text))
+                    if text[i - 1] == "(" or text[i - 1 : i + 1] == "))" or text[i] == " "
+                ]
+                at = rng.choice(spots)
+                text = text[:at] + rng.choice(HAZARDS) + text[at + rng.randint(0, 1) :]
+            result = outcome(parse_amr, text)
+            assert result == outcome(bruteforce.parse_amr, text), repr(text)
+            parsed += result[0] == "ok"
+        assert parsed > 300  # valid text takes the parser's main loop
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(d / date-entity :year~ab1913)",
+            "(d / date-entity :year~ab1913 1913)",
+            "(d / date-entity :year 1913~e.12)",
+            "(d / date-entity :year~e.12)",
+            "(a / b :ARG0 (c /~1x))",
+            "(a / b :ARG0 (c / d :mod 1~1,2x))",
+            "(a / b :ARG0 (c / d ~1,))",
+            "( # a / b )\n a / b)",
+            "(a / b :ARG0 (c / d) # a / b )\n)",
+            "(a / b :ARG0 (c / d) # a / b )\n))",
+            "(a\xa0/ b)",
+            "(a /\u2003b\u2028:ARG0\x85(c / d\xa0)\x0b)",
+        ],
+    )
+    def test_regex_hazard_cases(self, text):
+        assert outcome(parse_amr, text) == outcome(bruteforce.parse_amr, text)
+
+    @pytest.mark.parametrize("filler", [" ", "# a / b )\n", "\u2003"])
+    def test_error_after_a_long_skip_is_found_in_linear_time(self, filler):
+        # nested quantifiers that backtrack on a miss would take exponential time here
+        text = "(a / b :ARG0" + filler * 20_000 + ")"
+        start = time.perf_counter()
+        result = outcome(parse_amr, text)
+        assert time.perf_counter() - start < 1.0
+        offset = len(text[:-1].encode("utf-8"))
+        assert result == ("error", f"expected a value after :ARG0 (byte offset {offset})", offset)
 
     def test_defining_parent(self):
         for seed in range(300):
