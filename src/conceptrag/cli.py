@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import replace
@@ -231,10 +232,17 @@ def _load_records(results_dir: str) -> list[PipelineRecord]:
     path = Path(results_dir) / "records.json"
     if not path.exists():
         raise DatasetError(f"no records.json in {results_dir}")
-    records = _read_json(path, "records file")
-    if type(records) is not list:
-        raise DatasetError(f"{path} must hold a JSON list of records")
-    return [from_json(PipelineRecord, data, "record") for data in records]
+    # records hold no cycles: a collection while they are built only costs time
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        records = _read_json(path, "records file")
+        if type(records) is not list:
+            raise DatasetError(f"{path} must hold a JSON list of records")
+        return [from_json(PipelineRecord, data, "record") for data in records]
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def cmd_report(args) -> int:

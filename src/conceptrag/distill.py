@@ -11,12 +11,17 @@ from __future__ import annotations
 import calendar
 import random
 import re
+import string
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
+from typing import NamedTuple
 
 from .penman import AmrGraph, AmrNode, dfs_nodes, split_sentences
 
 _SENSE_RE = re.compile(r"-[0-9]{2}\Z")
-_TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z0-9]+)*")
+# one group, so that split() returns the tokens as well as the text between them
+_TOKEN_RE = re.compile(r"([A-Za-z0-9]+(?:'[A-Za-z0-9]+)*)")
+_WORD_CHARS = frozenset(string.ascii_letters + string.digits)
 _OP_ROLE_RE = re.compile(r":op([0-9]+)\Z")
 
 
@@ -80,8 +85,7 @@ DEFAULT_STOPLIST = frozenset(_ENTITY_TYPE_LABELS + _STRUCTURAL_LABELS + _PRONOUN
 _TRAVERSAL_KINDS = ("dfs", "local-random", "global-random")
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(NamedTuple):
     """One distilled concept with its provenance and, after backtrace, the
     character span of its source-document match."""
 
@@ -112,9 +116,12 @@ class ConceptSet:
 
     def facts_string(self) -> str:
         """Sentence groups joined with '. ', concepts within a group with ', '."""
-        return ". ".join(
-            ", ".join(c.text for c in group) for group in self.sentence_groups()
-        )
+        parts: list[str] = []
+        previous = None
+        for text, _, sentence_index, _ in self.concepts:
+            parts += (", " if sentence_index == previous else ". ", text)
+            previous = sentence_index
+        return "".join(parts[1:])
 
 
 @dataclass(frozen=True)
@@ -154,9 +161,13 @@ class DistillConfig:
             raise ValueError(f"unknown traversal kind {self.traversal!r}")
         if self.traversal != "dfs" and self.seed is None:
             raise ValueError(f"{self.traversal} traversal requires a seed")
+        # built once per config, not per document; not a field, so equality,
+        # hashing and the JSON form do not see it
+        stoplist = (DEFAULT_STOPLIST | set(self.stoplist_add)) - set(self.stoplist_remove)
+        object.__setattr__(self, "_stoplist", stoplist)
 
     def stoplist(self) -> frozenset[str]:
-        return (DEFAULT_STOPLIST | set(self.stoplist_add)) - set(self.stoplist_remove)
+        return self._stoplist
 
 
 def normalize_term(text: str) -> str:
@@ -249,53 +260,40 @@ def _int_attribute(node: AmrNode, role: str) -> int | None:
 # --- traversal state machine
 
 
-def _is_role_node(node: AmrNode) -> bool:
-    return (
-        node.instance == "name"
-        or node.instance == "date-entity"
-        or _wiki_value(node) is not None
-    )
-
-
-def _role_contributions(graph: AmrGraph, node: AmrNode, sentence_index: int) -> list[Concept]:
-    """Concepts a special-role node adds to the role buffer.
+def _run_stream(graph: AmrGraph, stream: list[tuple[int, str]]) -> list[Concept]:
+    """Feed (sentence_index, variable) items through the role-buffering loop:
+    special-role nodes (names, date-entities and wiki-linked nodes)
+    accumulate, any other node flushes the buffer before appending its own
+    instance, and the stream end flushes the remainder.
 
     A name child of a wiki-linked entity contributes nothing: the wiki string
     is the standardized form of the same entity, so it replaces the name and
     duplicates never arise. The decision is structural, which keeps the
     emitted multiset identical under every traversal order.
     """
-    out: list[Concept] = []
-    if node.instance == "name":
-        parent = graph.defining_parent(node.variable)
-        parent_wiki = parent is not None and _wiki_value(graph.nodes[parent]) is not None
-        if not parent_wiki:
-            out.append(handle_name(node, sentence_index))
-    wiki = handle_wiki(node, sentence_index)
-    if wiki is not None:
-        out.append(wiki)
-    if node.instance == "date-entity":
-        date = handle_date(node, sentence_index)
-        if date is not None:
-            out.append(date)
-    return out
-
-
-def _run_stream(graph: AmrGraph, stream: list[tuple[int, str]]) -> list[Concept]:
-    """Feed (sentence_index, variable) items through the role-buffering loop:
-    special-role nodes accumulate, any other node flushes the buffer before
-    appending its own instance, and the stream end flushes the remainder."""
+    nodes = graph.nodes
     concepts: list[Concept] = []
     role_buffer: list[Concept] = []
     for sentence_index, variable in stream:
-        node = graph.nodes[variable]
-        if _is_role_node(node):
-            role_buffer.extend(_role_contributions(graph, node, sentence_index))
-        else:
+        node = nodes[variable]
+        instance = node.instance
+        wiki = _wiki_value(node) if node.attributes else None
+        if instance == "name":
+            parent = graph.defining_parent(variable)
+            if parent is None or _wiki_value(nodes[parent]) is None:
+                role_buffer.append(handle_name(node, sentence_index))
+        elif wiki is None and instance != "date-entity":
             if role_buffer:
                 concepts.extend(role_buffer)
                 role_buffer = []
-            concepts.append(Concept(node.instance, "instance", sentence_index))
+            concepts.append(Concept(instance, "instance", sentence_index))
+            continue
+        if wiki is not None:
+            role_buffer.append(Concept(wiki.replace("_", " "), "wiki", sentence_index))
+        if instance == "date-entity":
+            date = handle_date(node, sentence_index)
+            if date is not None:
+                role_buffer.append(date)
     concepts.extend(role_buffer)
     return concepts
 
@@ -332,13 +330,16 @@ def concept_format(
     for concept in concepts:
         text = concept.text
         if concept.provenance == "instance":
-            text = strip_sense(concept.text)
-            if concept.text in stoplist or text in stoplist:
+            if text in stoplist:
                 continue
+            if text[-3:-2] == "-":  # can end in a sense suffix
+                text = strip_sense(text)
+                if text in stoplist:
+                    continue
+                if text != concept.text:
+                    concept = concept._replace(text=text)
         if idf is not None and idf.document_fraction(text) > idf_threshold:
             continue
-        if text != concept.text:
-            concept = Concept(text, concept.provenance, concept.sentence_index, concept.source_span)
         out.append(concept)
     return out
 
@@ -359,33 +360,44 @@ def concept_backtrace(
     the longest common prefix (at least ``min_overlap`` characters, ties
     broken by earliest position); unmatched concepts keep their AMR form.
     Name/wiki/date concepts pass through, taking the source casing and span
-    when an exact case-insensitive match exists. Never drops or adds.
+    when an exact case-insensitive whole-word match exists. Never drops or
+    adds.
     """
-    # Every token that can match shares its first ``prefix_len`` lowercase
-    # characters with the word, so a word scans only its own bucket. Equal
-    # tokens overlap a word equally, so only the first (earliest) is kept.
+    # Every token that can match a word shares the word's first
+    # ``prefix_len`` lowercase characters, so only the words' own prefix
+    # buckets are filled. Equal tokens overlap a word equally, so only the
+    # first (earliest) is kept. An instance concept is split into its words
+    # (odd items) and the text around them.
     prefix_len = max(min_overlap, 1)
+    splits = [_TOKEN_RE.split(c.text) if c.provenance == "instance" else None for c in concepts]
     index: dict[str, dict[str, tuple[str, int, int]]] = {}
-    for m in _TOKEN_RE.finditer(source_doc):
-        lower = m.group(0).lower()
-        if len(lower) >= prefix_len:
-            bucket = index.setdefault(lower[:prefix_len], {})
-            if lower not in bucket:
-                bucket[lower] = (m.group(0), m.start(), m.end())
-    lowered = source_doc.lower()
-    # lowercasing can lengthen the text ('İ' becomes two characters), so
-    # offsets into ``lowered`` are mapped back to ``source_doc``
+    for parts in splits:
+        for word in parts[1::2] if parts else ():
+            if len(word) >= prefix_len:
+                index[word[:prefix_len].lower()] = {}
+    if index:
+        pieces = _TOKEN_RE.split(source_doc)
+        for token, end in zip(pieces[1::2], islice(accumulate(map(len, pieces)), 1, None, 2)):
+            lower = token.lower()
+            bucket = index.get(lower[:prefix_len])
+            if bucket is not None and lower not in bucket:
+                bucket[lower] = (token, end - len(token), end)
+    lowered = ""
     to_doc: dict[int, int] | None = None
-    if len(lowered) != len(source_doc):
-        to_doc, at = {}, 0
-        for i, ch in enumerate(source_doc):
-            to_doc[at] = i
-            at += len(ch.lower())
-        to_doc[at] = len(source_doc)
+    if None in splits:
+        lowered = source_doc.lower()
+        # lowercasing can lengthen the text ('İ' becomes two characters), so
+        # offsets into ``lowered`` are mapped back to ``source_doc``
+        if len(lowered) != len(source_doc):
+            to_doc, at = {}, 0
+            for i, ch in enumerate(source_doc):
+                to_doc[at] = i
+                at += len(ch.lower())
+            to_doc[at] = len(source_doc)
     out: list[Concept] = []
-    for concept in concepts:
-        if concept.provenance == "instance":
-            out.append(_backtrace_instance(concept, index, prefix_len))
+    for concept, parts in zip(concepts, splits):
+        if parts is not None:
+            out.append(_backtrace_instance(concept, parts, index, prefix_len))
             continue
         span = _find_lowercase(source_doc, lowered, to_doc, concept.text.lower())
         if span is None:
@@ -399,10 +411,11 @@ def concept_backtrace(
 def _find_lowercase(
     source_doc: str, lowered: str, to_doc: dict[int, int] | None, target: str
 ) -> tuple[int, int] | None:
-    """Earliest span of ``source_doc`` whose lowercase form is ``target``.
-    A hit in ``lowered`` must start and end on a character of
-    ``source_doc``, and the slice must lowercase alone to ``target`` (a
-    final sigma lowercases by context)."""
+    """Earliest whole-word span of ``source_doc`` whose lowercase form is
+    ``target``. A hit in ``lowered`` must start and end on a character of
+    ``source_doc``, the slice must lowercase alone to ``target`` (a final
+    sigma lowercases by context), and neither neighbour of the slice may be
+    a word character of ``_TOKEN_RE``."""
     at = lowered.find(target)
     while at >= 0:
         if to_doc is None:
@@ -410,32 +423,31 @@ def _find_lowercase(
         else:
             start, end = to_doc.get(at), to_doc.get(at + len(target))
         if start is not None and end is not None and source_doc[start:end].lower() == target:
-            return start, end
+            if _WORD_CHARS.isdisjoint(source_doc[start - 1 : start] + source_doc[end : end + 1]):
+                return start, end
         at = lowered.find(target, at + 1)
     return None
 
 
 def _backtrace_instance(
-    concept: Concept, index: dict[str, dict[str, tuple[str, int, int]]], prefix_len: int
+    concept: Concept,
+    parts: list[str],
+    index: dict[str, dict[str, tuple[str, int, int]]],
+    prefix_len: int,
 ) -> Concept:
-    spans: list[tuple[int, int]] = []
-    matched_all = True
-
-    def substitute(match: re.Match) -> str:
-        nonlocal matched_all
-        best = _best_token_match(match.group(0), index, prefix_len)
+    span: tuple[int, int] | None = None
+    missed = False
+    for i in range(1, len(parts), 2):
+        best = _best_token_match(parts[i], index, prefix_len)
         if best is None:
-            matched_all = False
-            return match.group(0)
-        text, start, end = best
-        spans.append((start, end))
-        return text
-
-    new_text = _TOKEN_RE.sub(substitute, concept.text)
-    if not spans:
+            missed = True
+            continue
+        parts[i], start, end = best
+        span = (start, end) if span is None else (min(span[0], start), max(span[1], end))
+    if span is None:
         return concept
-    span = (min(s for s, _ in spans), max(e for _, e in spans)) if matched_all else None
-    return Concept(new_text, concept.provenance, concept.sentence_index, span)
+    span = None if missed else span
+    return Concept("".join(parts), concept.provenance, concept.sentence_index, span)
 
 
 def _best_token_match(
@@ -445,19 +457,13 @@ def _best_token_match(
     best: tuple[str, int, int] | None = None
     best_len = 0
     for lower, token in index.get(word_lower[:prefix_len], {}).items():
-        overlap = _common_prefix_len(word_lower, lower)
+        # a bucket's tokens share the word's first ``prefix_len`` characters
+        overlap, limit = prefix_len, min(len(lower), len(word_lower))
+        while overlap < limit and lower[overlap] == word_lower[overlap]:
+            overlap += 1
         if overlap > best_len:
             best, best_len = token, overlap
     return best
-
-
-def _common_prefix_len(a: str, b: str) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
 
 
 def distill_concepts(

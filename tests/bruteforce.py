@@ -5,17 +5,27 @@ against.
 These are the earlier implementations kept as they were: the
 character-at-a-time lexer, the recursive-descent parser with its per-node
 attribute scan, the linear ``defining_parent`` scan, and the backtrace that
-compares every concept word with every source token. They are quadratic or
+compares every concept word with every source token. ``distill_concepts``
+runs the distillation layer by layer on top of them. They are quadratic or
 recursive on purpose; only their output matters.
 """
 
 from __future__ import annotations
 
+import random
 import re
-from dataclasses import replace
 from typing import NamedTuple
 
-from conceptrag.distill import Concept
+from conceptrag.distill import (
+    DEFAULT_STOPLIST,
+    Concept,
+    ConceptSet,
+    DistillConfig,
+    IdfIndex,
+    handle_date,
+    handle_name,
+    handle_wiki,
+)
 from conceptrag.penman import AmrEdge, AmrGraph, AmrNode, AmrParseError, Literal
 
 _VAR_RE = re.compile(r"[a-z][a-z0-9']*\Z")
@@ -24,6 +34,7 @@ _NUMERIC_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?\Z")
 _ALIGNMENT_RE = re.compile(r"[A-Za-z]*\.?[0-9]+(,[0-9]+)*")
 _SYMBOL_END = set(' \t\r\n()"/:~#')
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z0-9]+)*")
+_WORD_CHAR_RE = re.compile(r"[A-Za-z0-9]")
 
 
 class Token(NamedTuple):
@@ -228,9 +239,15 @@ def concept_backtrace(
             out.append(_backtrace_instance(concept, tokens, min_overlap))
         else:
             at = lowered.find(concept.text.lower())
+            # a whole word only: no ASCII letter or digit on either side
+            while at >= 0 and (
+                _WORD_CHAR_RE.match(source_doc[at - 1 : at])
+                or _WORD_CHAR_RE.match(source_doc[at + len(concept.text) :])
+            ):
+                at = lowered.find(concept.text.lower(), at + 1)
             if at >= 0:
                 end = at + len(concept.text)
-                out.append(replace(concept, text=source_doc[at:end], source_span=(at, end)))
+                out.append(concept._replace(text=source_doc[at:end], source_span=(at, end)))
             else:
                 out.append(concept)
     return out
@@ -256,7 +273,7 @@ def _backtrace_instance(
     if not spans:
         return concept
     span = (min(s for s, _ in spans), max(e for _, e in spans)) if matched_all else None
-    return replace(concept, text=new_text, source_span=span)
+    return concept._replace(text=new_text, source_span=span)
 
 
 def best_token_match(
@@ -279,3 +296,84 @@ def _common_prefix_len(a: str, b: str) -> int:
             break
         n += 1
     return n
+
+
+def distill_concepts(
+    graph: AmrGraph,
+    source_doc: str,
+    idf: IdfIndex | None = None,
+    config: DistillConfig | None = None,
+) -> ConceptSet:
+    """Each sentence walked depth-first, then the role buffer, the format
+    step and the backtrace, each over the whole document in turn."""
+    config = config or DistillConfig()
+    streams = _traversal_streams(graph, config)
+    concepts = [c for stream in streams for c in _role_buffer(graph, stream)]
+    stoplist = (DEFAULT_STOPLIST | set(config.stoplist_add)) - set(config.stoplist_remove)
+    formatted = []
+    for concept in concepts:
+        text = concept.text
+        if concept.provenance == "instance":
+            text = re.sub(r"(?:-[0-9]{2})+\Z", "", text)
+            if concept.text in stoplist or text in stoplist:
+                continue
+        if idf is not None and idf.document_fraction(text) > config.idf_threshold:
+            continue
+        formatted.append(concept._replace(text=text))
+    return ConceptSet(
+        tuple(concept_backtrace(formatted, source_doc, config.min_backtrace_overlap))
+    )
+
+
+def _traversal_streams(graph: AmrGraph, config: DistillConfig) -> list[list[tuple[int, str]]]:
+    if graph.nodes[graph.root].instance == "multi-sentence":
+        numbered = sorted(
+            (int(edge.role[len(":snt") :]), edge.target)
+            for edge in graph.edges
+            if edge.source == graph.root and edge.role.startswith(":snt")
+        )
+        roots = [target for _, target in numbered]
+    else:
+        roots = [graph.root]
+    streams = [[(i, v) for v in _preorder(graph, root)] for i, root in enumerate(roots, 1)]
+    if config.traversal == "local-random":
+        rng = random.Random(config.seed)
+        for stream in streams:
+            rng.shuffle(stream)
+    elif config.traversal == "global-random":
+        streams = [[item for stream in streams for item in stream]]
+        random.Random(config.seed).shuffle(streams[0])
+    return streams
+
+
+def _preorder(graph: AmrGraph, variable: str) -> list[str]:
+    order = [variable]
+    for edge in graph.edges:
+        if edge.defines and defining_parent(graph, edge.target) == variable:
+            order += _preorder(graph, edge.target)
+    return order
+
+
+def _role_buffer(graph: AmrGraph, stream: list[tuple[int, str]]) -> list[Concept]:
+    out: list[Concept] = []
+    buffer: list[Concept] = []
+    for sentence_index, variable in stream:
+        node = graph.nodes[variable]
+        wiki = handle_wiki(node, sentence_index)
+        if node.instance not in ("name", "date-entity") and wiki is None:
+            out += buffer
+            buffer = []
+            out.append(Concept(node.instance, "instance", sentence_index))
+            continue
+        if node.instance == "name":
+            # a wiki-linked parent's wiki string stands for the name
+            parent = defining_parent(graph, variable)
+            if parent is None or handle_wiki(graph.nodes[parent]) is None:
+                buffer.append(handle_name(node, sentence_index))
+        if wiki is not None:
+            buffer.append(wiki)
+        if node.instance == "date-entity":
+            date = handle_date(node, sentence_index)
+            if date is not None:
+                buffer.append(date)
+    return out + buffer

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and run artifacts."""
 
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from conceptrag import cli
 from conceptrag.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from conceptrag.metrics import LONG_INTERVAL, NORMAL_INTERVAL, EvalCurve, integrate
+from conceptrag.schema import from_json
 
 
 @pytest.fixture()
@@ -378,6 +381,32 @@ class TestEvalAndReport:
         assert main(["report", str(run)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("collector_on", [True, False])
+    def test_report_leaves_the_collector_as_it_was(
+        self, collector_on, tmp_path, fixture_dataset_path, stub_backend_file, monkeypatch, capsys
+    ):
+        out = run_eval(tmp_path, fixture_dataset_path, stub_backend_file)
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "records.json").write_text('[{"k": "x", "correct": true}]')
+        collecting = []  # gc.isenabled() as each record is built
+
+        def spy(cls, data, kind):
+            collecting.append(gc.isenabled())
+            return from_json(cls, data, kind)
+
+        monkeypatch.setattr(cli, "from_json", spy)
+        was_on = gc.isenabled()
+        (gc.enable if collector_on else gc.disable)()
+        try:
+            assert main(["report", str(out)]) == EXIT_OK
+            assert gc.isenabled() is collector_on
+            assert main(["report", str(bad)]) == EXIT_DATA
+            assert gc.isenabled() is collector_on
+        finally:
+            (gc.enable if was_on else gc.disable)()
+        assert len(collecting) == 21 and not any(collecting)
 
     def test_manifest_reproducibility(self, tmp_path, fixture_dataset_path, stub_backend_file):
         extra = ["--traversal", "local-random", "--seed", "11"]

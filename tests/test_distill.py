@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conceptrag import distill
 from conceptrag.distill import (
     DEFAULT_STOPLIST,
     Concept,
@@ -201,6 +202,21 @@ class TestBacktrace:
         [out] = concept_backtrace([Concept("work", "instance", 1)], source)
         assert out.text == "worked"
 
+    @pytest.mark.parametrize(
+        "concept, source, span",
+        [
+            (Concept("Art", "name", 1), "They start at the Art Museum.", (18, 21)),
+            (Concept("art", "wiki", 1), "Smart art", (6, 9)),
+            (Concept("1899", "date", 1), "In 18990 and in 1899.", (16, 20)),
+            (Concept("Kan", "name", 1), "Kanto and Kan's", (10, 13)),
+            (Concept("Art", "name", 1), "They start at dawn.", None),
+        ],
+    )
+    def test_name_wiki_date_match_whole_words_only(self, concept, source, span):
+        [out] = concept_backtrace([concept], source)
+        assert out.source_span == span
+        assert out.text == (source[span[0] : span[1]] if span else concept.text)
+
     @given(st.lists(st.sampled_from(["work", "run", "Amsterdam", "storm", "1973"]), max_size=8))
     def test_conservatism_count_preserved(self, labels):
         concepts = [Concept(lbl, "instance", 1) for lbl in labels]
@@ -325,6 +341,22 @@ class TestDistill:
         spans = [c.source_span[0] for c in concepts.concepts
                  if c.source_span and c.provenance != "date"]
         assert spans == sorted(spans)
+
+    def test_traced_layers_are_called_by_name(self, table_a1_penman, table_a1_doc, monkeypatch):
+        # per-layer tracing wraps these module-level names; a layer that
+        # distill_concepts stops calling by name would read as zero time
+        calls = Counter()
+        for name in ("split_sentences", "dfs_nodes", "concept_format", "concept_backtrace"):
+            def counted(*args, _name=name, _func=getattr(distill, name), **kwargs):
+                calls[_name] += 1
+                return _func(*args, **kwargs)
+
+            monkeypatch.setattr(distill, name, counted)
+        concepts = distill_concepts(parse_amr(table_a1_penman), table_a1_doc)
+        assert len(concepts.concepts) == 7
+        assert calls == {
+            "split_sentences": 1, "dfs_nodes": 2, "concept_format": 1, "concept_backtrace": 1
+        }
 
     def test_concept_word_count_below_source(self, table_a1_penman, table_a1_doc):
         concepts = distill_concepts(parse_amr(table_a1_penman), table_a1_doc)

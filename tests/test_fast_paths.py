@@ -1,8 +1,9 @@
-"""The fast lexer, parser, parent map and backtrace against the
-straightforward versions in ``bruteforce.py``: same tokens, graphs and
+"""The fast lexer, parser, parent map, backtrace and distillation against
+the straightforward versions in ``bruteforce.py``: same tokens, graphs and
 concepts, or the same error message at the same byte offset."""
 
 import random
+import re
 import time
 
 import pytest
@@ -11,9 +12,16 @@ from hypothesis import strategies as st
 
 import bruteforce
 from conceptrag import penman
-from conceptrag.distill import Concept, concept_backtrace
+from conceptrag.distill import (
+    Concept,
+    DistillConfig,
+    build_idf_index,
+    concept_backtrace,
+    distill_concepts,
+    handle_date,
+)
 from conceptrag.penman import AmrParseError, parse_amr
-from graphgen import random_penman
+from graphgen import ENTITY_POOL, WORD_POOL, random_penman
 
 # every character the lexer treats specially, unicode whitespace (only
 # skipped between tokens), unicode letters and digits (alphanumeric, but not
@@ -164,3 +172,57 @@ class TestBacktrace:
     def test_overlap_floor_zero_still_needs_one_character(self):
         [out] = concept_backtrace([Concept("xyz", "instance", 1)], "abc def", min_overlap=0)
         assert out.text == "xyz" and out.source_span is None
+
+
+def mentions(graph, rng):
+    """A source document for ``graph``: its labels, literals and dates, each
+    kept, inflected, cut short, recased or put inside a longer word."""
+    words = []
+    for node in graph.nodes.values():
+        words.append(re.sub(r"(-[0-9]{2})+\Z", "", node.instance))
+        words += [literal.text.replace("_", " ") for _, literal in node.attributes]
+        if node.instance == "date-entity" and node.attributes:
+            words.append(handle_date(node).text)
+    words += rng.sample(WORD_POOL, 3)
+    rng.shuffle(words)
+    out = []
+    for word in words:
+        form = rng.choice(["same", "same", "suffix", "short", "upper", "inside", "drop"])
+        if form == "suffix":
+            word += rng.choice(["s", "ed", "ing", "er"])
+        elif form == "short":
+            word = word[: rng.randint(1, max(1, len(word) - 1))]
+        elif form == "upper":
+            word = word.upper()
+        elif form == "inside":
+            word = rng.choice(["x", "re", "9"]) + word + rng.choice(["", "z", "7"])
+        elif form == "drop":
+            continue
+        out.append(word + rng.choice(SEPARATORS))
+    return "".join(out)
+
+
+class TestDistill:
+    def test_matches_layered_reference(self):
+        rng = random.Random(29)
+        for seed in range(400):
+            graph = parse_amr(random_penman(seed))
+            doc = mentions(graph, rng)
+            labels = sorted({node.instance for node in graph.nodes.values()})
+            stoplist_add = rng.sample(labels, min(len(labels), rng.randint(0, 2)))
+            stoplist_add += rng.sample(["see", "run", "paper", "tree"], rng.randint(0, 2))
+            stoplist_remove = rng.sample(ENTITY_POOL, rng.randint(0, 3))
+            as_given = list if seed % 2 else tuple  # lists: a config built in Python
+            config = DistillConfig(
+                stoplist_add=as_given(stoplist_add),
+                stoplist_remove=as_given(stoplist_remove),
+                idf_threshold=rng.choice([0.3, 0.5, 0.9]),
+                min_backtrace_overlap=seed % 7,
+                traversal=("dfs", "local-random", "global-random")[seed % 3],
+                seed=seed,
+            )
+            idf = None
+            if seed % 5 == 1:
+                idf = build_idf_index([doc, mentions(graph, rng), " ".join(WORD_POOL)])
+            got = distill_concepts(graph, doc, idf=idf, config=config)
+            assert got == bruteforce.distill_concepts(graph, doc, idf=idf, config=config), seed

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conceptrag.cli import main
 from conceptrag.distill import DistillConfig
 from conceptrag.ragpipe import LlmBackendSpec, PipelineRecord
 from conceptrag.schema import from_json
@@ -15,6 +16,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 RECORDS = "`records.json`"
 BACKEND = "Backend spec (JSON, via `--backend`)"
 CONFIG = "Distill config (JSON, via `--config`)"
+DISTILL_JSON = "`distill --json` output"
 
 
 def section(title: str) -> str:
@@ -39,3 +41,13 @@ def test_key_table_lists_the_fields_in_order(title, cls):
 def test_json_example_loads(title, cls, kind):
     example = re.search(r"```json\n(.*?)```", section(title), re.S).group(1)
     assert isinstance(from_json(cls, json.loads(example), kind), cls)
+
+
+def test_distill_json_keys_are_the_emitted_ones(tmp_path, table_a1_penman, table_a1_doc, capsys):
+    keys = re.findall(r"^\| `(\w+)` \|", section(DISTILL_JSON), re.M)
+    amr, doc = tmp_path / "g.amr", tmp_path / "d.txt"
+    amr.write_text(table_a1_penman, encoding="utf-8")
+    doc.write_text(table_a1_doc, encoding="utf-8")
+    assert main(["distill", str(amr), str(doc), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload and all(list(item) == keys for item in payload)
