@@ -14,18 +14,17 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .corpus import DatasetError, format_stats_tsv, group_by_k, load_dataset, screen_pairs
-from .distill import DistillConfig, DistillError, distill_concepts
+from .corpus import DatasetError, count_by_k, format_stats_tsv, load_dataset, screen_pairs
+from .distill import DistillConfig, distill_concepts
 from .metrics import (
     LONG_INTERVAL,
     NORMAL_INTERVAL,
-    MetricsError,
     build_report,
     parse_interval,
     render_accuracy_svg,
     write_report,
 )
-from .penman import AmrParseError, GraphError, parse_amr, parse_corpus
+from .penman import parse_amr, parse_corpus
 from .ragpipe import (
     BACKEND_ERROR_NAMES,
     AmrParseClient,
@@ -187,8 +186,7 @@ def cmd_stats(args) -> int:
     pairs = load_dataset(args.dataset)
     if not args.no_screen:
         pairs = screen_pairs(pairs, s_pop_max=args.s_pop_max)
-    _, rows = group_by_k(pairs)
-    sys.stdout.write(format_stats_tsv(rows))
+    sys.stdout.write(format_stats_tsv(count_by_k(pairs)))
     return EXIT_OK
 
 
@@ -286,10 +284,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
-        return EXIT_DATA
-    except (AmrParseError, GraphError, DistillError, DatasetError, MetricsError, ValueError) as exc:
+    # AmrParseError, GraphError, DistillError, DatasetError and MetricsError
+    # are ValueErrors; an OSError is a path that cannot be read or written
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except BackendError as exc:

@@ -1,4 +1,4 @@
-"""Question-answer-document datasets: JSONL ingestion, screening, grouping.
+"""Question-answer-document datasets: JSONL ingestion, screening, per-K counts.
 
 One record per line:
 ``{"question": str, "answers": [str], "s_pop": int?, "docs":
@@ -9,6 +9,7 @@ ignored.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,19 +37,6 @@ class QadPair:
     @property
     def k(self) -> int:
         return len(self.documents)
-
-    def to_dict(self) -> dict:
-        record: dict = {
-            "question": self.question,
-            "answers": list(self.gold_answers),
-            "docs": [
-                {"text": d.text, "hasanswer": d.hasanswer, **({"amr": d.amr} if d.amr else {})}
-                for d in self.documents
-            ],
-        }
-        if self.s_pop is not None:
-            record["s_pop"] = self.s_pop
-        return record
 
 
 def _pair_from_dict(data, where: str) -> QadPair:
@@ -92,12 +80,6 @@ def load_dataset(path: str | Path) -> list[QadPair]:
     return pairs
 
 
-def save_dataset(pairs: list[QadPair], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for pair in pairs:
-            handle.write(json.dumps(pair.to_dict(), ensure_ascii=False) + "\n")
-
-
 def screen_pairs(pairs: list[QadPair], s_pop_max: int | None = None) -> list[QadPair]:
     """Keep pairs whose documents all contain an answer and, when a cap is
     given, whose subject is long-tail (s_pop below the cap). Pairs without an
@@ -112,16 +94,13 @@ def screen_pairs(pairs: list[QadPair], s_pop_max: int | None = None) -> list[Qad
     return kept
 
 
-def group_by_k(pairs: list[QadPair]) -> tuple[dict[int, list[QadPair]], list[tuple[str, int]]]:
-    """Partition pairs by document count. Returns the groups and a stats
-    table of counts for K=1..10 plus a '>10' overflow bucket."""
-    groups: dict[int, list[QadPair]] = {}
-    for pair in pairs:
-        groups.setdefault(pair.k, []).append(pair)
-    rows: list[tuple[str, int]] = [(str(k), len(groups.get(k, []))) for k in range(1, 11)]
-    overflow = sum(len(v) for k, v in groups.items() if k > 10)
-    rows.append((">10", overflow))
-    return groups, rows
+def count_by_k(pairs: list[QadPair]) -> list[tuple[str, int]]:
+    """A stats table of pair counts per document count: K=1..10 plus a '>10'
+    overflow bucket."""
+    counts = Counter(pair.k for pair in pairs)
+    rows = [(str(k), counts[k]) for k in range(1, 11)]
+    rows.append((">10", sum(n for k, n in counts.items() if k > 10)))
+    return rows
 
 
 def format_stats_tsv(rows: list[tuple[str, int]]) -> str:

@@ -104,16 +104,6 @@ class ConceptSet:
     def texts(self) -> list[str]:
         return [c.text for c in self.concepts]
 
-    def sentence_groups(self) -> list[list[Concept]]:
-        """Consecutive runs of concepts sharing a sentence index."""
-        groups: list[list[Concept]] = []
-        for concept in self.concepts:
-            if groups and groups[-1][-1].sentence_index == concept.sentence_index:
-                groups[-1].append(concept)
-            else:
-                groups.append([concept])
-        return groups
-
     def facts_string(self) -> str:
         """Sentence groups joined with '. ', concepts within a group with ', '."""
         parts: list[str] = []
@@ -302,8 +292,8 @@ def _traversal_streams(
     graph: AmrGraph, config: DistillConfig
 ) -> list[list[tuple[int, str]]]:
     per_sentence = [
-        [(sub.index, variable) for variable in dfs_nodes(sub)]
-        for sub in split_sentences(graph)
+        [(index, variable) for variable in dfs_nodes(graph, root)]
+        for index, root in enumerate(split_sentences(graph), start=1)
     ]
     if config.traversal == "dfs":
         return per_sentence

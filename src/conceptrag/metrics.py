@@ -156,13 +156,6 @@ def compression_ratio(original_words: list[int], compressed_words: list[int]) ->
     return 100.0 * sum(compressed_words) / total
 
 
-def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile over a non-empty list."""
-    if not values:
-        raise MetricsError("cannot take a percentile of no values")
-    return _nearest_rank(sorted(values), q)
-
-
 def _nearest_rank(ordered: list[float], q: float) -> float:
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return ordered[min(rank, len(ordered)) - 1]

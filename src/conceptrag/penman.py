@@ -4,7 +4,7 @@ An AMR graph is a rooted, directed, labelled, acyclic graph. In PENMAN text
 each node is introduced once as ``(variable / instance ...)``; later bare
 mentions of the same variable are re-entrant references and do not create new
 nodes. Multi-sentence documents parse to a ``multi-sentence`` root whose
-``:sntN`` children hold one subgraph per source sentence.
+``:sntN`` children are the roots of the source sentences, one each.
 
 The dialect accepted here is AMR 3.0 style: variables ``[a-z][a-z0-9']*``,
 roles ``:[A-Za-z0-9-]+``, double-quoted string literals with backslash
@@ -16,7 +16,6 @@ comments are tolerated outside string literals.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, NoReturn, Union
 
 _VAR_RE = re.compile(r"[a-z][a-z0-9']*\Z")
@@ -135,16 +134,6 @@ class AmrGraph:
                 for e in self.edges
             ],
         }
-
-
-@dataclass(frozen=True)
-class SentenceSubgraph:
-    """One sentence of a document graph: its 1-based ordinal and root
-    variable. It owns the nodes its root reaches over defining edges."""
-
-    index: int
-    root: str
-    graph: AmrGraph = field(compare=False)
 
 
 # --- lexer -----------------------------------------------------------------
@@ -378,19 +367,17 @@ def serialize_amr(graph: AmrGraph, indent: int = 4) -> str:
     return "".join(out)
 
 
-def split_sentences(graph: AmrGraph) -> list[SentenceSubgraph]:
-    """Partition a graph into per-sentence subgraphs.
+def split_sentences(graph: AmrGraph) -> list[str]:
+    """The root variables of the graph's sentences; sentence i is entry i-1.
 
-    A ``multi-sentence`` root yields one subgraph per ``:sntN`` edge, ordered
-    by N and re-indexed 1..n; any other root yields a single subgraph holding
-    the whole graph. Each node belongs to the sentence where it was defined.
+    A ``multi-sentence`` root yields the node each ``:sntN`` edge defines,
+    ordered by N; any other root is the only sentence. A sentence owns the
+    nodes its root reaches over defining edges.
     """
-    root_node = graph.nodes[graph.root]
-    if root_node.instance != "multi-sentence":
-        return [SentenceSubgraph(1, graph.root, graph)]
+    if graph.nodes[graph.root].instance != "multi-sentence":
+        return [graph.root]
 
-    numbered: list[tuple[int, str]] = []
-    seen: set[int] = set()
+    roots: dict[int, str] = {}  # N -> the root variable of sentence :sntN
     for edge in graph.children(graph.root):
         if not edge.role.startswith(":snt"):
             continue
@@ -398,25 +385,20 @@ def split_sentences(graph: AmrGraph) -> list[SentenceSubgraph]:
         if not match:
             raise GraphError(f"multi-sentence role {edge.role!r} has a non-numeric index")
         n = int(match.group(1))
-        if n in seen:
+        if n in roots:
             raise GraphError(f"duplicate sentence role :snt{n}")
-        seen.add(n)
-        if isinstance(edge.target, Literal):
-            raise GraphError(f":snt{n} must point at a node, not a literal")
-        numbered.append((n, edge.target))
-    numbered.sort(key=lambda item: item[0])
-    return [
-        SentenceSubgraph(ordinal, target, graph)
-        for ordinal, (_, target) in enumerate(numbered, start=1)
-    ]
+        if not edge.defines:
+            raise GraphError(f":snt{n} must define a node, not a literal or a reference")
+        roots[n] = edge.target
+    return [roots[n] for n in sorted(roots)]
 
 
-def dfs_nodes(subgraph: SentenceSubgraph) -> list[str]:
-    """Depth-first pre-order over the subgraph's instance nodes, children in
-    textual edge order; re-entrant references are not re-visited."""
-    graph = subgraph.graph
+def dfs_nodes(graph: AmrGraph, root: str) -> list[str]:
+    """Depth-first pre-order over the instance nodes that ``root`` reaches
+    over defining edges, children in textual edge order; re-entrant
+    references are not re-visited."""
     order: list[str] = []
-    stack = [subgraph.root]
+    stack = [root]
     while stack:
         variable = stack.pop()
         order.append(variable)

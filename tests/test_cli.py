@@ -48,9 +48,39 @@ class TestParseCommand:
         assert main(["parse", str(src)]) == EXIT_DATA
         assert "offset" in capsys.readouterr().err
 
-    def test_missing_file(self, capsys):
-        assert main(["parse", "/nonexistent/path.amr"]) == EXIT_DATA
-        assert "path.amr" in capsys.readouterr().err
+    # a path that cannot be read or written is a data error that names it
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            ("parse {tmp}/missing.amr", "{tmp}/missing.amr"),
+            ("parse {dir}", "{dir}"),
+            ("stats {dir}", "{dir}"),
+            ("distill {dir} {file}", "{dir}"),
+            ("eval {dataset} --backend {dir} --mode concepts --out {tmp}/out", "{dir}"),
+            ("eval {dataset} --backend {backend} --mode concepts --out {file}", "{file}"),
+            ("report {dir}", "{dir}/records.json"),
+            ("report {run} --svg {dir}", "{dir}"),
+            ("report {run} --out {file}", "{file}"),
+        ],
+        ids=[
+            "parse-missing", "parse-dir", "stats-dir", "distill-dir", "eval-backend-dir",
+            "eval-out-file", "report-records-dir", "report-svg-dir", "report-out-file",
+        ],
+    )
+    def test_missing_file(
+        self, argv, named, tmp_path, fixture_dataset_path, stub_backend_file, capsys
+    ):
+        paths = {
+            "tmp": tmp_path, "dir": tmp_path / "dir", "file": tmp_path / "file",
+            "run": tmp_path / "run", "dataset": fixture_dataset_path, "backend": stub_backend_file,
+        }
+        (tmp_path / "dir" / "records.json").mkdir(parents=True)
+        (tmp_path / "file").write_text("x")
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "records.json").write_text('[{"k": 1, "correct": true}]')
+        assert main(argv.format(**paths).split()) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named.format(**paths) in err
 
     def test_stdin(self, monkeypatch, capsys):
         import io

@@ -1,4 +1,4 @@
-"""Dataset ingestion, screening, and per-K grouping."""
+"""Dataset ingestion, screening, and per-K counts."""
 
 import json
 import random
@@ -9,10 +9,9 @@ from conceptrag.corpus import (
     DatasetError,
     QadPair,
     SupportDoc,
+    count_by_k,
     format_stats_tsv,
-    group_by_k,
     load_dataset,
-    save_dataset,
     screen_pairs,
 )
 
@@ -61,12 +60,6 @@ class TestLoad:
         with pytest.raises(DatasetError, match="line 1.*answers"):
             load_dataset(path)
 
-    def test_save_load_round_trip(self, tmp_path, fixture_dataset_path):
-        pairs = load_dataset(fixture_dataset_path)
-        out = tmp_path / "copy.jsonl"
-        save_dataset(pairs, out)
-        assert load_dataset(out) == pairs
-
 
 class TestScreen:
     def test_all_hasanswer_kept(self):
@@ -93,36 +86,31 @@ class TestScreen:
         assert screen_pairs(once, s_pop_max=500) == once
 
 
-class TestGroupByK:
+class TestCountByK:
     def test_small_partition(self):
         pairs = [make_pair(k=1), make_pair(k=1), make_pair(k=2)]
-        groups, rows = group_by_k(pairs)
-        assert {k: len(v) for k, v in groups.items()} == {1: 2, 2: 1}
+        rows = count_by_k(pairs)
         assert rows[0] == ("1", 2) and rows[1] == ("2", 1)
 
     def test_empty_input(self):
-        groups, rows = group_by_k([])
-        assert groups == {}
+        rows = count_by_k([])
         assert all(count == 0 for _, count in rows)
 
     def test_counts_match_brute_force(self):
         rng = random.Random(5)
         pairs = [make_pair(k=rng.randint(1, 10)) for _ in range(1000)]
-        groups, rows = group_by_k(pairs)
+        rows = count_by_k(pairs)
         for k in range(1, 11):
             expected = sum(1 for p in pairs if p.k == k)
-            assert len(groups.get(k, [])) == expected
             assert rows[k - 1] == (str(k), expected)
-        assert sum(len(v) for v in groups.values()) == len(pairs)
+        assert sum(count for _, count in rows) == len(pairs)
 
     def test_overflow_bucket(self):
-        groups, rows = group_by_k([make_pair(k=12)])
+        rows = count_by_k([make_pair(k=12)])
         assert rows[-1] == (">10", 1)
-        assert 12 in groups
 
     def test_stats_tsv_shape(self):
-        _, rows = group_by_k([make_pair(k=3)])
-        tsv = format_stats_tsv(rows)
+        tsv = format_stats_tsv(count_by_k([make_pair(k=3)]))
         lines = tsv.strip().splitlines()
         assert lines[0] == "K\tpairs"
         assert lines[3] == "3\t1"

@@ -157,22 +157,16 @@ class TestSerialize:
 
 class TestSplitSentences:
     def test_table_a1_split(self, table_a1_penman):
-        subs = split_sentences(parse_amr(table_a1_penman))
-        assert [s.index for s in subs] == [1, 2]
-        graph = subs[0].graph
-        assert graph.nodes[subs[0].root].instance == "person"
-        assert graph.nodes[subs[1].root].instance == "work-01"
+        graph = parse_amr(table_a1_penman)
+        assert instances(graph, split_sentences(graph)) == ["person", "work-01"]
 
     def test_single_sentence_graph(self):
-        subs = split_sentences(parse_amr("(w / work-01)"))
-        assert len(subs) == 1 and subs[0].index == 1 and subs[0].root == "w"
+        assert split_sentences(parse_amr("(w / work-01)")) == ["w"]
 
     def test_out_of_order_snt_edges(self):
         text = "(m / multi-sentence :snt3 (c / c3) :snt1 (a / a1) :snt2 (b / b2))"
-        subs = split_sentences(parse_amr(text))
-        graph = subs[0].graph
-        assert [graph.nodes[s.root].instance for s in subs] == ["a1", "b2", "c3"]
-        assert [s.index for s in subs] == [1, 2, 3]
+        graph = parse_amr(text)
+        assert instances(graph, split_sentences(graph)) == ["a1", "b2", "c3"]
 
     def test_duplicate_snt_rejected(self):
         text = "(m / multi-sentence :snt1 (a / a1) :snt1 (b / b2))"
@@ -184,6 +178,18 @@ class TestSplitSentences:
         with pytest.raises(GraphError):
             split_sentences(parse_amr(text))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(m / multi-sentence :snt1 (a / alpha) :snt2 5)",
+            "(m / multi-sentence :snt1 (a / alpha) :snt2 a)",
+        ],
+        ids=["literal", "reference"],
+    )
+    def test_snt_edge_that_defines_no_node_rejected(self, text):
+        with pytest.raises(GraphError, match=":snt2 must define a node"):
+            split_sentences(parse_amr(text))
+
     def test_empty_multi_sentence(self):
         assert split_sentences(parse_amr("(m / multi-sentence)")) == []
 
@@ -191,8 +197,7 @@ class TestSplitSentences:
     @settings(max_examples=100, deadline=None)
     def test_partition_of_non_root_nodes(self, seed):
         graph = parse_amr(random_penman(seed))
-        subs = split_sentences(graph)
-        owned = [v for s in subs for v in dfs_nodes(s)]
+        owned = [v for root in split_sentences(graph) for v in dfs_nodes(graph, root)]
         assert len(owned) == len(set(owned))
         non_root = set(graph.nodes) - {graph.root}
         if graph.nodes[graph.root].instance == "multi-sentence":
@@ -204,8 +209,7 @@ class TestSplitSentences:
 class TestDfs:
     def test_table_a1_sentence2_order(self, table_a1_penman):
         graph = parse_amr(table_a1_penman)
-        subs = split_sentences(graph)
-        order = instances(graph, dfs_nodes(subs[1]))
+        order = instances(graph, dfs_nodes(graph, split_sentences(graph)[1]))
         assert order == [
             "work-01",
             "he",
@@ -219,15 +223,15 @@ class TestDfs:
 
     def test_single_node(self):
         graph = parse_amr("(w / work-01)")
-        assert dfs_nodes(split_sentences(graph)[0]) == ["w"]
+        assert dfs_nodes(graph, split_sentences(graph)[0]) == ["w"]
 
     def test_reentrant_node_visited_once(self):
         graph = parse_amr("(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-01 :ARG0 b))")
-        assert dfs_nodes(split_sentences(graph)[0]) == ["w", "b", "g"]
+        assert dfs_nodes(graph, split_sentences(graph)[0]) == ["w", "b", "g"]
 
     def test_children_in_textual_order(self):
         graph = parse_amr("(x / top :mod (z / last) :ARG0 (a / first) :time (m / mid))")
-        order = instances(graph, dfs_nodes(split_sentences(graph)[0]))
+        order = instances(graph, dfs_nodes(graph, split_sentences(graph)[0]))
         assert order == ["top", "last", "first", "mid"]
 
 
@@ -249,7 +253,7 @@ class TestDeepGraphs:
         # indent=0 keeps the text linear in depth
         assert parse_amr(serialize_amr(graph, indent=0)) == graph
         expected = [v for i in range(self.DEPTH) for v in (f"v{i}", f"m{i}")] + ["z"]
-        assert dfs_nodes(split_sentences(graph)[0]) == expected
+        assert dfs_nodes(graph, split_sentences(graph)[0]) == expected
 
     def test_unbalanced_deep_chain_offset(self):
         text = self.deep_chain()[:-1]
