@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import DatasetError, count_by_k, format_stats_tsv, load_dataset, screen_pairs
-from .distill import DistillConfig, distill_concepts
+from .distill import TRAVERSAL_KINDS, DistillConfig, distill_concepts
 from .metrics import (
     LONG_INTERVAL,
     NORMAL_INTERVAL,
@@ -27,9 +27,8 @@ from .metrics import (
 from .penman import parse_amr, parse_corpus
 from .ragpipe import (
     BACKEND_ERROR_NAMES,
-    AmrParseClient,
+    MODES,
     BackendError,
-    CompressionMode,
     LlmBackendSpec,
     PipelineRecord,
     build_run_manifest,
@@ -92,9 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     distill_opts.add_argument("--config", help="distill config JSON file")
     distill_opts.add_argument("--seed", type=int, help="seed for random traversal modes")
     distill_opts.add_argument(
-        "--traversal",
-        choices=["dfs", "global-random", "local-random"],
-        help="concept traversal order",
+        "--traversal", choices=TRAVERSAL_KINDS, help="concept traversal order"
     )
     screen_opts = _Parser(add_help=False)
     screen_opts.add_argument("--no-screen", action="store_true", help="skip hasanswer screening")
@@ -117,12 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("dataset", help="JSONL dataset file")
     p_eval.add_argument("--backend", required=True, help="backend spec JSON file")
-    p_eval.add_argument(
-        "--mode",
-        required=True,
-        choices=["vanilla", "concepts", "keywords", "summary"],
-        help="compression mode",
-    )
+    p_eval.add_argument("--mode", required=True, choices=MODES, help="compression mode")
     p_eval.add_argument("--out", required=True, help="output directory")
     p_eval.add_argument("--parse-endpoint", help="text-to-AMR parse endpoint URL")
 
@@ -195,21 +187,22 @@ def cmd_eval(args) -> int:
     config = _load_distill_config(args)
     spec = _read_json(Path(args.backend), "backend spec")
     backend = from_json(LlmBackendSpec, spec, "backend spec")
-    mode = CompressionMode(args.mode)
-    parse_client = AmrParseClient(args.parse_endpoint) if args.parse_endpoint else None
-
     pairs = load_dataset(args.dataset)
     if not args.no_screen:
         pairs = screen_pairs(pairs, s_pop_max=args.s_pop_max)
-    records = run_pipeline(pairs, mode, backend, config=config, parse_client=parse_client)
-
+    # before the run, so that an --out that cannot be made costs no backend call
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+
+    records = run_pipeline(
+        pairs, args.mode, backend, config=config, parse_endpoint=args.parse_endpoint
+    )
     with open(out_dir / "records.json", "w", encoding="utf-8") as handle:
         json.dump([to_json(r) for r in records], handle, indent=2, ensure_ascii=False)
         handle.write("\n")
     manifest = build_run_manifest(
-        mode, backend, config, args.dataset, screen=not args.no_screen, s_pop_max=args.s_pop_max
+        args.mode, backend, config, args.dataset,
+        screen=not args.no_screen, s_pop_max=args.s_pop_max,
     )
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, ensure_ascii=False)

@@ -82,7 +82,7 @@ _PRONOUN_LABELS = ("he", "she", "it", "they", "i", "you", "we")
 
 DEFAULT_STOPLIST = frozenset(_ENTITY_TYPE_LABELS + _STRUCTURAL_LABELS + _PRONOUN_LABELS)
 
-_TRAVERSAL_KINDS = ("dfs", "local-random", "global-random")
+TRAVERSAL_KINDS = ("dfs", "local-random", "global-random")
 
 
 class Concept(NamedTuple):
@@ -147,7 +147,7 @@ class DistillConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.traversal not in _TRAVERSAL_KINDS:
+        if self.traversal not in TRAVERSAL_KINDS:
             raise ValueError(f"unknown traversal kind {self.traversal!r}")
         if self.traversal != "dfs" and self.seed is None:
             raise ValueError(f"{self.traversal} traversal requires a seed")
@@ -202,15 +202,6 @@ def handle_name(node: AmrNode, sentence_index: int = 1) -> Concept:
         )
     text = " ".join(ops[i] for i in range(1, len(ops) + 1))
     return Concept(text, "name", sentence_index)
-
-
-def handle_wiki(node: AmrNode, sentence_index: int = 1) -> Concept | None:
-    """The node's Wikipedia reference with underscores as spaces, or None for
-    the '-' no-link marker."""
-    value = _wiki_value(node)
-    if value is None:
-        return None
-    return Concept(value.replace("_", " "), "wiki", sentence_index)
 
 
 def handle_date(node: AmrNode, sentence_index: int = 1) -> Concept | None:

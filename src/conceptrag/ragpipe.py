@@ -32,6 +32,8 @@ BASELINE_INSTRUCTIONS = {
     "keywords": "Extract a few keywords from the following content.",
     "summary": "Generate a short summary of the following content.",
 }
+# which representation of the documents reaches the model
+MODES = ("vanilla", "concepts", "keywords", "summary")
 _FACTS_SEGMENT_RE = re.compile(r"Facts: (.*)\. Question:", re.S)
 _INPUT_SEGMENT_RE = re.compile(r"### Input: \{(.*)\}\n### Response: \Z", re.S)
 
@@ -113,38 +115,6 @@ class LlmBackendSpec:
         if self.kind == "stub":
             return f"stub:{self.policy}"
         return f"http:{self.model or self.endpoint_url}"
-
-    def redacted_dict(self) -> dict:
-        """Spec as written to run manifests: names the auth variable, never
-        its value."""
-        data = {
-            "kind": self.kind,
-            "max_parallel": self.max_parallel,
-            "timeout_s": self.timeout_s,
-            "retries": self.retries,
-        }
-        if self.kind == "http-chat":
-            data.update(
-                endpoint_url=self.endpoint_url,
-                model=self.model,
-                auth_env=self.auth_env or None,
-                temperature=self.temperature,
-                max_tokens=self.max_tokens,
-            )
-        else:
-            data.update(policy=self.policy)
-        return data
-
-
-@dataclass(frozen=True)
-class CompressionMode:
-    """Which representation of the documents reaches the model."""
-
-    kind: str  # 'vanilla' | 'concepts' | 'keywords' | 'summary'
-
-    def __post_init__(self):
-        if self.kind not in ("vanilla", "concepts", "keywords", "summary"):
-            raise ValueError(f"unknown compression mode {self.kind!r}")
 
 
 @dataclass(slots=True, kw_only=True)
@@ -380,27 +350,24 @@ def _query_http(backend: LlmBackendSpec, prompt: str) -> str:
     return content
 
 
-class AmrParseClient:
-    """Client for a user-supplied text-to-AMR parse endpoint, consulted when
-    a document ships without inline PENMAN.
+_PARSE_TIMEOUT_S = 60.0
+
+
+def parse_remote(endpoint_url: str, text: str) -> str:
+    """PENMAN for ``text`` from a user-supplied text-to-AMR parse endpoint,
+    consulted when a document ships without inline PENMAN.
 
     Wire format: POST JSON ``{"text": <document>}``; the endpoint answers
     200 with ``{"amr": <penman string>}``.
     """
-
-    def __init__(self, endpoint_url: str, timeout_s: float = 60.0):
-        self.endpoint_url = endpoint_url
-        self.timeout_s = timeout_s
-
-    def parse(self, text: str) -> str:
-        body = _post_json("parse endpoint", self.endpoint_url, {"text": text}, self.timeout_s)
-        try:
-            amr = body["amr"]
-        except (KeyError, TypeError) as exc:
-            raise BackendProtocolError(f"malformed parse response: {exc}") from exc
-        if not isinstance(amr, str) or not amr:
-            raise BackendProtocolError("parse response 'amr' is not a non-empty string")
-        return amr
+    body = _post_json("parse endpoint", endpoint_url, {"text": text}, _PARSE_TIMEOUT_S)
+    try:
+        amr = body["amr"]
+    except (KeyError, TypeError) as exc:
+        raise BackendProtocolError(f"malformed parse response: {exc}") from exc
+    if not isinstance(amr, str) or not amr:
+        raise BackendProtocolError("parse response 'amr' is not a non-empty string")
+    return amr
 
 
 # --- pipeline ----------------------------------------------------------------
@@ -408,19 +375,22 @@ class AmrParseClient:
 
 def run_pipeline(
     pairs: list[QadPair],
-    mode: CompressionMode,
+    mode: str,
     backend: LlmBackendSpec,
     config: DistillConfig | None = None,
-    parse_client: AmrParseClient | None = None,
+    parse_endpoint: str | None = None,
 ) -> list[PipelineRecord]:
-    """Answer every pair under one compression mode.
+    """Answer every pair under one compression mode, one of :data:`MODES`.
 
     Per pair: compress the documents per ``mode``, build the prompt, query
     the backend, and score the answer. Two-pass modes (keywords/summary)
     first ask the backend to compress each document, then ask the question
-    over the compressed text. Failures are recorded per pair, never fatal;
+    over the compressed text. A document without inline AMR is parsed at
+    ``parse_endpoint``. Failures are recorded per pair, never fatal;
     output order equals input order regardless of completion order.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown compression mode {mode!r}")
     config = config or DistillConfig()
 
     def answer_one(pair: QadPair) -> PipelineRecord:
@@ -428,13 +398,13 @@ def run_pipeline(
             question=pair.question,
             gold_answers=pair.gold_answers,
             k=pair.k,
-            mode=mode.kind,
+            mode=mode,
             backend=backend.label,
             correct=False,
             original_words=sum(len(doc.text.split()) for doc in pair.documents),
         )
         try:
-            return _answer_pair(unanswered, pair, mode, backend, config, parse_client)
+            return _answer_pair(unanswered, pair, mode, backend, config, parse_endpoint)
         except (BackendError, ValueError) as exc:
             return replace(unanswered, error=f"{type(exc).__name__}: {exc}")
 
@@ -447,15 +417,15 @@ def run_pipeline(
 def _answer_pair(
     unanswered: PipelineRecord,
     pair: QadPair,
-    mode: CompressionMode,
+    mode: str,
     backend: LlmBackendSpec,
     config: DistillConfig,
-    parse_client: AmrParseClient | None,
+    parse_endpoint: str | None,
 ) -> PipelineRecord:
     compress_latency = 0.0
-    if mode.kind == "vanilla":
+    if mode == "vanilla":
         doc_strings = [doc.text for doc in pair.documents]
-    elif mode.kind == "concepts":
+    elif mode == "concepts":
         idf = None
         if config.idf_enabled:
             idf = build_idf_index([doc.text for doc in pair.documents])
@@ -463,18 +433,18 @@ def _answer_pair(
         for doc in pair.documents:
             penman_text = doc.amr
             if penman_text is None:
-                if parse_client is None:
+                if not parse_endpoint:
                     raise ValueError(
                         "document has no inline AMR and no parse client was supplied"
                     )
-                penman_text = parse_client.parse(doc.text)
+                penman_text = parse_remote(parse_endpoint, doc.text)
             concept_set = distill_concepts(parse_amr(penman_text), doc.text, idf=idf, config=config)
             doc_strings.append(concept_set.facts_string())
     else:  # keywords / summary: two-pass compression through the backend
         doc_strings = []
         for doc in pair.documents:
             compressed, latency = query_llm(
-                backend, build_baseline_prompt(mode.kind, doc.text), pair.gold_answers
+                backend, build_baseline_prompt(mode, doc.text), pair.gold_answers
             )
             compress_latency += latency
             doc_strings.append(compressed)
@@ -500,23 +470,8 @@ def dataset_content_hash(path: str | Path) -> str:
     return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
 
 
-def config_hash(
-    mode: CompressionMode, backend: LlmBackendSpec, config: DistillConfig, screening: dict
-) -> str:
-    payload = json.dumps(
-        {
-            "mode": mode.kind,
-            "backend": backend.redacted_dict(),
-            "distill": to_json(config),
-            "screening": screening,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def build_run_manifest(
-    mode: CompressionMode,
+    mode: str,
     backend: LlmBackendSpec,
     config: DistillConfig,
     dataset_path: str | Path,
@@ -528,15 +483,22 @@ def build_run_manifest(
 
     ``screen`` says whether the pairs went through ``screen_pairs``;
     ``s_pop_max`` is the popularity cap it applied (None when unscreened).
+    The backend spec is written whole: it names the auth variable, never
+    holds its value. ``config_hash`` covers the four settings as written.
     """
-    screening = {"screen": screen, "s_pop_max": s_pop_max if screen else None}
-    return {
-        "mode": mode.kind,
-        "traversal": {"kind": config.traversal, "seed": config.seed},
+    settings = {
+        "mode": mode,
         "distill_config": to_json(config),
-        "screening": screening,
-        "backend": backend.redacted_dict(),
-        "config_hash": config_hash(mode, backend, config, screening),
+        "screening": {"screen": screen, "s_pop_max": s_pop_max if screen else None},
+        "backend": to_json(backend),
+    }
+    payload = json.dumps(settings, sort_keys=True).encode("utf-8")
+    return {
+        # "mode" keeps the first place; the other settings follow "traversal"
+        "mode": mode,
+        "traversal": {"kind": config.traversal, "seed": config.seed},
+        **settings,
+        "config_hash": hashlib.sha256(payload).hexdigest(),
         "dataset_path": str(dataset_path),
         "dataset_hash": dataset_content_hash(dataset_path),
     }

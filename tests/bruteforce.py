@@ -24,7 +24,6 @@ from conceptrag.distill import (
     IdfIndex,
     handle_date,
     handle_name,
-    handle_wiki,
 )
 from conceptrag.penman import AmrEdge, AmrGraph, AmrNode, AmrParseError, Literal
 
@@ -354,12 +353,21 @@ def _preorder(graph: AmrGraph, variable: str) -> list[str]:
     return order
 
 
+def _wiki(node: AmrNode, sentence_index: int = 1) -> Concept | None:
+    """The node's Wikipedia reference with underscores as spaces, or None
+    when it has no :wiki or the '-' no-link marker."""
+    literal = node.attribute(":wiki")
+    if literal is None or literal.text == "-":
+        return None
+    return Concept(literal.text.replace("_", " "), "wiki", sentence_index)
+
+
 def _role_buffer(graph: AmrGraph, stream: list[tuple[int, str]]) -> list[Concept]:
     out: list[Concept] = []
     buffer: list[Concept] = []
     for sentence_index, variable in stream:
         node = graph.nodes[variable]
-        wiki = handle_wiki(node, sentence_index)
+        wiki = _wiki(node, sentence_index)
         if node.instance not in ("name", "date-entity") and wiki is None:
             out += buffer
             buffer = []
@@ -368,7 +376,7 @@ def _role_buffer(graph: AmrGraph, stream: list[tuple[int, str]]) -> list[Concept
         if node.instance == "name":
             # a wiki-linked parent's wiki string stands for the name
             parent = defining_parent(graph, variable)
-            if parent is None or handle_wiki(graph.nodes[parent]) is None:
+            if parent is None or _wiki(graph.nodes[parent]) is None:
                 buffer.append(handle_name(node, sentence_index))
         if wiki is not None:
             buffer.append(wiki)

@@ -18,7 +18,7 @@ from conceptrag.metrics import (
     integrate,
 )
 from conceptrag.penman import parse_amr, serialize_amr
-from conceptrag.ragpipe import CompressionMode, LlmBackendSpec, run_pipeline
+from conceptrag.ragpipe import LlmBackendSpec, run_pipeline
 from graphgen import random_penman
 
 TOL = 0.01 + 1e-9  # inclusive +-0.01
@@ -102,8 +102,8 @@ def test_stub_pipeline_accuracy(fixture_dataset_path):
     pairs = load_dataset(fixture_dataset_path)
     assert len(pairs) == 20
 
-    concepts_records = run_pipeline(pairs, CompressionMode("concepts"), ORACLE)
-    vanilla_records = run_pipeline(pairs, CompressionMode("vanilla"), ORACLE)
+    concepts_records = run_pipeline(pairs, "concepts", ORACLE)
+    vanilla_records = run_pipeline(pairs, "vanilla", ORACLE)
     concepts_acc = 100.0 * sum(r.correct for r in concepts_records) / len(concepts_records)
     vanilla_acc = 100.0 * sum(r.correct for r in vanilla_records) / len(vanilla_records)
     assert concepts_acc == 100.0
@@ -113,9 +113,7 @@ def test_stub_pipeline_accuracy(fixture_dataset_path):
     aggressive = DistillConfig(
         stoplist_add=tuple(answer for pair in pairs for answer in pair.gold_answers)
     )
-    degraded_records = run_pipeline(
-        pairs, CompressionMode("concepts"), ORACLE, config=aggressive
-    )
+    degraded_records = run_pipeline(pairs, "concepts", ORACLE, config=aggressive)
     degraded_acc = 100.0 * sum(r.correct for r in degraded_records) / len(degraded_records)
     assert degraded_acc < vanilla_acc
 
@@ -185,7 +183,7 @@ def test_curve_integration_cross_check(fixture_dataset_path):
     # supplementary, not a numbered criterion; ties the pipeline and metric
     # paths together the way the CLI report does
     pairs = load_dataset(fixture_dataset_path)
-    records = run_pipeline(pairs, CompressionMode("concepts"), ORACLE)
+    records = run_pipeline(pairs, "concepts", ORACLE)
     curve = accuracy_curve(records, label="stub run")
     report = integrate(curve, NORMAL_INTERVAL)
     assert report.intg == 900.0  # 9 unit trapezoids at 100%

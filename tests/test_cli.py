@@ -59,12 +59,14 @@ class TestParseCommand:
             ("eval {dataset} --backend {dir} --mode concepts --out {tmp}/out", "{dir}"),
             ("eval {dataset} --backend {backend} --mode concepts --out {file}", "{file}"),
             ("report {dir}", "{dir}/records.json"),
+            ("report {tmp}", "no records.json in {tmp}"),
             ("report {run} --svg {dir}", "{dir}"),
             ("report {run} --out {file}", "{file}"),
         ],
         ids=[
             "parse-missing", "parse-dir", "stats-dir", "distill-dir", "eval-backend-dir",
-            "eval-out-file", "report-records-dir", "report-svg-dir", "report-out-file",
+            "eval-out-file", "report-records-dir", "report-no-records", "report-svg-dir",
+            "report-out-file",
         ],
     )
     def test_missing_file(
@@ -81,6 +83,21 @@ class TestParseCommand:
         assert main(argv.format(**paths).split()) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named.format(**paths) in err
+
+    def test_out_writes_what_is_printed(self, tmp_path, table_a1_penman, capsys):
+        src = tmp_path / "g.amr"
+        src.write_text(table_a1_penman)
+        assert main(["parse", str(src)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert main(["parse", str(src), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "out" / "graph.json").read_text(encoding="utf-8") == printed
+
+    def test_comments_only_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "comments.amr"
+        src.write_text("# ::id 1\n# ::snt Hello.\n\n# nothing else\n")
+        assert main(["parse", str(src)]) == EXIT_DATA
+        assert capsys.readouterr().err == "error: no PENMAN graphs in input\n"
 
     def test_stdin(self, monkeypatch, capsys):
         import io
@@ -290,6 +307,22 @@ class TestEvalAndReport:
         assert "delta" in report["intg"][0]
         assert svg_path.read_text().startswith("<svg")
         assert "run</text>" in svg_path.read_text() and "baseline</text>" in svg_path.read_text()
+
+    def test_unusable_out_fails_before_the_run(
+        self, tmp_path, fixture_dataset_path, stub_backend_file, monkeypatch, capsys
+    ):
+        def run_pipeline(*args, **kwargs):
+            pytest.fail("eval answered pairs although --out cannot be made")
+
+        monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+        out = tmp_path / "file"
+        out.write_text("x")
+        code = main(
+            ["eval", str(fixture_dataset_path), "--backend", stub_backend_file,
+             "--mode", "concepts", "--out", str(out)]
+        )
+        assert code == EXIT_DATA
+        assert str(out) in capsys.readouterr().err
 
     def test_eval_requires_mode_and_out(self, fixture_dataset_path, stub_backend_file, capsys):
         code = main(["eval", str(fixture_dataset_path), "--backend", stub_backend_file])

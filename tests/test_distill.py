@@ -21,7 +21,6 @@ from conceptrag.distill import (
     distill_concepts,
     handle_date,
     handle_name,
-    handle_wiki,
     strip_sense,
 )
 from conceptrag.penman import parse_amr
@@ -69,14 +68,17 @@ class TestHandleName:
 
 class TestHandleWiki:
     def test_underscores_become_spaces(self):
-        node = parse_amr('(r / research-institute :wiki "Spectrum_Encyclopedia")').nodes["r"]
-        concept = handle_wiki(node)
+        graph = parse_amr('(r / research-institute :wiki "Spectrum_Encyclopedia")')
+        [concept] = distill_concepts(graph, "").concepts
         assert concept.text == "Spectrum Encyclopedia"
         assert concept.provenance == "wiki"
 
     def test_no_link_marker_yields_nothing(self):
-        node = parse_amr('(c / city :wiki "-")').nodes["c"]
-        assert handle_wiki(node) is None
+        # with "city" off the stoplist the node shows as a plain instance
+        graph = parse_amr('(c / city :wiki "-")')
+        config = DistillConfig(stoplist_remove=("city",))
+        concepts = distill_concepts(graph, "", config=config).concepts
+        assert [(c.text, c.provenance) for c in concepts] == [("city", "instance")]
 
     def test_wiki_equal_to_name_yields_single_concept(self):
         graph = parse_amr('(c / city :wiki "Amsterdam" :name (n2 / name :op1 "Amsterdam"))')

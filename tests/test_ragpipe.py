@@ -1,6 +1,7 @@
 """Prompt templates, backend clients, and pipeline orchestration."""
 
 import base64
+import hashlib
 import json
 import socket
 import threading
@@ -13,18 +14,17 @@ from conceptrag.corpus import QadPair, SupportDoc, load_dataset
 from conceptrag.distill import DistillConfig, distill_concepts
 from conceptrag.penman import parse_amr
 from conceptrag.ragpipe import (
-    AmrParseClient,
     BackendError,
     BackendHttpError,
     BackendProtocolError,
     BackendTimeout,
-    CompressionMode,
     LlmBackendSpec,
     PipelineRecord,
     build_baseline_prompt,
     build_run_manifest,
     dataset_content_hash,
     fact_prompt_from_strings,
+    parse_remote,
     query_llm,
     run_pipeline,
 )
@@ -32,13 +32,24 @@ from conceptrag.schema import from_json, to_json
 
 ORACLE = LlmBackendSpec(kind="stub", policy="oracle-substring")
 ECHO = LlmBackendSpec(kind="stub", policy="echo-facts")
+# 2xx reply bodies that break the wire format, by mock server path
+MALFORMED = {
+    "/bad-json": b'{"nonsense": true}',
+    "/content-not-string": b'{"choices": [{"message": {"content": 5}}]}',
+    "/not-json": b"<html>not json</html>",
+    "/parse-empty": b"{}",
+    "/parse-list": b"[]",
+    "/parse-amr-number": b'{"amr": 5}',
+    "/parse-amr-empty": b'{"amr": ""}',
+}
 
 
 @pytest.fixture(scope="module")
 def mock_llm_server():
     """OpenAI-compatible HTTP/1.0 endpoint: /ok answers fixed text, /echo
     answers the prompt back, /auth answers the Authorization header it
-    received (or "none"), /fail-500 and /bad-json exercise the error paths."""
+    received (or "none"); /fail-500 and the MALFORMED paths exercise the
+    error paths."""
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -48,17 +59,15 @@ def mock_llm_server():
                 self.end_headers()
                 self.wfile.write(b"boom")
                 return
-            if self.path == "/bad-json":
-                payload = b'{"nonsense": true}'
-            else:
-                content = "mocked reply"
-                if self.path == "/echo":
-                    content = body["messages"][0]["content"]
-                elif self.path == "/auth":
-                    content = self.headers.get("Authorization", "none")
-                payload = json.dumps(
-                    {"choices": [{"message": {"role": "assistant", "content": content}}]}
-                ).encode("utf-8")
+            content = "mocked reply"
+            if self.path == "/echo":
+                content = body["messages"][0]["content"]
+            elif self.path == "/auth":
+                content = self.headers.get("Authorization", "none")
+            payload = json.dumps(
+                {"choices": [{"message": {"role": "assistant", "content": content}}]}
+            ).encode("utf-8")
+            payload = MALFORMED.get(self.path, payload)
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
@@ -83,6 +92,7 @@ def mock_parse_server(table_a1_penman=None):
             body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
             word = body["text"].split()[0].lower().strip(".,")
             payload = json.dumps({"amr": f"(x / {word})"}).encode("utf-8")
+            payload = MALFORMED.get(self.path, payload)
             self.send_response(200)
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
@@ -189,9 +199,17 @@ class TestHttpBackend:
         assert exc.value.status == 500
         assert exc.value.retryable
 
-    def test_malformed_body_raises_protocol_error(self, mock_llm_server):
-        backend = LlmBackendSpec(kind="http-chat", endpoint_url=f"{mock_llm_server}/bad-json")
-        with pytest.raises(BackendProtocolError) as exc:
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            ("/bad-json", "malformed chat-completions response: "),
+            ("/content-not-string", "message content is not a string"),
+            ("/not-json", "malformed backend response: "),
+        ],
+    )
+    def test_malformed_body_raises_protocol_error(self, path, message, mock_llm_server):
+        backend = LlmBackendSpec(kind="http-chat", endpoint_url=f"{mock_llm_server}{path}")
+        with pytest.raises(BackendProtocolError, match=message) as exc:
             query_llm(backend, "x")
         assert not exc.value.retryable
 
@@ -227,9 +245,10 @@ class TestHttpBackend:
 
 class ChatHandler(BaseHTTPRequestHandler):
     """HTTP/1.1 keep-alive chat endpoint that answers the prompt back; /slow
-    waits 1 s first, /fail-500 fails, and a body not labelled JSON gets 415.
-    The server counts connections and records each request's target and
-    headers."""
+    waits 1 s first, /fail-N answers status N, /fail-N-once answers N to its
+    first request only, the MALFORMED paths answer their bodies, and a
+    body not labelled JSON gets 415. The server counts connections and
+    records each request's target and headers."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True  # else each kept-alive response waits for a delayed ACK
@@ -250,12 +269,18 @@ class ChatHandler(BaseHTTPRequestHandler):
         self.record(self.path)
         if self.path == "/slow":
             time.sleep(1.0)
-        status = 500 if self.path == "/fail-500" else 200
+        status = 200
+        if self.path.startswith("/fail-"):
+            code, _, once = self.path[len("/fail-") :].partition("-")
+            with self.server.lock:
+                if not once or self.server.requests.count(self.path) == 1:
+                    status = int(code)
         if self.headers["Content-Type"] != "application/json":
             status = 415
         payload = json.dumps(
             {"choices": [{"message": {"content": body["messages"][0]["content"]}}]}
         ).encode("utf-8")
+        payload = MALFORMED.get(self.path, payload)
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -330,7 +355,7 @@ class TestConnections:
         server = chat_server()
         pairs = load_dataset(fixture_dataset_path)[:8]
         backend = http_backend(f"{server.url}/v1/chat", max_parallel=2)
-        records = run_pipeline(pairs, CompressionMode("keywords"), backend)
+        records = run_pipeline(pairs, "keywords", backend)
         assert all(r.error is None for r in records)
         assert len(server.requests) == sum(p.k + 1 for p in pairs)
         assert server.connections <= 2
@@ -348,12 +373,35 @@ class TestConnections:
         answers = [query_llm(backend, f"prompt {i}")[0] for i in range(5)]
         assert answers == [f"prompt {i}" for i in range(5)]
 
-    def test_error_drops_the_connection(self, chat_server):
+    @pytest.mark.parametrize(
+        "path, error", [("/fail-500", BackendHttpError), ("/not-json", BackendProtocolError)]
+    )
+    def test_error_drops_the_connection(self, path, error, chat_server):
         server = chat_server()
-        with pytest.raises(BackendHttpError):
-            query_llm(http_backend(f"{server.url}/fail-500"), "x")
+        with pytest.raises(error):
+            query_llm(http_backend(f"{server.url}{path}"), "x")
         query_llm(http_backend(f"{server.url}/v1/chat"), "x")
         assert server.connections == 2
+
+    def test_retry_answers_after_a_retryable_failure(self, chat_server):
+        server = chat_server()
+        answer, _ = query_llm(http_backend(f"{server.url}/fail-503-once", retries=1), "x")
+        assert answer == "x"
+        assert server.requests == ["/fail-503-once"] * 2
+
+    def test_no_retries_raise_the_first_failure(self, chat_server):
+        server = chat_server()
+        with pytest.raises(BackendHttpError) as exc:
+            query_llm(http_backend(f"{server.url}/fail-503-once"), "x")
+        assert exc.value.status == 503 and exc.value.retryable
+        assert server.requests == ["/fail-503-once"]
+
+    def test_non_retryable_failure_is_sent_once(self, chat_server):
+        server = chat_server()
+        with pytest.raises(BackendHttpError) as exc:
+            query_llm(http_backend(f"{server.url}/fail-404", retries=3), "x")
+        assert exc.value.status == 404 and not exc.value.retryable
+        assert server.requests == ["/fail-404"]
 
     def test_timeout_on_a_kept_connection_is_not_resent(self, chat_server):
         server = chat_server()
@@ -423,29 +471,41 @@ class TestConnections:
             query_llm(http_backend(url), "x")
         assert type(exc.value) is BackendError
         with pytest.raises(BackendError, match="parse endpoint request failed: ") as exc:
-            AmrParseClient(url).parse("x")
+            parse_remote(url, "x")
         assert type(exc.value) is BackendError
 
 
 class TestParseClient:
     def test_fetches_penman(self, mock_parse_server):
-        client = AmrParseClient(mock_parse_server)
-        assert client.parse("Violin music.") == "(x / violin)"
+        assert parse_remote(mock_parse_server, "Violin music.") == "(x / violin)"
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            ("/parse-empty", "malformed parse response: "),
+            ("/parse-list", "malformed parse response: "),
+            ("/parse-amr-number", "'amr' is not a non-empty string"),
+            ("/parse-amr-empty", "'amr' is not a non-empty string"),
+        ],
+    )
+    def test_malformed_reply_raises_protocol_error(self, path, message, mock_parse_server):
+        with pytest.raises(BackendProtocolError, match=message):
+            parse_remote(f"{mock_parse_server}{path}", "Violin music.")
 
     def test_used_when_doc_has_no_inline_amr(self, mock_parse_server):
         pair = QadPair("What instrument?", ("violin",), (SupportDoc("violin solo", True),))
         records = run_pipeline(
             [pair],
-            CompressionMode("concepts"),
+            "concepts",
             ORACLE,
-            parse_client=AmrParseClient(mock_parse_server),
+            parse_endpoint=mock_parse_server,
         )
         assert records[0].error is None
         assert "violin" in records[0].prompt
 
     def test_missing_amr_without_client_is_recorded(self):
         pair = QadPair("q", ("violin",), (SupportDoc("violin solo", True),))
-        [record] = run_pipeline([pair], CompressionMode("concepts"), ORACLE)
+        [record] = run_pipeline([pair], "concepts", ORACLE)
         assert record.error is not None
         assert not record.correct
 
@@ -456,19 +516,24 @@ class TestPipeline:
 
     def test_concepts_mode_oracle_correct(self, fixture_dataset_path):
         pairs = self.fixture_pairs(fixture_dataset_path, 3)
-        records = run_pipeline(pairs, CompressionMode("concepts"), ORACLE)
+        records = run_pipeline(pairs, "concepts", ORACLE)
         assert all(r.correct for r in records)
         assert all(r.error is None for r in records)
 
     def test_vanilla_prompt_contains_document(self, fixture_dataset_path):
         [pair] = self.fixture_pairs(fixture_dataset_path, 1)
-        [record] = run_pipeline([pair], CompressionMode("vanilla"), ORACLE)
+        [record] = run_pipeline([pair], "vanilla", ORACLE)
         assert pair.documents[0].text in record.prompt
+
+    def test_unknown_mode_is_rejected(self, fixture_dataset_path):
+        pairs = self.fixture_pairs(fixture_dataset_path, 1)
+        with pytest.raises(ValueError, match="unknown compression mode 'compressed'"):
+            run_pipeline(pairs, "compressed", ORACLE)
 
     def test_two_pass_modes_compress_then_answer(self, fixture_dataset_path):
         [pair] = self.fixture_pairs(fixture_dataset_path, 1)
         for kind in ("keywords", "summary"):
-            [record] = run_pipeline([pair], CompressionMode(kind), ECHO)
+            [record] = run_pipeline([pair], kind, ECHO)
             # echo stub returns the doc text from pass 1, so the final
             # fact prompt quotes the documents verbatim
             assert pair.documents[0].text in record.prompt
@@ -485,27 +550,27 @@ class TestPipeline:
             stub_delay_ms=30.0,
             stub_jitter_seed=99,
         )
-        records = run_pipeline(pairs, CompressionMode("vanilla"), backend)
+        records = run_pipeline(pairs, "vanilla", backend)
         assert [r.question for r in records] == [p.question for p in pairs]
 
     def test_stub_soundness(self, fixture_dataset_path):
         # under the oracle stub, accuracy equals the fraction of prompts
         # containing a gold answer verbatim
         pairs = load_dataset(fixture_dataset_path)[:8]
-        records = run_pipeline(pairs, CompressionMode("concepts"), ORACLE)
+        records = run_pipeline(pairs, "concepts", ORACLE)
         for record in records:
             contains = any(g in record.prompt for g in record.gold_answers)
             assert record.correct == contains
 
     def test_backend_swap_keeps_prompts(self, fixture_dataset_path):
         pairs = self.fixture_pairs(fixture_dataset_path, 2)
-        with_oracle = run_pipeline(pairs, CompressionMode("concepts"), ORACLE)
-        with_echo = run_pipeline(pairs, CompressionMode("concepts"), ECHO)
+        with_oracle = run_pipeline(pairs, "concepts", ORACLE)
+        with_echo = run_pipeline(pairs, "concepts", ECHO)
         assert [r.prompt for r in with_oracle] == [r.prompt for r in with_echo]
 
     def test_reproducible_with_seeded_traversal(self, fixture_dataset_path):
         pairs = self.fixture_pairs(fixture_dataset_path, 3)
-        mode = CompressionMode("concepts")
+        mode = "concepts"
         config = DistillConfig(traversal="local-random", seed=5)
         first = run_pipeline(pairs, mode, ORACLE, config=config)
         second = run_pipeline(pairs, mode, ORACLE, config=config)
@@ -515,7 +580,7 @@ class TestPipeline:
 
     def test_record_serialization(self, fixture_dataset_path):
         [pair] = self.fixture_pairs(fixture_dataset_path, 1)
-        [record] = run_pipeline([pair], CompressionMode("concepts"), ORACLE)
+        [record] = run_pipeline([pair], "concepts", ORACLE)
         data = to_json(record)
         assert data["k"] == pair.k
         assert data["correct"] is True
@@ -523,7 +588,7 @@ class TestPipeline:
 
     def test_record_keys_and_round_trip(self, fixture_dataset_path):
         [pair] = self.fixture_pairs(fixture_dataset_path, 1)
-        [record] = run_pipeline([pair], CompressionMode("concepts"), ORACLE)
+        [record] = run_pipeline([pair], "concepts", ORACLE)
         data = json.loads(json.dumps(to_json(record)))
         assert list(data) == [
             "question", "gold_answers", "k", "mode", "backend", "prompt", "raw_answer",
@@ -534,7 +599,7 @@ class TestPipeline:
     def test_config_traversal_reaches_every_prompt(self, fixture_dataset_path):
         pairs = load_dataset(fixture_dataset_path)
         config = DistillConfig(traversal="global-random", seed=3)
-        records = run_pipeline(pairs, CompressionMode("concepts"), ORACLE, config=config)
+        records = run_pipeline(pairs, "concepts", ORACLE, config=config)
         assert len(records) == 20
         for pair, record in zip(pairs, records):
             facts = [
@@ -543,19 +608,20 @@ class TestPipeline:
             ]
             assert record.prompt == fact_prompt_from_strings(facts, pair.question)
         manifest = build_run_manifest(
-            CompressionMode("concepts"), ORACLE, config, fixture_dataset_path,
+            "concepts", ORACLE, config, fixture_dataset_path,
             screen=True, s_pop_max=None,
         )
         assert manifest["traversal"] == {"kind": "global-random", "seed": 3}
 
 
 class TestManifest:
-    def test_manifest_fields_and_redaction(self, fixture_dataset_path):
+    def test_manifest_fields_and_redaction(self, fixture_dataset_path, monkeypatch):
+        monkeypatch.setenv("SECRET_VAR", "sekrit")
         backend = LlmBackendSpec(
             kind="http-chat", endpoint_url="http://x/v1", model="m", auth_env="SECRET_VAR"
         )
         manifest = build_run_manifest(
-            CompressionMode("concepts"),
+            "concepts",
             backend,
             DistillConfig(seed=3, traversal="global-random"),
             fixture_dataset_path,
@@ -563,19 +629,34 @@ class TestManifest:
             s_pop_max=None,
         )
         blob = json.dumps(manifest)
+        assert list(manifest) == [
+            "mode", "traversal", "distill_config", "screening", "backend", "config_hash",
+            "dataset_path", "dataset_hash",
+        ]
         assert manifest["traversal"] == {"kind": "global-random", "seed": 3}
+        assert manifest["backend"] == to_json(backend)
         assert manifest["backend"]["auth_env"] == "SECRET_VAR"
         assert "sekrit" not in blob
         assert manifest["dataset_hash"] == dataset_content_hash(fixture_dataset_path)
         assert len(manifest["config_hash"]) == 64
 
+    def test_config_hash_covers_the_written_settings(self, fixture_dataset_path):
+        manifest = build_run_manifest(
+            "keywords", ECHO, DistillConfig(), fixture_dataset_path, screen=True, s_pop_max=5
+        )
+        settings = {
+            key: manifest[key] for key in ("mode", "distill_config", "screening", "backend")
+        }
+        payload = json.dumps(settings, sort_keys=True).encode("utf-8")
+        assert manifest["config_hash"] == hashlib.sha256(payload).hexdigest()
+
     def test_config_hash_changes_with_mode(self, fixture_dataset_path):
         config = DistillConfig()
         screening = {"screen": True, "s_pop_max": None}
         a = build_run_manifest(
-            CompressionMode("vanilla"), ORACLE, config, fixture_dataset_path, **screening
+            "vanilla", ORACLE, config, fixture_dataset_path, **screening
         )
         b = build_run_manifest(
-            CompressionMode("concepts"), ORACLE, config, fixture_dataset_path, **screening
+            "concepts", ORACLE, config, fixture_dataset_path, **screening
         )
         assert a["config_hash"] != b["config_hash"]
