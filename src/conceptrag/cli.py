@@ -207,15 +207,14 @@ def cmd_eval(args) -> int:
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, ensure_ascii=False)
         handle.write("\n")
-    failures = sum(1 for r in records if r.error)
-    print(f"evaluated {len(records)} pairs ({failures} failed); results in {out_dir}")
+    failures = [r.error for r in records if r.error]
+    print(f"evaluated {len(records)} pairs ({len(failures)} failed); results in {out_dir}")
     # partial failures are recorded and non-fatal; a run where every pair
-    # died on the backend is a backend outage
-    if records and failures == len(records) and any(
-        r.error and r.error.split(":")[0] in BACKEND_ERROR_NAMES for r in records
-    ):
-        print("backend error: every pair failed against the backend", file=sys.stderr)
-        return EXIT_BACKEND
+    # failed is a backend outage if any pair died on the backend, else bad data
+    if records and len(failures) == len(records):
+        if any(error.split(":")[0] in BACKEND_ERROR_NAMES for error in failures):
+            raise BackendError("every pair failed against the backend")
+        raise DatasetError(f"every pair failed, the first with {failures[0]}")
     return EXIT_OK
 
 

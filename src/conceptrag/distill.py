@@ -148,7 +148,7 @@ class DistillConfig:
 
     def __post_init__(self):
         if self.traversal not in TRAVERSAL_KINDS:
-            raise ValueError(f"unknown traversal kind {self.traversal!r}")
+            raise ValueError(f"distill config has unknown traversal kind {self.traversal!r}")
         if self.traversal != "dfs" and self.seed is None:
             raise ValueError(f"{self.traversal} traversal requires a seed")
         # built once per config, not per document; not a field, so equality,
@@ -260,7 +260,7 @@ def _run_stream(graph: AmrGraph, stream: list[tuple[int, str]]) -> list[Concept]
         instance = node.instance
         wiki = _wiki_value(node) if node.attributes else None
         if instance == "name":
-            parent = graph.defining_parent(variable)
+            parent = graph.parents.get(variable)
             if parent is None or _wiki_value(nodes[parent]) is None:
                 role_buffer.append(handle_name(node, sentence_index))
         elif wiki is None and instance != "date-entity":

@@ -74,39 +74,17 @@ class AmrNode(NamedTuple):
         return None
 
 
-class AmrGraph:
-    """Immutable parsed graph: a root variable, nodes, and an ordered edge
-    list that preserves the textual order of roles."""
+class AmrGraph(NamedTuple):
+    """A parsed graph: a root variable, nodes in definition order, and the
+    edges in the textual order of roles. ``children`` maps each variable to
+    its own edges in that order, and ``parents`` maps each non-root variable
+    to the variable it was defined under; both follow from ``edges``."""
 
-    def __init__(self, root: str, nodes: dict[str, AmrNode], edges: list[AmrEdge]):
-        self.root = root
-        self.nodes = dict(nodes)
-        self.edges = list(edges)
-        self._children: dict[str, list[AmrEdge]] = {v: [] for v in self.nodes}
-        self._parents: dict[str, str] = {}
-        for edge in self.edges:
-            self._children[edge.source].append(edge)
-            if edge.defines:
-                self._parents.setdefault(edge.target, edge.source)
-
-    def children(self, variable: str) -> list[AmrEdge]:
-        return self._children[variable]
-
-    def defining_parent(self, variable: str) -> str | None:
-        """Variable of the node under which ``variable`` was defined."""
-        return self._parents.get(variable)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AmrGraph):
-            return NotImplemented
-        return (
-            self.root == other.root
-            and self.nodes == other.nodes
-            and self.edges == other.edges
-        )
-
-    def __repr__(self) -> str:
-        return f"AmrGraph(root={self.root!r}, nodes={len(self.nodes)}, edges={len(self.edges)})"
+    root: str
+    nodes: dict[str, AmrNode]
+    edges: list[AmrEdge]
+    children: dict[str, list[AmrEdge]]
+    parents: dict[str, str]
 
     def to_dict(self) -> dict:
         """JSON-friendly rendering used by the CLI ``parse`` command."""
@@ -230,10 +208,12 @@ def parse_amr(text: str) -> AmrGraph:
     instances: dict[str, str] = {}  # variable -> instance, in definition order
     attributes: dict[str, list[tuple[str, Literal]]] = {}
     edges: list[AmrEdge | None] = []  # in textual role order
+    children: dict[str, list[AmrEdge | None]] = {}  # variable -> its edges, in that order
+    parents: dict[str, str] = {}  # variable -> the variable it was defined under
     # symbols that are neither a variable defined so far nor a literal, as
-    # (edge index, source, role, symbol, offset): forward references, or
-    # errors that count only once the whole text has parsed
-    later: list[tuple[int, str, str, str, int]] = []
+    # (edge index, child index, source, role, symbol, offset): forward
+    # references, or errors that count only once the whole text has parsed
+    later: list[tuple[int, int, str, str, str, int]] = []
     match = _GRAMMAR_RE.match
     new = tuple.__new__  # builds a NamedTuple without a call to its Python __new__
     m = match(text)
@@ -242,6 +222,7 @@ def parse_amr(text: str) -> AmrGraph:
     root = m["variable"]
     instances[root] = m["node"]
     attributes[root] = []
+    children[root] = []
     stack = [root]  # nodes whose ')' is still to come, innermost last
     pos = m.end()  # where the next unit starts, or the edge after a run of ')'
     while True:
@@ -265,38 +246,44 @@ def parse_amr(text: str) -> AmrGraph:
                 break
             instances[variable] = instance
             attributes[variable] = []
-            edges.append(new(AmrEdge, (source, role, variable, True)))
+            children[variable] = []
+            parents[variable] = source
+            edge = new(AmrEdge, (source, role, variable, True))
             stack.append(variable)
         elif body is not None:
             if "\\" in body:
                 body = _ESCAPE_RE.sub(r"\1", body)
             literal = new(Literal, (body, True))
-            edges.append(new(AmrEdge, (source, role, literal, False)))
+            edge = new(AmrEdge, (source, role, literal, False))
             attributes[source].append((role, literal))
         elif symbol in instances:  # a variable reference, number, or polarity
-            edges.append(new(AmrEdge, (source, role, symbol, False)))
+            edge = new(AmrEdge, (source, role, symbol, False))
         elif _NUMERIC_RE.match(symbol) or symbol in ("-", "+"):
             literal = new(Literal, (symbol, False))
-            edges.append(new(AmrEdge, (source, role, literal, False)))
+            edge = new(AmrEdge, (source, role, literal, False))
             attributes[source].append((role, literal))
         else:
-            later.append((len(edges), source, role, symbol, m.start("symbol")))
-            edges.append(None)
+            later.append(
+                (len(edges), len(children[source]), source, role, symbol, m.start("symbol"))
+            )
+            edge = None
+        edges.append(edge)
+        children[source].append(edge)
         pos = m.end()
     if stack or end is None:
         _raise_parse_error(text, pos, len(stack), instances)
-    for at, source, role, symbol, offset in later:
+    for at, child_at, source, role, symbol, offset in later:
         if symbol not in instances:
             if _VAR_RE.match(symbol):
                 message = f"reference to undefined variable {symbol!r}"
             else:
                 message = f"invalid attribute value {symbol!r}"
             raise AmrParseError(message, _byte_offset(text, offset))
-        edges[at] = new(AmrEdge, (source, role, symbol, False))
+        edges[at] = children[source][child_at] = new(AmrEdge, (source, role, symbol, False))
     nodes = {
         v: new(AmrNode, (v, instance, tuple(attributes[v]))) for v, instance in instances.items()
     }
-    return AmrGraph(root, nodes, edges)
+    return new(AmrGraph, (root, nodes, edges, children, parents))
 
 
 def _raise_parse_error(text: str, pos: int, depth: int, defined: dict[str, str]) -> NoReturn:
@@ -356,7 +343,7 @@ def serialize_amr(graph: AmrGraph, indent: int = 4) -> str:
         out.append(f"({variable} / {graph.nodes[variable].instance}")
         pending.append(")")
         pad = "\n" + " " * (indent * (depth + 1))
-        for edge in reversed(graph.children(variable)):
+        for edge in reversed(graph.children[variable]):
             if isinstance(edge.target, Literal):
                 pending.append(f"{pad}{edge.role} {edge.target.penman()}")
             elif edge.defines:
@@ -378,7 +365,7 @@ def split_sentences(graph: AmrGraph) -> list[str]:
         return [graph.root]
 
     roots: dict[int, str] = {}  # N -> the root variable of sentence :sntN
-    for edge in graph.children(graph.root):
+    for edge in graph.children[graph.root]:
         if not edge.role.startswith(":snt"):
             continue
         match = _SNT_ROLE_RE.match(edge.role)
@@ -402,7 +389,7 @@ def dfs_nodes(graph: AmrGraph, root: str) -> list[str]:
     while stack:
         variable = stack.pop()
         order.append(variable)
-        for edge in reversed(graph.children(variable)):
+        for edge in reversed(graph.children[variable]):
             if edge.defines:
                 stack.append(edge.target)
     return order

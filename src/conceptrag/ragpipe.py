@@ -434,9 +434,7 @@ def _answer_pair(
             penman_text = doc.amr
             if penman_text is None:
                 if not parse_endpoint:
-                    raise ValueError(
-                        "document has no inline AMR and no parse client was supplied"
-                    )
+                    raise ValueError("document has no inline AMR and no --parse-endpoint")
                 penman_text = parse_remote(parse_endpoint, doc.text)
             concept_set = distill_concepts(parse_amr(penman_text), doc.text, idf=idf, config=config)
             doc_strings.append(concept_set.facts_string())

@@ -213,11 +213,17 @@ class _Parser:
                 if e.source == variable and isinstance(e.target, Literal)
             )
             nodes[variable] = AmrNode(variable, instance, attrs)
-        return AmrGraph(self.root, nodes, edges)
+        parents = {edge.target: edge.source for edge in edges if edge.defines}
+        return AmrGraph(self.root, nodes, edges, children(nodes, edges), parents)
 
 
 def parse_amr(text: str) -> AmrGraph:
     return _Parser(text).parse()
+
+
+def children(variables, edges: list[AmrEdge]) -> dict[str, list[AmrEdge]]:
+    """Each variable's edges, in textual order."""
+    return {v: [edge for edge in edges if edge.source == v] for v in variables}
 
 
 def defining_parent(graph: AmrGraph, variable: str) -> str | None:

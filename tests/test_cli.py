@@ -181,6 +181,7 @@ class TestDistillCommand:
             ('{"stoplst": []}', "unknown keys: stoplst"),
             ('["seed"]', "must be a JSON object"),
             ('{"idf_threshold": NaN}', "holds NaN, which is not a JSON number"),
+            ('{"traversal": "bogus"}', "unknown traversal kind 'bogus'"),
         ],
     )
     def test_malformed_config_is_data_error(
@@ -197,6 +198,15 @@ class TestDistillCommand:
         assert captured.err.startswith("error: distill config ") and key in captured.err
         assert captured.out == ""
 
+    def test_non_numeric_date_value_is_data_error(self, tmp_path, capsys):
+        amr = tmp_path / "g.amr"
+        doc = tmp_path / "d.txt"
+        amr.write_text('(d / date-entity :month "April")')
+        doc.write_text("It rained in April.")
+        assert main(["distill", str(amr), str(doc)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err == "error: 'd' has non-numeric :month value 'April'\n"
+        assert captured.out == ""
 
     def test_deeply_nested_graph(self, tmp_path, capsys):
         depth = 5000  # far past the interpreter's recursion limit
@@ -511,6 +521,30 @@ class TestExitCodes:
         assert len(records) == 20
         assert all(r["error"] for r in records)
         assert not any(r["correct"] for r in records)
+
+    def test_every_pair_failing_on_data_is_exit_2_with_records_written(
+        self, tmp_path, fixture_dataset_path, stub_backend_file, capsys
+    ):
+        lines = fixture_dataset_path.read_text(encoding="utf-8").splitlines()
+        pairs = [json.loads(line) for line in lines]
+        for pair in pairs:
+            for doc in pair["docs"]:
+                doc.pop("amr", None)
+        dataset = tmp_path / "no_amr.jsonl"
+        dataset.write_text("".join(json.dumps(pair) + "\n" for pair in pairs))
+        out = tmp_path / "results"
+        code = main(
+            ["eval", str(dataset), "--backend", stub_backend_file,
+             "--mode", "concepts", "--out", str(out)]
+        )
+        assert code == EXIT_DATA
+        records = json.loads((out / "records.json").read_text())
+        assert len(records) == 20
+        assert all("--parse-endpoint" in r["error"] for r in records)
+        assert (out / "manifest.json").exists()
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: every pair failed")
+        assert "--parse-endpoint" in captured.err
 
 
 class TestFlagsPerCommand:

@@ -135,11 +135,18 @@ class TestParser:
         assert result == ("error", f"expected a value after :ARG0 (byte offset {offset})", offset)
 
     def test_defining_parent(self):
-        for seed in range(300):
-            graph = parse_amr(random_penman(seed))
+        texts = [random_penman(seed) for seed in range(300)]
+        # references that come before the definition they name
+        texts += [
+            "(a / b :ARG0 c :ARG1 (c / d :ARG0 a))",
+            "(a / b :ARG0 (c / d :ARG1 e :mod 1) :ARG2 (e / f :ARG0 g :ARG1 c) :ARG3 (g / h))",
+        ]
+        for text in texts:
+            graph = parse_amr(text)
+            assert graph.children == bruteforce.children(graph.nodes, graph.edges), text
             for variable in [*graph.nodes, "absent"]:
                 expected = bruteforce.defining_parent(graph, variable)
-                assert graph.defining_parent(variable) == expected, (seed, variable)
+                assert graph.parents.get(variable) == expected, (text, variable)
 
 
 WORDS = [

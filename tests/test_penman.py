@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conceptrag.distill import distill_concepts
 from conceptrag.penman import (
     AmrEdge,
     AmrParseError,
@@ -36,7 +37,7 @@ class TestParse:
     def test_table_a1_structure(self, table_a1_penman):
         graph = parse_amr(table_a1_penman)
         assert graph.nodes[graph.root].instance == "multi-sentence"
-        roles = [e.role for e in graph.children(graph.root)]
+        roles = [e.role for e in graph.children[graph.root]]
         assert roles == [":snt1", ":snt2"]
         assert graph.nodes["p"].instance == "person"
         name = graph.nodes["n"]
@@ -50,12 +51,12 @@ class TestParse:
     def test_reentrancy_is_reference_not_node(self):
         graph = parse_amr("(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-01 :ARG0 b))")
         assert len(graph.nodes) == 3
-        ref = [e for e in graph.children("g") if e.role == ":ARG0"][0]
+        ref = [e for e in graph.children["g"] if e.role == ":ARG0"][0]
         assert ref.target == "b" and not ref.defines
 
     def test_forward_reference_resolves(self):
         graph = parse_amr("(w / want-01 :ARG1 g :ARG0 (g / go-01))")
-        ref = graph.children("w")[0]
+        ref = graph.children["w"][0]
         assert ref.target == "g" and not ref.defines
 
     def test_alignment_markers_stripped(self):
@@ -189,6 +190,11 @@ class TestSplitSentences:
     def test_snt_edge_that_defines_no_node_rejected(self, text):
         with pytest.raises(GraphError, match=":snt2 must define a node"):
             split_sentences(parse_amr(text))
+
+    def test_role_other_than_snt_is_skipped(self):
+        graph = parse_amr("(m / multi-sentence :li 1 :snt1 (w / work-01))")
+        assert split_sentences(graph) == ["w"]
+        assert [c.text for c in distill_concepts(graph, "They work.").concepts] == ["work"]
 
     def test_empty_multi_sentence(self):
         assert split_sentences(parse_amr("(m / multi-sentence)")) == []
