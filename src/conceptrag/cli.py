@@ -1,7 +1,8 @@
 """Command-line interface: parse AMR, distill concepts, screen datasets, run
 pipelines, and render reports.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error,
+130 interrupted.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .metrics import (
 )
 from .penman import parse_amr, parse_corpus
 from .ragpipe import (
-    BACKEND_ERROR_NAMES,
     MODES,
     BackendError,
     LlmBackendSpec,
@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
 
 
 class _UsageError(Exception):
@@ -133,8 +134,7 @@ def cmd_parse(args) -> int:
     text = _read_input(args.input)
     graphs = parse_corpus(text)
     if not graphs:
-        print("error: no PENMAN graphs in input", file=sys.stderr)
-        return EXIT_DATA
+        raise DatasetError("no PENMAN graphs in input")
     rendered = graphs[0].to_dict() if len(graphs) == 1 else [g.to_dict() for g in graphs]
     output = json.dumps(rendered, indent=2, ensure_ascii=False)
     if args.out:
@@ -207,14 +207,14 @@ def cmd_eval(args) -> int:
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, ensure_ascii=False)
         handle.write("\n")
-    failures = [r.error for r in records if r.error]
+    failures = [r for r in records if r.error_kind]
     print(f"evaluated {len(records)} pairs ({len(failures)} failed); results in {out_dir}")
     # partial failures are recorded and non-fatal; a run where every pair
     # failed is a backend outage if any pair died on the backend, else bad data
     if records and len(failures) == len(records):
-        if any(error.split(":")[0] in BACKEND_ERROR_NAMES for error in failures):
+        if any(r.error_kind == "backend" for r in failures):
             raise BackendError("every pair failed against the backend")
-        raise DatasetError(f"every pair failed, the first with {failures[0]}")
+        raise DatasetError(f"every pair failed, the first with {failures[0].error}")
     return EXIT_OK
 
 
@@ -265,13 +265,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -284,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entrypoint() -> None:  # console_scripts hook

@@ -150,7 +150,9 @@ class DistillConfig:
         if self.traversal not in TRAVERSAL_KINDS:
             raise ValueError(f"distill config has unknown traversal kind {self.traversal!r}")
         if self.traversal != "dfs" and self.seed is None:
-            raise ValueError(f"{self.traversal} traversal requires a seed")
+            raise ValueError(
+                f"distill config key 'seed' must be set for {self.traversal} traversal"
+            )
         # built once per config, not per document; not a field, so equality,
         # hashing and the JSON form do not see it
         stoplist = (DEFAULT_STOPLIST | set(self.stoplist_add)) - set(self.stoplist_remove)

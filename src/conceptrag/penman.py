@@ -207,13 +207,13 @@ def parse_amr(text: str) -> AmrGraph:
     """
     instances: dict[str, str] = {}  # variable -> instance, in definition order
     attributes: dict[str, list[tuple[str, Literal]]] = {}
-    edges: list[AmrEdge | None] = []  # in textual role order
-    children: dict[str, list[AmrEdge | None]] = {}  # variable -> its edges, in that order
+    edges: list[AmrEdge] = []  # in textual role order
+    children: dict[str, list[AmrEdge]] = {}  # variable -> its edges, in that order
     parents: dict[str, str] = {}  # variable -> the variable it was defined under
     # symbols that are neither a variable defined so far nor a literal, as
-    # (edge index, child index, source, role, symbol, offset): forward
-    # references, or errors that count only once the whole text has parsed
-    later: list[tuple[int, int, str, str, str, int]] = []
+    # (symbol, offset): forward references, or errors that count only once
+    # the whole text has parsed
+    later: list[tuple[str, int]] = []
     match = _GRAMMAR_RE.match
     new = tuple.__new__  # builds a NamedTuple without a call to its Python __new__
     m = match(text)
@@ -263,23 +263,20 @@ def parse_amr(text: str) -> AmrGraph:
             edge = new(AmrEdge, (source, role, literal, False))
             attributes[source].append((role, literal))
         else:
-            later.append(
-                (len(edges), len(children[source]), source, role, symbol, m.start("symbol"))
-            )
-            edge = None
+            later.append((symbol, m.start("symbol")))
+            edge = new(AmrEdge, (source, role, symbol, False))
         edges.append(edge)
         children[source].append(edge)
         pos = m.end()
     if stack or end is None:
         _raise_parse_error(text, pos, len(stack), instances)
-    for at, child_at, source, role, symbol, offset in later:
+    for symbol, offset in later:
         if symbol not in instances:
             if _VAR_RE.match(symbol):
                 message = f"reference to undefined variable {symbol!r}"
             else:
                 message = f"invalid attribute value {symbol!r}"
             raise AmrParseError(message, _byte_offset(text, offset))
-        edges[at] = children[source][child_at] = new(AmrEdge, (source, role, symbol, False))
     nodes = {
         v: new(AmrNode, (v, instance, tuple(attributes[v]))) for v, instance in instances.items()
     }

@@ -44,9 +44,6 @@ class BackendError(RuntimeError):
     retryable = False
 
 
-BACKEND_ERROR_NAMES = ("BackendError", "BackendTimeout", "BackendHttpError", "BackendProtocolError")
-
-
 class BackendTimeout(BackendError):
     """The request timed out or the endpoint was unreachable."""
 
@@ -94,11 +91,16 @@ class LlmBackendSpec:
 
     def __post_init__(self):
         if self.kind not in ("http-chat", "stub"):
-            raise ValueError(f"unknown backend kind {self.kind!r}")
+            raise ValueError(
+                f"backend spec key 'kind' must be 'http-chat' or 'stub', not {self.kind!r}"
+            )
         if self.kind == "http-chat" and not self.endpoint_url:
-            raise ValueError("http-chat backend requires an endpoint_url")
+            raise ValueError("backend spec key 'endpoint_url' must be set for an http-chat backend")
         if self.kind == "stub" and self.policy not in ("echo-facts", "oracle-substring"):
-            raise ValueError(f"unknown stub policy {self.policy!r}")
+            raise ValueError(
+                "backend spec key 'policy' must be 'echo-facts' or 'oracle-substring', "
+                f"not {self.policy!r}"
+            )
         if not self.timeout_s > 0:  # also rejects NaN
             raise ValueError("backend spec key 'timeout_s' must be above 0")
         if self.max_parallel < 1:
@@ -120,10 +122,10 @@ class LlmBackendSpec:
 @dataclass(slots=True, kw_only=True)
 class PipelineRecord:
     """Outcome of one question, as one entry of ``records.json``: the prompt
-    sent, the raw answer, latency, whether the answer matched a gold answer,
-    and the whitespace-split word counts of the documents before and after
-    compression. Fields are in ``records.json`` key order; the file is read
-    and written by :mod:`conceptrag.schema`."""
+    sent, the raw answer, latency, whether it matched a gold answer, the
+    whitespace-split word counts of the documents before and after
+    compression, and a failed pair's error with its kind, "backend" or "data".
+    Fields are in key order; :mod:`conceptrag.schema` reads and writes them."""
 
     question: str = ""
     gold_answers: tuple[str, ...] = ()
@@ -137,6 +139,7 @@ class PipelineRecord:
     original_words: int = 0
     compressed_words: int = 0
     error: str | None = None
+    error_kind: str | None = None
 
 
 # --- prompts -----------------------------------------------------------------
@@ -168,13 +171,8 @@ def build_baseline_prompt(kind: str, doc: str) -> str:
 
 
 def _facts_segment(prompt: str) -> str:
-    match = _FACTS_SEGMENT_RE.search(prompt)
-    if match:
-        return match.group(1)
-    match = _INPUT_SEGMENT_RE.search(prompt)
-    if match:
-        return match.group(1)
-    return prompt
+    match = _FACTS_SEGMENT_RE.search(prompt) or _INPUT_SEGMENT_RE.search(prompt)
+    return match.group(1) if match else prompt
 
 
 # --- backends ----------------------------------------------------------------
@@ -313,7 +311,8 @@ def _open_route(scheme: str, host: str, port: int, authority: str, timeout_s: fl
         return http.client.HTTPSConnection(host, port, timeout=timeout_s, context=context), "", {}
     proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
     if proxy_parts.scheme != "http" or not proxy_parts.hostname:
-        raise ValueError(f"unsupported {scheme} proxy {proxy!r}")
+        shown = proxy_parts._replace(netloc=proxy_parts.netloc.rpartition("@")[2]).geturl()
+        raise ValueError(f"unsupported {scheme} proxy {shown!r}")  # without its credentials
     proxy_headers = {}
     if proxy_parts.username is not None:
         credentials = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password or '')}"
@@ -332,6 +331,8 @@ def _query_http(backend: LlmBackendSpec, prompt: str) -> str:
     headers = {}
     if backend.auth_env:
         token = os.environ.get(backend.auth_env, "")
+        if "\r" in token or "\n" in token:  # http.client's error would quote the token
+            raise BackendError(f"environment variable {backend.auth_env} holds a line break")
         if token:
             headers["Authorization"] = f"Bearer {token}"
     payload = {
@@ -406,7 +407,8 @@ def run_pipeline(
         try:
             return _answer_pair(unanswered, pair, mode, backend, config, parse_endpoint)
         except (BackendError, ValueError) as exc:
-            return replace(unanswered, error=f"{type(exc).__name__}: {exc}")
+            kind = "backend" if isinstance(exc, BackendError) else "data"
+            return replace(unanswered, error=f"{type(exc).__name__}: {exc}", error_kind=kind)
 
     if backend.max_parallel > 1:
         with ThreadPoolExecutor(max_workers=backend.max_parallel) as pool:

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from conceptrag import cli
+from conceptrag import cli, ragpipe
 from conceptrag.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from conceptrag.metrics import LONG_INTERVAL, NORMAL_INTERVAL, EvalCurve, integrate
+from conceptrag.ragpipe import BackendError
 from conceptrag.schema import from_json
 
 
@@ -182,6 +183,7 @@ class TestDistillCommand:
             ('["seed"]', "must be a JSON object"),
             ('{"idf_threshold": NaN}', "holds NaN, which is not a JSON number"),
             ('{"traversal": "bogus"}', "unknown traversal kind 'bogus'"),
+            ('{"traversal": "global-random"}', "'seed' must be set for global-random traversal"),
         ],
     )
     def test_malformed_config_is_data_error(
@@ -269,6 +271,14 @@ class TestStatsCommand:
         assert main(["stats", str(bad)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith("error: line 1: ")
 
+    def test_blank_lines_are_skipped(self, tmp_path, fixture_dataset_path, capsys):
+        lines = fixture_dataset_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        padded = tmp_path / "padded.jsonl"
+        padded.write_text("\n" + "  \t\n".join(lines) + "\n   \n", encoding="utf-8")
+        assert main(["stats", str(fixture_dataset_path)]) == EXIT_OK
+        expected = capsys.readouterr().out
+        assert main(["stats", str(padded)]) == EXIT_OK
+        assert capsys.readouterr().out == expected
 
     def test_no_screen_with_s_pop_max_is_usage_error(self, fixture_dataset_path, capsys):
         code = main(["stats", str(fixture_dataset_path), "--no-screen", "--s-pop-max", "1"])
@@ -317,6 +327,26 @@ class TestEvalAndReport:
         assert "delta" in report["intg"][0]
         assert svg_path.read_text().startswith("<svg")
         assert "run</text>" in svg_path.read_text() and "baseline</text>" in svg_path.read_text()
+
+    def test_report_with_a_custom_interval(
+        self, tmp_path, fixture_dataset_path, stub_backend_file, capsys
+    ):
+        out = run_eval(tmp_path, fixture_dataset_path, stub_backend_file)
+        capsys.readouterr()
+        assert main(["report", str(out), "--interval", "2,5"]) == EXIT_OK
+        assert "\n2,5\t300.00\t\n" in capsys.readouterr().out
+        report = json.loads((out / "report.json").read_text())
+        assert [row["interval"] for row in report["intg"]] == ["2,5"]
+
+    @pytest.mark.parametrize("interval", ["5,2", "a,b"])
+    def test_invalid_interval_is_data_error(self, interval, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "records.json").write_text('[{"k": 1, "correct": true}]')
+        assert main(["report", str(run), "--interval", interval]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: invalid interval {interval!r}: ")
+        assert captured.out == ""
 
     def test_unusable_out_fails_before_the_run(
         self, tmp_path, fixture_dataset_path, stub_backend_file, monkeypatch, capsys
@@ -395,6 +425,12 @@ class TestEvalAndReport:
             ('{"kind": "stub", "retries": -1}', "'retries' must be at least 0"),
             ('{"kind": "stub", "stub_delay_ms": -0.5}', "'stub_delay_ms' must be at least 0"),
             ('{"kind": "stub", "temperature": Infinity}', "holds Infinity, which is not a JSON"),
+            ('{"kind": "grpc"}', "'kind' must be 'http-chat' or 'stub', not 'grpc'"),
+            ('{"kind": "http-chat"}', "'endpoint_url' must be set for an http-chat backend"),
+            (
+                '{"kind": "stub", "policy": "nope"}',
+                "'policy' must be 'echo-facts' or 'oracle-substring', not 'nope'",
+            ),
         ],
     )
     def test_malformed_backend_spec_is_data_error(
@@ -545,6 +581,46 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: every pair failed")
         assert "--parse-endpoint" in captured.err
+
+    def test_every_pair_failing_on_a_backend_error_subclass_is_exit_3(
+        self, tmp_path, fixture_dataset_path, stub_backend_file, monkeypatch, capsys
+    ):
+        class BackendRateLimited(BackendError):
+            pass
+
+        def query_llm(*args):
+            raise BackendRateLimited("rate limited")
+
+        monkeypatch.setattr(ragpipe, "query_llm", query_llm)
+        out = tmp_path / "results"
+        code = main(
+            ["eval", str(fixture_dataset_path), "--backend", stub_backend_file,
+             "--mode", "vanilla", "--out", str(out)]
+        )
+        assert code == EXIT_BACKEND
+        assert capsys.readouterr().err == "backend error: every pair failed against the backend\n"
+        records = json.loads((out / "records.json").read_text())
+        assert len(records) == 20
+        assert all(r["error"] == "BackendRateLimited: rate limited" for r in records)
+
+    def test_ctrl_c_exits_130(self, monkeypatch, capsys):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._COMMANDS, "stats", interrupted)
+        try:
+            code = main(["stats", "missing.jsonl"])
+        except KeyboardInterrupt:
+            pytest.fail("Ctrl-C escaped main as a traceback")
+        assert code == 130  # 128 + SIGINT
+        assert capsys.readouterr().err == "interrupted\n"
+
+    def test_entrypoint_exits_with_the_code_of_main(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["conceptrag", "stats", str(tmp_path / "missing.jsonl")])
+        with pytest.raises(SystemExit) as exc:
+            cli.entrypoint()
+        assert exc.value.code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestFlagsPerCommand:
