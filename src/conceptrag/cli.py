@@ -148,6 +148,9 @@ def cmd_parse(args) -> int:
 
 def cmd_distill(args) -> int:
     config = _load_distill_config(args)
+    if config.idf_enabled:  # common words are counted over an eval run's documents
+        raise DatasetError("distill config key 'idf_enabled' works only in eval: "
+                           "one document is no corpus")
     graph = parse_amr(_read_input(args.penman_file))
     source = _read_input(args.source_file)
     concept_set = distill_concepts(graph, source, config=config)

@@ -2,8 +2,9 @@
 
 Converts a document's AMR into an ordered list of concept strings:
 per-sentence traversal with buffered handling of ``:name``, ``:wiki`` and
-``date-entity`` constructs, stoplist/IDF formatting, and a backtrace step
-that restores each concept to the surface form used in the source document.
+``date-entity`` constructs, stoplist formatting, a backtrace step
+that restores each concept to the surface form used in the source document,
+and an optional filter of words common across a run's documents.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import calendar
 import random
 import re
 import string
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import NamedTuple
 
@@ -115,27 +117,14 @@ class ConceptSet:
 
 
 @dataclass(frozen=True)
-class IdfIndex:
-    """Document frequencies for normalized terms over an indexed corpus."""
-
-    doc_count: int
-    term_doc_freq: dict[str, int] = field(hash=False)
-
-    def document_fraction(self, text: str) -> float:
-        term = normalize_term(text)
-        if not term or not self.doc_count:
-            return 0.0
-        return self.term_doc_freq.get(term, 0) / self.doc_count
-
-
-@dataclass(frozen=True)
 class DistillConfig:
     """Tunable knobs for distillation, read from a JSON file by
     :func:`conceptrag.schema.from_json`.
 
     ``traversal`` orders nodes within the traversal: depth-first, shuffled
     per sentence, or shuffled across the whole document. Random orders are
-    fully determined by ``seed``.
+    fully determined by ``seed``. ``idf_enabled`` makes an eval run drop
+    words found in more than ``idf_threshold`` of its documents.
     """
 
     stoplist_add: tuple[str, ...] = ()
@@ -162,20 +151,11 @@ class DistillConfig:
         return self._stoplist
 
 
-def normalize_term(text: str) -> str:
-    """Lowercase and strip punctuation for IDF lookups."""
-    return " ".join(_TOKEN_RE.findall(text.lower()))
-
-
-def build_idf_index(docs: list[str]) -> IdfIndex:
-    """Count, per normalized term, how many documents contain it."""
-    if not docs:
-        raise ValueError("cannot build an IDF index over an empty corpus")
-    freq: dict[str, int] = {}
-    for doc in docs:
-        for term in set(_TOKEN_RE.findall(doc.lower())):
-            freq[term] = freq.get(term, 0) + 1
-    return IdfIndex(doc_count=len(docs), term_doc_freq=freq)
+def common_terms(docs: list[str], threshold: float) -> frozenset[str]:
+    """The lowercase words of ``_TOKEN_RE`` found in more than ``threshold``
+    of ``docs``; a word counts once per document. Empty for no documents."""
+    counts = Counter(word for doc in docs for word in set(_TOKEN_RE.findall(doc.lower())))
+    return frozenset(word for word, n in counts.items() if n / len(docs) > threshold)
 
 
 # --- role handlers
@@ -302,13 +282,10 @@ def _traversal_streams(
 
 
 def concept_format(
-    concepts: list[Concept],
-    idf: IdfIndex | None = None,
-    stoplist: frozenset[str] = DEFAULT_STOPLIST,
-    idf_threshold: float = 0.5,
+    concepts: list[Concept], stoplist: frozenset[str] = DEFAULT_STOPLIST
 ) -> list[Concept]:
-    """Drop stoplisted canonical nodes and (with an index) overly common
-    concepts; strip sense suffixes like '-01' from instance concepts."""
+    """Drop stoplisted canonical nodes; strip sense suffixes like '-01' from
+    instance concepts."""
     out: list[Concept] = []
     for concept in concepts:
         text = concept.text
@@ -321,8 +298,6 @@ def concept_format(
                     continue
                 if text != concept.text:
                     concept = concept._replace(text=text)
-        if idf is not None and idf.document_fraction(text) > idf_threshold:
-            continue
         out.append(concept)
     return out
 
@@ -452,24 +427,24 @@ def _best_token_match(
 def distill_concepts(
     graph: AmrGraph,
     source_doc: str,
-    idf: IdfIndex | None = None,
     config: DistillConfig | None = None,
+    *,
+    common: frozenset[str] = frozenset(),
 ) -> ConceptSet:
     """Run the full distillation over one document's AMR graph.
 
     Sentences are traversed in ``config.traversal`` order, the role buffer
     consolidates name/wiki/date constructs, and the result is formatted and
-    backtraced against ``source_doc``. An empty graph yields an empty set.
+    backtraced against ``source_doc``. A concept whose backtraced text,
+    lowercased, is in ``common`` (see :func:`common_terms`) is dropped, so
+    only one-word concepts can be. An empty graph yields an empty set.
     """
     config = config or DistillConfig()
     concepts: list[Concept] = []
     for stream in _traversal_streams(graph, config):
         concepts.extend(_run_stream(graph, stream))
-    concepts = concept_format(
-        concepts,
-        idf=idf,
-        stoplist=config.stoplist(),
-        idf_threshold=config.idf_threshold,
-    )
+    concepts = concept_format(concepts, config.stoplist())
     concepts = concept_backtrace(concepts, source_doc, config.min_backtrace_overlap)
+    if common:
+        concepts = [c for c in concepts if c.text.lower() not in common]
     return ConceptSet(concepts=tuple(concepts))

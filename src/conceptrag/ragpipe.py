@@ -14,16 +14,14 @@ import os
 import re
 import threading
 import time
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from random import Random
 from urllib.parse import unquote, urlsplit
 
 from . import metrics
 from .corpus import QadPair
-from .distill import DistillConfig, build_idf_index, distill_concepts
+from .distill import DistillConfig, common_terms, distill_concepts
 from .penman import parse_amr
 from .schema import to_json
 
@@ -36,6 +34,7 @@ BASELINE_INSTRUCTIONS = {
 MODES = ("vanilla", "concepts", "keywords", "summary")
 _FACTS_SEGMENT_RE = re.compile(r"Facts: (.*)\. Question:", re.S)
 _INPUT_SEGMENT_RE = re.compile(r"### Input: \{(.*)\}\n### Response: \Z", re.S)
+_USERINFO_RE = re.compile(r"[^/?#]*//[^/?#]*@")  # a URL whose authority names a user
 
 
 class BackendError(RuntimeError):
@@ -86,8 +85,6 @@ class LlmBackendSpec:
     max_tokens: int = 64
     retries: int = 0
     policy: str = "oracle-substring"
-    stub_delay_ms: float = 0.0
-    stub_jitter_seed: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("http-chat", "stub"):
@@ -96,6 +93,9 @@ class LlmBackendSpec:
             )
         if self.kind == "http-chat" and not self.endpoint_url:
             raise ValueError("backend spec key 'endpoint_url' must be set for an http-chat backend")
+        if _USERINFO_RE.match(self.endpoint_url):  # the spec is written out whole
+            raise ValueError("backend spec key 'endpoint_url' must not hold a user or password; "
+                             "name the token's variable in auth_env")
         if self.kind == "stub" and self.policy not in ("echo-facts", "oracle-substring"):
             raise ValueError(
                 "backend spec key 'policy' must be 'echo-facts' or 'oracle-substring', "
@@ -109,8 +109,6 @@ class LlmBackendSpec:
             raise ValueError("backend spec key 'max_tokens' must be at least 1")
         if self.retries < 0:
             raise ValueError("backend spec key 'retries' must be at least 0")
-        if not self.stub_delay_ms >= 0:
-            raise ValueError("backend spec key 'stub_delay_ms' must be at least 0")
 
     @property
     def label(self) -> str:
@@ -199,9 +197,6 @@ def query_llm(
 
 
 def _query_stub(backend: LlmBackendSpec, prompt: str, gold_answers: tuple[str, ...]) -> str:
-    if backend.stub_delay_ms > 0:
-        jitter = Random((backend.stub_jitter_seed or 0) ^ zlib.crc32(prompt.encode("utf-8")))
-        time.sleep(jitter.uniform(0, backend.stub_delay_ms) / 1000.0)
     if backend.policy == "echo-facts":
         return _facts_segment(prompt)
     for gold in gold_answers:
@@ -237,9 +232,11 @@ def _post_json(
     import http.client
 
     parts = urlsplit(url)
+    authority = parts.netloc.rpartition("@")[2]  # a URL's user and password are never sent
     try:
         if parts.scheme not in _DEFAULT_PORTS or not parts.hostname:
-            raise ValueError(f"{url!r} is not an http or https URL with a host")
+            shown = parts._replace(netloc=authority).geturl()
+            raise ValueError(f"{shown!r} is not an http or https URL with a host")
         key = (parts.scheme, parts.hostname, parts.port or _DEFAULT_PORTS[parts.scheme])
     except ValueError as exc:  # .port raises it too, for a port that is not a number
         raise BackendError(f"{what} request failed: {exc}") from exc
@@ -255,7 +252,7 @@ def _post_json(
     while True:
         try:
             if route is None:
-                route = _open_route(*key, parts.netloc.rpartition("@")[2], timeout_s)
+                route = _open_route(*key, authority, timeout_s)
             conn, prefix, proxy_headers = route
             if reused:
                 conn.sock.settimeout(timeout_s)
@@ -387,12 +384,16 @@ def run_pipeline(
     the backend, and score the answer. Two-pass modes (keywords/summary)
     first ask the backend to compress each document, then ask the question
     over the compressed text. A document without inline AMR is parsed at
-    ``parse_endpoint``. Failures are recorded per pair, never fatal;
-    output order equals input order regardless of completion order.
+    ``parse_endpoint``; with ``config.idf_enabled``, concepts drop the words
+    common across the pairs' documents. Failures are recorded per pair, never
+    fatal; output order equals input order regardless of completion order.
     """
     if mode not in MODES:
         raise ValueError(f"unknown compression mode {mode!r}")
     config = config or DistillConfig()
+    common = frozenset()
+    if mode == "concepts" and config.idf_enabled:
+        common = common_terms([d.text for p in pairs for d in p.documents], config.idf_threshold)
 
     def answer_one(pair: QadPair) -> PipelineRecord:
         unanswered = PipelineRecord(
@@ -405,7 +406,7 @@ def run_pipeline(
             original_words=sum(len(doc.text.split()) for doc in pair.documents),
         )
         try:
-            return _answer_pair(unanswered, pair, mode, backend, config, parse_endpoint)
+            return _answer_pair(unanswered, pair, mode, backend, config, common, parse_endpoint)
         except (BackendError, ValueError) as exc:
             kind = "backend" if isinstance(exc, BackendError) else "data"
             return replace(unanswered, error=f"{type(exc).__name__}: {exc}", error_kind=kind)
@@ -422,15 +423,13 @@ def _answer_pair(
     mode: str,
     backend: LlmBackendSpec,
     config: DistillConfig,
+    common: frozenset[str],
     parse_endpoint: str | None,
 ) -> PipelineRecord:
     compress_latency = 0.0
     if mode == "vanilla":
         doc_strings = [doc.text for doc in pair.documents]
     elif mode == "concepts":
-        idf = None
-        if config.idf_enabled:
-            idf = build_idf_index([doc.text for doc in pair.documents])
         doc_strings = []
         for doc in pair.documents:
             penman_text = doc.amr
@@ -438,7 +437,7 @@ def _answer_pair(
                 if not parse_endpoint:
                     raise ValueError("document has no inline AMR and no --parse-endpoint")
                 penman_text = parse_remote(parse_endpoint, doc.text)
-            concept_set = distill_concepts(parse_amr(penman_text), doc.text, idf=idf, config=config)
+            concept_set = distill_concepts(parse_amr(penman_text), doc.text, config, common=common)
             doc_strings.append(concept_set.facts_string())
     else:  # keywords / summary: two-pass compression through the backend
         doc_strings = []

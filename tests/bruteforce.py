@@ -21,7 +21,6 @@ from conceptrag.distill import (
     Concept,
     ConceptSet,
     DistillConfig,
-    IdfIndex,
     handle_date,
     handle_name,
 )
@@ -306,11 +305,12 @@ def _common_prefix_len(a: str, b: str) -> int:
 def distill_concepts(
     graph: AmrGraph,
     source_doc: str,
-    idf: IdfIndex | None = None,
     config: DistillConfig | None = None,
+    common: frozenset[str] = frozenset(),
 ) -> ConceptSet:
     """Each sentence walked depth-first, then the role buffer, the format
-    step and the backtrace, each over the whole document in turn."""
+    step, the backtrace and the common-word filter, each over the whole
+    document in turn."""
     config = config or DistillConfig()
     streams = _traversal_streams(graph, config)
     concepts = [c for stream in streams for c in _role_buffer(graph, stream)]
@@ -322,12 +322,9 @@ def distill_concepts(
             text = re.sub(r"(?:-[0-9]{2})+\Z", "", text)
             if concept.text in stoplist or text in stoplist:
                 continue
-        if idf is not None and idf.document_fraction(text) > config.idf_threshold:
-            continue
         formatted.append(concept._replace(text=text))
-    return ConceptSet(
-        tuple(concept_backtrace(formatted, source_doc, config.min_backtrace_overlap))
-    )
+    backtraced = concept_backtrace(formatted, source_doc, config.min_backtrace_overlap)
+    return ConceptSet(tuple(c for c in backtraced if c.text.lower() not in common))
 
 
 def _traversal_streams(graph: AmrGraph, config: DistillConfig) -> list[list[tuple[int, str]]]:

@@ -15,7 +15,7 @@ from conceptrag.distill import (
     Concept,
     DistillConfig,
     DistillError,
-    build_idf_index,
+    common_terms,
     concept_backtrace,
     concept_format,
     distill_concepts,
@@ -148,15 +148,6 @@ class TestConceptFormat:
         concept = Concept("Alexander Rinnooy Kan", "name", 1)
         assert concept_format([concept]) == [concept]
 
-    def test_idf_filter_drops_common_concepts(self):
-        docs = [f"film actor {i}" for i in range(9)] + ["stage actor 9"]
-        idf = build_idf_index(docs)
-        concepts = instance_concepts(["film", "stage"])
-        out = concept_format(concepts, idf=idf, idf_threshold=0.5)
-        # brute-force document frequency: film 9/10 > 0.5 dropped, stage 1/10 kept
-        assert sum("film" in d for d in docs) == 9
-        assert [c.text for c in out] == ["stage"]
-
     def test_order_of_survivors_preserved(self):
         out = concept_format(instance_concepts(["alpha", "person", "beta", "he", "gamma"]))
         assert [c.text for c in out] == ["alpha", "beta", "gamma"]
@@ -264,29 +255,58 @@ class TestBacktrace:
             assert source[start:end].lower() == before.text.lower()
 
 
-class TestIdfIndex:
-    def test_two_doc_counts(self):
-        idf = build_idf_index(["a b", "b c"])
-        assert idf.doc_count == 2
-        assert idf.term_doc_freq == {"a": 1, "b": 2, "c": 1}
+class TestCommonTerms:
+    def test_a_word_counts_once_per_document(self):
+        # "x" fills the first document but is in one of two: not above 0.5
+        assert common_terms(["x x x y", "y z"], 0.5) == {"y"}
 
-    def test_single_doc_all_ones(self):
-        idf = build_idf_index(["x y z x"])
-        assert set(idf.term_doc_freq.values()) == {1}
+    def test_a_word_must_be_strictly_above_the_threshold(self):
+        assert common_terms(["a b", "b c"], 0.5) == {"b"}
+        assert common_terms(["a b", "b c"], 1.0) == frozenset()
 
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
-            build_idf_index([])
+    def test_words_are_lowercased_tokens(self):
+        assert common_terms(["She played.", "he PLAYED, she said"], 0.5) == {"played", "she"}
 
-    @given(st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6), min_size=1, max_size=30))
-    def test_counts_match_membership_oracle(self, word_lists):
+    def test_empty_corpus_gives_empty_set(self):
+        assert common_terms([], 0.0) == frozenset()
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6), min_size=1, max_size=30
+        ),
+        st.floats(0.0, 1.0),
+    )
+    def test_membership_matches_document_fraction(self, word_lists, threshold):
         docs = [" ".join(words) for words in word_lists]
-        idf = build_idf_index(docs)
-        for term in set(w for words in word_lists for w in words):
-            assert idf.term_doc_freq[term] == sum(term in words for words in word_lists)
+        common = common_terms(docs, threshold)
+        for term in "abcdef":
+            fraction = sum(term in words for words in word_lists) / len(word_lists)
+            assert (term in common) == (fraction > threshold)
 
 
 class TestDistill:
+    def test_idf_filter_drops_common_concepts(self):
+        docs = [f"film actor {i}" for i in range(9)] + ["stage actor 9"]
+        graph = parse_amr("(f / film :mod (s / stage))")
+        out = distill_concepts(graph, "film stage", common=common_terms(docs, 0.5))
+        # brute-force document frequency: film 9/10 > 0.5 dropped, stage 1/10 kept
+        assert sum("film" in d for d in docs) == 9
+        assert out.texts() == ["stage"]
+
+    def test_common_words_are_matched_after_backtrace(self):
+        # play-01 backtraces to "played", the word that the documents hold
+        doc = "She played the violin."
+        common = common_terms([doc, "He played.", "x"], 0.5)
+        graph = parse_amr("(p / play-01 :ARG1 (v / violin))")
+        assert distill_concepts(graph, doc, common=common).texts() == ["violin"]
+
+    def test_multi_word_concepts_are_never_common(self):
+        doc = "New York is new."
+        common = common_terms([doc, "New York", "york new"], 0.5)
+        graph = parse_amr('(c / city :name (n / name :op1 "New" :op2 "York"))')
+        assert common >= {"new", "york"}
+        assert distill_concepts(graph, doc, common=common).texts() == ["New York"]
+
     def test_table_a1_worked_example(self, table_a1_penman, table_a1_doc):
         concepts = distill_concepts(parse_amr(table_a1_penman), table_a1_doc)
         assert concepts.texts() == [

@@ -15,7 +15,7 @@ from conceptrag import penman
 from conceptrag.distill import (
     Concept,
     DistillConfig,
-    build_idf_index,
+    common_terms,
     concept_backtrace,
     distill_concepts,
     handle_date,
@@ -228,8 +228,9 @@ class TestDistill:
                 traversal=("dfs", "local-random", "global-random")[seed % 3],
                 seed=seed,
             )
-            idf = None
+            common = frozenset()
             if seed % 5 == 1:
-                idf = build_idf_index([doc, mentions(graph, rng), " ".join(WORD_POOL)])
-            got = distill_concepts(graph, doc, idf=idf, config=config)
-            assert got == bruteforce.distill_concepts(graph, doc, idf=idf, config=config), seed
+                corpus = [doc, mentions(graph, rng), " ".join(WORD_POOL)]
+                common = common_terms(corpus, config.idf_threshold)
+            got = distill_concepts(graph, doc, config, common=common)
+            assert got == bruteforce.distill_concepts(graph, doc, config, common), seed

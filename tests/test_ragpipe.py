@@ -2,15 +2,19 @@
 
 import base64
 import hashlib
+import http.client
 import json
 import socket
+import ssl
 import threading
 import time
+import zlib
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from conceptrag import ragpipe
 from conceptrag.corpus import QadPair, SupportDoc, load_dataset
 from conceptrag.distill import DistillConfig, distill_concepts
 from conceptrag.penman import parse_amr
@@ -163,6 +167,10 @@ class TestBaselinePrompt:
     def test_empty_doc_rejected(self):
         with pytest.raises(ValueError):
             build_baseline_prompt("keywords", "")
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown baseline prompt kind 'bogus'"):
+            build_baseline_prompt("bogus", "x")
 
 
 class TestStubBackends:
@@ -480,6 +488,18 @@ class TestConnections:
         assert "unsupported http proxy 'socks5://127.0.0.1:1080'" in message
         assert "alice" not in message and "hunter2" not in message
 
+    def test_https_route_verifies_certificates(self, monkeypatch):
+        for name in ("https_proxy", "HTTPS_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        conn, prefix, headers = ragpipe._open_route(
+            "https", "example.invalid", 443, "example.invalid", 1.0
+        )
+        assert isinstance(conn, http.client.HTTPSConnection)
+        assert (conn.host, conn.port, prefix, headers) == ("example.invalid", 443, "", {})
+        assert conn._context.verify_mode == ssl.CERT_REQUIRED
+        assert conn._context.check_hostname
+        assert conn.sock is None  # no socket is opened until the first request
+
     @pytest.mark.parametrize(
         "url", ["ftp://127.0.0.1/v1/chat", "http:///v1/chat", "127.0.0.1:8000/v1/chat",
                 "http://127.0.0.1:port/v1/chat"]
@@ -559,15 +579,17 @@ class TestPipeline:
                 [d.text for d in pair.documents], pair.question
             )
 
-    def test_output_order_preserved_under_parallelism(self, fixture_dataset_path):
+    def test_output_order_preserved_under_parallelism(self, fixture_dataset_path, monkeypatch):
+        query_stub = ragpipe._query_stub
+
+        def slow_stub(backend, prompt, gold_answers):
+            # 0-30 ms by prompt, so that later pairs can finish first
+            time.sleep(zlib.crc32(prompt.encode("utf-8")) % 31 / 1000.0)
+            return query_stub(backend, prompt, gold_answers)
+
+        monkeypatch.setattr(ragpipe, "_query_stub", slow_stub)
         pairs = load_dataset(fixture_dataset_path)[:10]
-        backend = LlmBackendSpec(
-            kind="stub",
-            policy="oracle-substring",
-            max_parallel=4,
-            stub_delay_ms=30.0,
-            stub_jitter_seed=99,
-        )
+        backend = LlmBackendSpec(kind="stub", policy="oracle-substring", max_parallel=4)
         records = run_pipeline(pairs, "vanilla", backend)
         assert [r.question for r in records] == [p.question for p in pairs]
 
