@@ -9,10 +9,8 @@ and an optional filter of words common across a run's documents.
 
 from __future__ import annotations
 
-import calendar
 import random
 import re
-import string
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, islice
@@ -23,7 +21,10 @@ from .penman import AmrGraph, AmrNode, dfs_nodes, split_sentences
 _SENSE_RE = re.compile(r"-[0-9]{2}\Z")
 # one group, so that split() returns the tokens as well as the text between them
 _TOKEN_RE = re.compile(r"([A-Za-z0-9]+(?:'[A-Za-z0-9]+)*)")
-_WORD_CHARS = frozenset(string.ascii_letters + string.digits)
+_WORD_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789")
+# English whatever the locale, unlike calendar.month_name
+_MONTH_NAMES = ("January", "February", "March", "April", "May", "June", "July",
+                "August", "September", "October", "November", "December")
 _OP_ROLE_RE = re.compile(r":op([0-9]+)\Z")
 
 
@@ -200,7 +201,7 @@ def handle_date(node: AmrNode, sentence_index: int = 1) -> Concept | None:
     if month is not None:
         if not 1 <= month <= 12:
             raise DistillError(f"date-entity {node.variable!r} has month {month} outside 1-12")
-        parts.append(calendar.month_name[month])
+        parts.append(_MONTH_NAMES[month - 1])
     if year is not None:
         parts.append(str(year))
     if not parts:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import string
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -19,7 +18,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .ragpipe import PipelineRecord
 
 _WS_RE = re.compile(r"\s+")
-_PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+# deletes the characters of string.punctuation
+_PUNCT_TABLE = str.maketrans("", "", "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")
 
 
 class MetricsError(ValueError):

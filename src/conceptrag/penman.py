@@ -138,12 +138,12 @@ _STRING = r'"(?P<string>[^"\\]*(?:\\.[^"\\]*)*)"'
 # demo): the skip, exactly one alternative, then at most one alignment, which
 # attaches to the token. After the skip some alternative always matches
 # ('end' at the end of input). Each error alternative comes after the valid
-# form it shadows. The parser lexes only a text it rejects, to word the error.
-_LEX_RE = re.compile(
+# form it shadows. The parser lexes only a text it rejects, to word the error,
+# so the pattern is compiled on first use, through re's cache.
+_LEX_PATTERN = (
     _SKIP + r"(?:(?P<lparen>\()|(?P<rparen>\))|(?P<slash>/)|" + _STRING
     + f"|(?P<role>{_ROLE})|(?P<symbol>{_SYMBOL})|(?P<end>\\Z)"
-    + r'|(?P<bad_string>")|(?P<bad_role>:(?:[^\W_]|-)*)|(?P<bad_char>~))' + _ALIGN,
-    re.S,
+    + r'|(?P<bad_string>")|(?P<bad_role>:(?:[^\W_]|-)*)|(?P<bad_char>~))' + _ALIGN
 )
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 _PLAIN_KINDS = frozenset(("lparen", "rparen", "slash", "role", "symbol"))
@@ -161,7 +161,7 @@ def _byte_offset(text: str, char_offset: int) -> int:
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    for m in _LEX_RE.finditer(text):
+    for m in re.finditer(_LEX_PATTERN, text, re.S):
         kind = m.lastgroup
         if kind in _PLAIN_KINDS:
             tokens.append(_Token(kind, m.group(kind), m.start(kind)))

@@ -8,13 +8,11 @@ compression mode never changes which documents are consulted.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from urllib.parse import unquote, urlsplit
@@ -231,9 +229,9 @@ def _post_json(
     one reconnect and resend; any other failure drops the connection."""
     import http.client
 
-    parts = urlsplit(url)
-    authority = parts.netloc.rpartition("@")[2]  # a URL's user and password are never sent
     try:
+        parts = urlsplit(url)  # raises ValueError for e.g. an unclosed IPv6 bracket
+        authority = parts.netloc.rpartition("@")[2]  # a URL's user and password are never sent
         if parts.scheme not in _DEFAULT_PORTS or not parts.hostname:
             shown = parts._replace(netloc=authority).geturl()
             raise ValueError(f"{shown!r} is not an http or https URL with a host")
@@ -412,6 +410,8 @@ def run_pipeline(
             return replace(unanswered, error=f"{type(exc).__name__}: {exc}", error_kind=kind)
 
     if backend.max_parallel > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=backend.max_parallel) as pool:
             return list(pool.map(answer_one, pairs))
     return [answer_one(pair) for pair in pairs]
@@ -465,6 +465,8 @@ def _answer_pair(
 
 def dataset_content_hash(path: str | Path) -> str:
     """Git-style blob hash of the dataset file."""
+    import hashlib
+
     data = Path(path).read_bytes()
     return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
 
@@ -485,6 +487,8 @@ def build_run_manifest(
     The backend spec is written whole: it names the auth variable, never
     holds its value. ``config_hash`` covers the four settings as written.
     """
+    import hashlib
+
     settings = {
         "mode": mode,
         "distill_config": to_json(config),

@@ -747,3 +747,28 @@ def test_cli_import_loads_no_http_client():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_start_up_loads_only_what_a_command_runs():
+    # eval imports hashlib and, for max_parallel > 1, the thread pool when it
+    # runs; no command imports the rest. The baseline is the stdlib that the
+    # package itself imports, so a site that preloads a module cannot fail this.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    data = Path(__file__).parent / "data"
+    code = (
+        "import sys, json\n"
+        "import argparse, dataclasses, pathlib, re, typing, threading, urllib.parse\n"
+        "import random, collections, itertools, functools\n"
+        "before = set(sys.modules)\n"
+        "from conceptrag.cli import main\n"
+        "code = main(['distill', sys.argv[1], sys.argv[2]])\n"
+        "unused = {'calendar', 'datetime', 'string', 'hashlib', 'concurrent.futures', 'logging'}\n"
+        "print(json.dumps([code, sorted(unused & (set(sys.modules) - before))]))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(data / "table_a1.amr"), str(data / "table_a1.txt")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [EXIT_OK, []]

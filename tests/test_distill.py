@@ -124,6 +124,18 @@ class TestHandleDate:
         node = parse_amr("(d / date-entity)").nodes["d"]
         assert handle_date(node) is None
 
+    def test_month_names_are_english_whatever_the_locale(self, monkeypatch):
+        # calendar.month_name follows LC_TIME, which an embedding caller may set
+        import calendar
+
+        monkeypatch.setattr(calendar, "month_name", [""] + [f"Monat{i}" for i in range(1, 13)])
+        names = [
+            handle_date(parse_amr(f"(d / date-entity :month {m})").nodes["d"]).text
+            for m in range(1, 13)
+        ]
+        assert names == ["January", "February", "March", "April", "May", "June", "July",
+                         "August", "September", "October", "November", "December"]
+
 
 class TestConceptFormat:
     TABLE_A1_LABELS = [

@@ -547,6 +547,13 @@ class TestParseClient:
         assert record.error is not None
         assert not record.correct
 
+    def test_unparsable_endpoint_is_a_backend_failure(self):
+        # urlsplit rejects the unclosed IPv6 bracket; the error names the endpoint
+        pair = QadPair("q", ("violin",), (SupportDoc("violin solo", True),))
+        [record] = run_pipeline([pair], "concepts", ORACLE, parse_endpoint="http://[::1/x")
+        assert record.error_kind == "backend"
+        assert record.error.startswith("BackendError: parse endpoint request failed: ")
+
 
 class TestPipeline:
     def fixture_pairs(self, fixture_dataset_path, n=4):
@@ -646,6 +653,14 @@ class TestPipeline:
         assert answered.error is None and to_json(answered)["error_kind"] is None
         assert bad_data.error_kind == "data" and "--parse-endpoint" in bad_data.error
         assert outage.error_kind == "backend" and outage.error.startswith("BackendTimeout: ")
+
+    def test_unparsable_endpoint_url_is_a_backend_failure(self, fixture_dataset_path):
+        # urlsplit rejects the unclosed IPv6 bracket; the error names the backend
+        [record] = run_pipeline(
+            self.fixture_pairs(fixture_dataset_path, 1), "vanilla", http_backend("http://[::1/x")
+        )
+        assert record.error_kind == "backend"
+        assert record.error.startswith("BackendError: backend request failed: ")
 
     def test_config_traversal_reaches_every_prompt(self, fixture_dataset_path):
         pairs = load_dataset(fixture_dataset_path)
