@@ -40,28 +40,34 @@ class QadPair:
 
 
 def _pair_from_dict(data, where: str) -> QadPair:
-    def require(ok, message: str) -> None:
-        if not ok:
-            raise DatasetError(f"{where}: {message}")
-
-    require(type(data) is dict, "record must be a JSON object")
+    # each check runs first; its message is formatted only when it fails
+    if type(data) is not dict:
+        raise _invalid(where, "record must be a JSON object")
     for key in ("question", "answers", "docs"):
-        require(key in data, f"missing required field {key!r}")
+        if key not in data:
+            raise _invalid(where, f"missing required field {key!r}")
     answers, docs, s_pop = data["answers"], data["docs"], data.get("s_pop")
-    require(type(data["question"]) is str, "question must be a string")
-    require(
-        type(answers) is list and answers and all(type(a) is str and a for a in answers),
-        "answers must be a non-empty list of non-empty strings",
-    )
-    require(type(s_pop) in (int, type(None)), "s_pop must be an integer or null")
-    require(type(docs) is list and docs, "docs must be a non-empty list of documents")
+    if type(data["question"]) is not str:
+        raise _invalid(where, "question must be a string")
+    if not (type(answers) is list and answers and all(type(a) is str and a for a in answers)):
+        raise _invalid(where, "answers must be a non-empty list of non-empty strings")
+    if type(s_pop) not in (int, type(None)):
+        raise _invalid(where, "s_pop must be an integer or null")
+    if not (type(docs) is list and docs):
+        raise _invalid(where, "docs must be a non-empty list of documents")
     for i, doc in enumerate(docs, start=1):
-        require(type(doc) is dict and type(doc.get("text")) is str and doc["text"],
-                f"doc {i} needs a non-empty string 'text'")
-        require(type(doc.get("hasanswer")) is bool, f"doc {i} needs a boolean 'hasanswer'")
-        require(type(doc.get("amr")) in (str, type(None)), f"doc {i} amr must be a string or null")
+        if not (type(doc) is dict and type(doc.get("text")) is str and doc["text"]):
+            raise _invalid(where, f"doc {i} needs a non-empty string 'text'")
+        if type(doc.get("hasanswer")) is not bool:
+            raise _invalid(where, f"doc {i} needs a boolean 'hasanswer'")
+        if type(doc.get("amr")) not in (str, type(None)):
+            raise _invalid(where, f"doc {i} amr must be a string or null")
     documents = tuple(SupportDoc(d["text"], d["hasanswer"], d.get("amr")) for d in docs)
     return QadPair(data["question"], tuple(answers), documents, s_pop)
+
+
+def _invalid(where: str, message: str) -> DatasetError:
+    return DatasetError(f"{where}: {message}")
 
 
 def load_dataset(path: str | Path) -> list[QadPair]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import NamedTuple
 
-from .penman import AmrGraph, AmrNode, dfs_nodes, split_sentences
+from .penman import AmrGraph, AmrNode, Literal, dfs_nodes, split_sentences
 
 _SENSE_RE = re.compile(r"-[0-9]{2}\Z")
 # one group, so that split() returns the tokens as well as the text between them
@@ -26,6 +26,9 @@ _WORD_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz012
 _MONTH_NAMES = ("January", "February", "March", "April", "May", "June", "July",
                 "August", "September", "October", "November", "December")
 _OP_ROLE_RE = re.compile(r":op([0-9]+)\Z")
+# the roles of a usual name node, in order; any other name takes the full check
+_OP_ROLES = tuple(f":op{i}" for i in range(1, 10))
+_new = tuple.__new__  # builds a Concept without a call to its Python __new__
 
 
 class DistillError(ValueError):
@@ -143,6 +146,10 @@ class DistillConfig:
             raise ValueError(
                 f"distill config key 'seed' must be set for {self.traversal} traversal"
             )
+        if not 0 <= self.idf_threshold <= 1:  # also rejects NaN
+            raise ValueError("distill config key 'idf_threshold' must be from 0 to 1")
+        if self.min_backtrace_overlap < 0:
+            raise ValueError("distill config key 'min_backtrace_overlap' must be at least 0")
         # built once per config, not per document; not a field, so equality,
         # hashing and the JSON form do not see it
         stoplist = (DEFAULT_STOPLIST | set(self.stoplist_add)) - set(self.stoplist_remove)
@@ -171,12 +178,25 @@ def _wiki_value(node: AmrNode) -> str | None:
 
 
 def handle_name(node: AmrNode, sentence_index: int = 1) -> Concept:
-    """Join a name node's :opN literals (ascending N) into one concept."""
+    """Join a name node's :opN literals (ascending N) into one concept. The
+    indices must run 1..N, each once (``:op01`` is index 1)."""
+    attributes = node.attributes
+    texts: list[str] = []
+    for (role, literal), expected in zip(attributes, _OP_ROLES):
+        if role != expected:
+            break
+        texts.append(literal.text)
+    else:
+        if texts and len(texts) == len(attributes):
+            return _new(Concept, (" ".join(texts), "name", sentence_index, None))
     ops: dict[int, str] = {}
-    for role, literal in node.attributes:
+    for role, literal in attributes:
         match = _OP_ROLE_RE.match(role)
         if match:
-            ops[int(match.group(1))] = literal.text
+            n = int(match.group(1))
+            if n in ops:
+                raise DistillError(f"name node {node.variable!r} repeats op index {n}")
+            ops[n] = literal.text
     if 1 not in ops:
         raise DistillError(f"name node {node.variable!r} is missing :op1")
     if sorted(ops) != list(range(1, len(ops) + 1)):
@@ -184,16 +204,17 @@ def handle_name(node: AmrNode, sentence_index: int = 1) -> Concept:
             f"name node {node.variable!r} has non-contiguous op indices {sorted(ops)}"
         )
     text = " ".join(ops[i] for i in range(1, len(ops) + 1))
-    return Concept(text, "name", sentence_index)
+    return _new(Concept, (text, "name", sentence_index, None))
 
 
 def handle_date(node: AmrNode, sentence_index: int = 1) -> Concept | None:
     """Render a date-entity's day/month/year as e.g. '19 April 2024'; bare
     years stay numeric. Returns None when no component is present."""
     parts: list[str] = []
-    day = _int_attribute(node, ":day")
-    month = _int_attribute(node, ":month")
-    year = _int_attribute(node, ":year")
+    first = dict(reversed(node.attributes))  # each role's first literal
+    day = _int_value(node, ":day", first.get(":day"))
+    month = _int_value(node, ":month", first.get(":month"))
+    year = _int_value(node, ":year", first.get(":year"))
     if day is not None:
         if not 1 <= day <= 31:
             raise DistillError(f"date-entity {node.variable!r} has day {day} outside 1-31")
@@ -206,11 +227,10 @@ def handle_date(node: AmrNode, sentence_index: int = 1) -> Concept | None:
         parts.append(str(year))
     if not parts:
         return None
-    return Concept(" ".join(parts), "date", sentence_index)
+    return _new(Concept, (" ".join(parts), "date", sentence_index, None))
 
 
-def _int_attribute(node: AmrNode, role: str) -> int | None:
-    literal = node.attribute(role)
+def _int_value(node: AmrNode, role: str, literal: Literal | None) -> int | None:
     if literal is None:
         return None
     try:
@@ -250,10 +270,11 @@ def _run_stream(graph: AmrGraph, stream: list[tuple[int, str]]) -> list[Concept]
             if role_buffer:
                 concepts.extend(role_buffer)
                 role_buffer = []
-            concepts.append(Concept(instance, "instance", sentence_index))
+            concepts.append(_new(Concept, (instance, "instance", sentence_index, None)))
             continue
         if wiki is not None:
-            role_buffer.append(Concept(wiki.replace("_", " "), "wiki", sentence_index))
+            text = wiki.replace("_", " ")
+            role_buffer.append(_new(Concept, (text, "wiki", sentence_index, None)))
         if instance == "date-entity":
             date = handle_date(node, sentence_index)
             if date is not None:
@@ -289,16 +310,16 @@ def concept_format(
     instance concepts."""
     out: list[Concept] = []
     for concept in concepts:
-        text = concept.text
-        if concept.provenance == "instance":
-            if text in stoplist:
+        label, provenance, sentence_index, span = concept
+        if provenance == "instance":
+            if label in stoplist:
                 continue
-            if text[-3:-2] == "-":  # can end in a sense suffix
-                text = strip_sense(text)
+            if label[-3:-2] == "-":  # can end in a sense suffix
+                text = strip_sense(label)
                 if text in stoplist:
                     continue
-                if text != concept.text:
-                    concept = concept._replace(text=text)
+                if text != label:
+                    concept = _new(Concept, (text, provenance, sentence_index, span))
         out.append(concept)
     return out
 
@@ -363,7 +384,7 @@ def concept_backtrace(
             out.append(concept)
         else:
             text = source_doc[span[0] : span[1]]
-            out.append(Concept(text, concept.provenance, concept.sentence_index, span))
+            out.append(_new(Concept, (text, concept.provenance, concept.sentence_index, span)))
     return out
 
 
@@ -406,7 +427,7 @@ def _backtrace_instance(
     if span is None:
         return concept
     span = None if missed else span
-    return Concept("".join(parts), concept.provenance, concept.sentence_index, span)
+    return _new(Concept, ("".join(parts), concept.provenance, concept.sentence_index, span))
 
 
 def _best_token_match(

@@ -20,7 +20,6 @@ from typing import Iterator, NamedTuple, NoReturn, Union
 
 _VAR_RE = re.compile(r"[a-z][a-z0-9']*\Z")
 _NUMERIC_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?\Z")
-_SNT_ROLE_RE = re.compile(r":snt([0-9]+)\Z")
 
 
 class AmrParseError(ValueError):
@@ -214,9 +213,12 @@ def parse_amr(text: str) -> AmrGraph:
     # (symbol, offset): forward references, or errors that count only once
     # the whole text has parsed
     later: list[tuple[str, int]] = []
-    match = _GRAMMAR_RE.match
+    # each call matches where the last match ended, so m.end() is read only
+    # at a stop. Pattern.scanner is undocumented, though CPython's re has long
+    # had it; it saves a few percent of the parse.
+    match = _GRAMMAR_RE.scanner(text).match
     new = tuple.__new__  # builds a NamedTuple without a call to its Python __new__
-    m = match(text)
+    m = match()
     if m is None or m["variable"] is None or m["close"] or m["role"]:
         _raise_parse_error(text, 0, 0, instances)
     root = m["variable"]
@@ -224,9 +226,10 @@ def parse_amr(text: str) -> AmrGraph:
     attributes[root] = []
     children[root] = []
     stack = [root]  # nodes whose ')' is still to come, innermost last
-    pos = m.end()  # where the next unit starts, or the edge after a run of ')'
+    # the last unit taken whole, and the last unit whose run of ')' was taken
+    last = cut = m
     while True:
-        m = match(text, pos)
+        m = match()
         if m is None:
             break
         run, role, variable, instance, body, symbol, end = m.groups()
@@ -237,7 +240,7 @@ def parse_amr(text: str) -> AmrGraph:
             if closed > len(stack):
                 break
             del stack[len(stack) - closed :]
-            pos = m.end("close")
+            cut = m
         if role is None or not stack:
             break
         source = stack[-1]
@@ -267,8 +270,10 @@ def parse_amr(text: str) -> AmrGraph:
             edge = new(AmrEdge, (source, role, symbol, False))
         edges.append(edge)
         children[source].append(edge)
-        pos = m.end()
+        last = m
     if stack or end is None:
+        # where the rejected unit starts, or the edge after its run of ')'
+        pos = m.end("close") if cut is m else last.end()
         _raise_parse_error(text, pos, len(stack), instances)
     for symbol, offset in later:
         if symbol not in instances:
@@ -365,10 +370,10 @@ def split_sentences(graph: AmrGraph) -> list[str]:
     for edge in graph.children[graph.root]:
         if not edge.role.startswith(":snt"):
             continue
-        match = _SNT_ROLE_RE.match(edge.role)
-        if not match:
+        digits = edge.role[4:]
+        if not (digits.isascii() and digits.isdigit()):
             raise GraphError(f"multi-sentence role {edge.role!r} has a non-numeric index")
-        n = int(match.group(1))
+        n = int(digits)
         if n in roots:
             raise GraphError(f"duplicate sentence role :snt{n}")
         if not edge.defines:

@@ -4,8 +4,10 @@ against.
 
 These are the earlier implementations kept as they were: the
 character-at-a-time lexer, the recursive-descent parser with its per-node
-attribute scan, the linear ``defining_parent`` scan, and the backtrace that
-compares every concept word with every source token. ``distill_concepts``
+attribute scan, the linear ``defining_parent`` scan, the backtrace that
+compares every concept word with every source token, and the name and date
+handlers that read every attribute through a regex or ``node.attribute``
+(the name handler with the repeated-index rule added). ``distill_concepts``
 runs the distillation layer by layer on top of them. They are quadratic or
 recursive on purpose; only their output matters.
 """
@@ -21,8 +23,7 @@ from conceptrag.distill import (
     Concept,
     ConceptSet,
     DistillConfig,
-    handle_date,
-    handle_name,
+    DistillError,
 )
 from conceptrag.penman import AmrEdge, AmrGraph, AmrNode, AmrParseError, Literal
 
@@ -33,6 +34,9 @@ _ALIGNMENT_RE = re.compile(r"[A-Za-z]*\.?[0-9]+(,[0-9]+)*")
 _SYMBOL_END = set(' \t\r\n()"/:~#')
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z0-9]+)*")
 _WORD_CHAR_RE = re.compile(r"[A-Za-z0-9]")
+_OP_ROLE_RE = re.compile(r":op([0-9]+)\Z")
+_MONTH_NAMES = ("January", "February", "March", "April", "May", "June", "July",
+                "August", "September", "October", "November", "December")
 
 
 class Token(NamedTuple):
@@ -388,3 +392,54 @@ def _role_buffer(graph: AmrGraph, stream: list[tuple[int, str]]) -> list[Concept
             if date is not None:
                 buffer.append(date)
     return out + buffer
+
+
+def handle_name(node: AmrNode, sentence_index: int = 1) -> Concept:
+    ops: dict[int, str] = {}
+    for role, literal in node.attributes:
+        match = _OP_ROLE_RE.match(role)
+        if match:
+            n = int(match.group(1))
+            if n in ops:
+                raise DistillError(f"name node {node.variable!r} repeats op index {n}")
+            ops[n] = literal.text
+    if 1 not in ops:
+        raise DistillError(f"name node {node.variable!r} is missing :op1")
+    if sorted(ops) != list(range(1, len(ops) + 1)):
+        raise DistillError(
+            f"name node {node.variable!r} has non-contiguous op indices {sorted(ops)}"
+        )
+    text = " ".join(ops[i] for i in range(1, len(ops) + 1))
+    return Concept(text, "name", sentence_index)
+
+
+def handle_date(node: AmrNode, sentence_index: int = 1) -> Concept | None:
+    parts: list[str] = []
+    day = _int_attribute(node, ":day")
+    month = _int_attribute(node, ":month")
+    year = _int_attribute(node, ":year")
+    if day is not None:
+        if not 1 <= day <= 31:
+            raise DistillError(f"date-entity {node.variable!r} has day {day} outside 1-31")
+        parts.append(str(day))
+    if month is not None:
+        if not 1 <= month <= 12:
+            raise DistillError(f"date-entity {node.variable!r} has month {month} outside 1-12")
+        parts.append(_MONTH_NAMES[month - 1])
+    if year is not None:
+        parts.append(str(year))
+    if not parts:
+        return None
+    return Concept(" ".join(parts), "date", sentence_index)
+
+
+def _int_attribute(node: AmrNode, role: str) -> int | None:
+    literal = node.attribute(role)
+    if literal is None:
+        return None
+    try:
+        return int(literal.text)
+    except ValueError:
+        raise DistillError(
+            f"{node.variable!r} has non-numeric {role} value {literal.text!r}"
+        ) from None

@@ -141,6 +141,15 @@ class TestDistillCommand:
         assert payload[0]["text"] == "Alexander Rinnooy Kan"
         assert payload[0]["span"] == [0, 21]
 
+    def test_json_output_is_pinned(self, capsys):
+        # the whole Table A1 output, byte for byte; CI diffs the installed
+        # console script's output against the same file
+        data = Path(__file__).parent / "data"
+        argv = ["distill", str(data / "table_a1.amr"), str(data / "table_a1.txt"), "--json"]
+        assert main(argv) == EXIT_OK
+        pinned = (data / "table_a1.distill.json").read_bytes().decode("utf-8")
+        assert capsys.readouterr().out == pinned
+
     def test_traversal_without_seed_is_usage_error(
         self, tmp_path, table_a1_penman, table_a1_doc, capsys
     ):
@@ -197,6 +206,9 @@ class TestDistillCommand:
             ('{"traversal": "bogus"}', "unknown traversal kind 'bogus'"),
             ('{"traversal": "global-random"}', "'seed' must be set for global-random traversal"),
             ('{"idf_enabled": true}', "'idf_enabled' works only in eval"),
+            ('{"idf_threshold": -0.5}', "'idf_threshold' must be from 0 to 1"),
+            ('{"idf_threshold": 7}', "'idf_threshold' must be from 0 to 1"),
+            ('{"min_backtrace_overlap": -3}', "'min_backtrace_overlap' must be at least 0"),
         ],
     )
     def test_malformed_config_is_data_error(
@@ -221,6 +233,18 @@ class TestDistillCommand:
         assert main(["distill", str(amr), str(doc)]) == EXIT_DATA
         captured = capsys.readouterr()
         assert captured.err == "error: 'd' has non-numeric :month value 'April'\n"
+        assert captured.out == ""
+
+    # a repeated index kept only its last literal: both names distilled to 'Bo'
+    @pytest.mark.parametrize("second", [":op1", ":op01"])
+    def test_repeated_name_op_is_data_error(self, second, tmp_path, capsys):
+        amr = tmp_path / "g.amr"
+        doc = tmp_path / "d.txt"
+        amr.write_text(f'(p / person :name (n / name :op1 "Ann" {second} "Bo"))')
+        doc.write_text("Ann Bo")
+        assert main(["distill", str(amr), str(doc)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err == "error: name node 'n' repeats op index 1\n"
         assert captured.out == ""
 
     def test_deeply_nested_graph(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""The fast lexer, parser, parent map, backtrace and distillation against
-the straightforward versions in ``bruteforce.py``: same tokens, graphs and
-concepts, or the same error message at the same byte offset."""
+"""The fast lexer, parser, parent map, backtrace, name and date handlers and
+distillation against the straightforward versions in ``bruteforce.py``: same
+tokens, graphs and concepts, or the same error message at the same byte
+offset."""
 
 import random
 import re
@@ -19,8 +20,9 @@ from conceptrag.distill import (
     concept_backtrace,
     distill_concepts,
     handle_date,
+    handle_name,
 )
-from conceptrag.penman import AmrParseError, parse_amr
+from conceptrag.penman import AmrParseError, Literal, parse_amr
 from graphgen import ENTITY_POOL, WORD_POOL, random_penman
 
 # every character the lexer treats specially, unicode whitespace (only
@@ -179,6 +181,57 @@ class TestBacktrace:
     def test_overlap_floor_zero_still_needs_one_character(self):
         [out] = concept_backtrace([Concept("xyz", "instance", 1)], "abc def", min_overlap=0)
         assert out.text == "xyz" and out.source_span is None
+
+
+def handled(handler, node):
+    try:
+        return "ok", handler(node, 3)
+    except ValueError as exc:
+        return "error", type(exc), str(exc)
+
+
+def name_roles(rng):
+    """The roles of a name node: :op indices in order, shuffled, gapped,
+    repeated (also as ``:op01``), from 0 or 2, or past 9, maybe beside a
+    :wiki."""
+    start = rng.choice([0, 1, 1, 1, 2])
+    indices = list(range(start, start + rng.randint(1, 12)))
+    kind = rng.choice(["order", "order", "shuffle", "gap", "repeat"])
+    if kind == "shuffle":
+        rng.shuffle(indices)
+    elif kind == "gap" and len(indices) > 1:
+        del indices[rng.randrange(len(indices))]
+    elif kind == "repeat":
+        indices.insert(rng.randrange(len(indices) + 1), rng.choice(indices))
+    roles = [f":op{i:0{rng.choice([1, 1, 1, 2])}d}" for i in indices]
+    if rng.random() < 0.2:
+        roles.insert(rng.randrange(len(roles) + 1), ":wiki")
+    return roles
+
+
+DATE_VALUES = ["1", "19", "31", "4", "12", "2024", "-44", "0", "32", "13", "+7", "07",
+               '"April"', '"1st"', '""', '" 5"', "2.5"]
+
+
+class TestHandlers:
+    def test_name_nodes_match_reference(self):
+        rng = random.Random(31)
+        for _ in range(3000):
+            roles = name_roles(rng)
+            words = [Literal(rng.choice(WORD_POOL), True).penman() for _ in roles]
+            body = " ".join(f"{role} {word}" for role, word in zip(roles, words))
+            node = parse_amr(f"(n / name {body})").nodes["n"]
+            want = handled(bruteforce.handle_name, node)
+            assert handled(handle_name, node) == want, body
+
+    def test_date_entities_match_reference(self):
+        rng = random.Random(37)
+        for _ in range(3000):
+            roles = rng.choices([":day", ":month", ":year", ":era"], k=rng.randint(0, 5))
+            body = " ".join(f"{role} {rng.choice(DATE_VALUES)}" for role in roles)
+            node = parse_amr(f"(d / date-entity {body})").nodes["d"]
+            want = handled(bruteforce.handle_date, node)
+            assert handled(handle_date, node) == want, body
 
 
 def mentions(graph, rng):

@@ -654,6 +654,13 @@ class TestPipeline:
         assert bad_data.error_kind == "data" and "--parse-endpoint" in bad_data.error
         assert outage.error_kind == "backend" and outage.error.startswith("BackendTimeout: ")
 
+    def test_repeated_name_op_is_a_data_failure(self, fixture_dataset_path):
+        [pair] = self.fixture_pairs(fixture_dataset_path, 1)
+        doc = replace(pair.documents[0], amr='(p / person :name (n / name :op1 "A" :op01 "B"))')
+        [record] = run_pipeline([replace(pair, documents=(doc,))], "concepts", ORACLE)
+        assert record.error_kind == "data"
+        assert record.error == "DistillError: name node 'n' repeats op index 1"
+
     def test_unparsable_endpoint_url_is_a_backend_failure(self, fixture_dataset_path):
         # urlsplit rejects the unclosed IPv6 bracket; the error names the backend
         [record] = run_pipeline(
