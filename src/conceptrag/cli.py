@@ -11,7 +11,6 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -250,7 +249,7 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out) if args.out else Path(args.results_dir)
     tsv = write_report(report, out_dir)
     if args.svg:
-        curves[0] = replace(curves[0], label="run")
+        curves[0] = curves[0]._replace(label="run")
         Path(args.svg).write_text(
             render_accuracy_svg(curves, title="Accuracy vs K"), encoding="utf-8"
         )

@@ -10,23 +10,21 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 
 class DatasetError(ValueError):
     """A dataset file or record is malformed; messages carry line numbers."""
 
 
-@dataclass(frozen=True)
-class SupportDoc:
+class SupportDoc(NamedTuple):
     text: str
     hasanswer: bool
     amr: str | None = None
 
 
-@dataclass(frozen=True)
-class QadPair:
+class QadPair(NamedTuple):
     """One question with its gold answers and K supporting documents."""
 
     question: str

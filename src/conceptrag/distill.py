@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import NamedTuple
 
@@ -101,8 +100,7 @@ class Concept(NamedTuple):
     source_span: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class ConceptSet:
+class ConceptSet(NamedTuple):
     """Ordered concepts distilled from one supporting document."""
 
     concepts: tuple[Concept, ...]
@@ -120,17 +118,7 @@ class ConceptSet:
         return "".join(parts[1:])
 
 
-@dataclass(frozen=True)
-class DistillConfig:
-    """Tunable knobs for distillation, read from a JSON file by
-    :func:`conceptrag.schema.from_json`.
-
-    ``traversal`` orders nodes within the traversal: depth-first, shuffled
-    per sentence, or shuffled across the whole document. Random orders are
-    fully determined by ``seed``. ``idf_enabled`` makes an eval run drop
-    words found in more than ``idf_threshold`` of its documents.
-    """
-
+class _DistillConfigFields(NamedTuple):
     stoplist_add: tuple[str, ...] = ()
     stoplist_remove: tuple[str, ...] = ()
     idf_threshold: float = 0.5
@@ -139,7 +127,20 @@ class DistillConfig:
     traversal: str = "dfs"
     seed: int | None = None
 
-    def __post_init__(self):
+
+class DistillConfig(_DistillConfigFields):
+    """Tunable knobs for distillation, read from a JSON file by
+    :func:`conceptrag.schema.from_json`.
+
+    ``traversal`` orders nodes within the traversal: depth-first, shuffled
+    per sentence, or shuffled across the whole document. Random orders are
+    fully determined by ``seed``. ``idf_enabled`` makes an eval run drop
+    words found in more than ``idf_threshold`` of its documents. Only the
+    constructor checks the values and builds the stoplist; ``_replace`` skips it.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.traversal not in TRAVERSAL_KINDS:
             raise ValueError(f"distill config has unknown traversal kind {self.traversal!r}")
         if self.traversal != "dfs" and self.seed is None:
@@ -150,10 +151,10 @@ class DistillConfig:
             raise ValueError("distill config key 'idf_threshold' must be from 0 to 1")
         if self.min_backtrace_overlap < 0:
             raise ValueError("distill config key 'min_backtrace_overlap' must be at least 0")
-        # built once per config, not per document; not a field, so equality,
-        # hashing and the JSON form do not see it
-        stoplist = (DEFAULT_STOPLIST | set(self.stoplist_add)) - set(self.stoplist_remove)
-        object.__setattr__(self, "_stoplist", stoplist)
+        # built once per config, not per document; an attribute, not a field,
+        # so equality, hashing and the JSON form do not see it
+        self._stoplist = (DEFAULT_STOPLIST | set(self.stoplist_add)) - set(self.stoplist_remove)
+        return self
 
     def stoplist(self) -> frozenset[str]:
         return self._stoplist
@@ -231,14 +232,14 @@ def handle_date(node: AmrNode, sentence_index: int = 1) -> Concept | None:
 
 
 def _int_value(node: AmrNode, role: str, literal: Literal | None) -> int | None:
+    """A date part's ASCII digits as a number; only a year may take a sign."""
     if literal is None:
         return None
-    try:
-        return int(literal.text)
-    except ValueError:
-        raise DistillError(
-            f"{node.variable!r} has non-numeric {role} value {literal.text!r}"
-        ) from None
+    text = literal.text
+    digits = text[1:] if role == ":year" and text.startswith(("+", "-")) else text
+    if not (digits.isascii() and digits.isdigit()):  # int() takes "1_999" and "٣"
+        raise DistillError(f"{node.variable!r} has non-numeric {role} value {text!r}")
+    return int(text)
 
 
 # --- traversal state machine

@@ -10,9 +10,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .ragpipe import PipelineRecord
@@ -26,16 +25,21 @@ class MetricsError(ValueError):
     """Invalid metric input (e.g. a curve missing points inside an interval)."""
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed integer interval of document counts."""
-
+class _IntervalFields(NamedTuple):
     x_s: int
     x_e: int
 
-    def __post_init__(self):
+
+class Interval(_IntervalFields):
+    """Closed integer interval of document counts, checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.x_s >= self.x_e:
             raise ValueError(f"interval start {self.x_s} must be below end {self.x_e}")
+        return self
 
     @property
     def name(self) -> str:
@@ -65,21 +69,25 @@ def parse_interval(text: str) -> Interval:
         raise MetricsError(f"invalid interval {text!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class EvalCurve:
-    """Accuracy (percent) per document count K."""
-
+class _EvalCurveFields(NamedTuple):
     points: dict[int, float]
     label: str = ""
 
-    def __post_init__(self):
+
+class EvalCurve(_EvalCurveFields):
+    """Accuracy (percent) per document count K, checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for k, acc in self.points.items():
             if k < 1 or not 0.0 <= acc <= 100.0:
                 raise ValueError(f"invalid curve point K={k}, Acc={acc}")
+        return self
 
 
-@dataclass(frozen=True)
-class IntgReport:
+class IntgReport(NamedTuple):
     intg: float
     interval: Interval
     delta: float | None = None

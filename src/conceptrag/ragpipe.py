@@ -13,8 +13,8 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import unquote, urlsplit
 
 from . import metrics
@@ -62,17 +62,7 @@ class BackendProtocolError(BackendError):
     retryable = False
 
 
-@dataclass(frozen=True)
-class LlmBackendSpec:
-    """Declarative description of an answer-producing backend.
-
-    ``http-chat`` posts to an OpenAI-compatible chat-completions endpoint
-    (bearer token read from the environment variable named by ``auth_env``).
-    ``stub`` answers deterministically: the ``echo-facts`` policy returns the
-    prompt's facts segment, ``oracle-substring`` returns the first gold
-    answer found verbatim in the prompt, else "unknown".
-    """
-
+class _LlmBackendSpecFields(NamedTuple):
     kind: str  # 'http-chat' | 'stub'
     endpoint_url: str = ""
     model: str = ""
@@ -84,7 +74,22 @@ class LlmBackendSpec:
     retries: int = 0
     policy: str = "oracle-substring"
 
-    def __post_init__(self):
+
+class LlmBackendSpec(_LlmBackendSpecFields):
+    """Declarative description of an answer-producing backend.
+
+    ``http-chat`` posts to an OpenAI-compatible chat-completions endpoint
+    (bearer token read from the environment variable named by ``auth_env``).
+    ``stub`` answers deterministically: the ``echo-facts`` policy returns the
+    prompt's facts segment, ``oracle-substring`` returns the first gold
+    answer found verbatim in the prompt, else "unknown". The constructor
+    checks the values; ``_replace`` skips the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("http-chat", "stub"):
             raise ValueError(
                 f"backend spec key 'kind' must be 'http-chat' or 'stub', not {self.kind!r}"
@@ -107,6 +112,7 @@ class LlmBackendSpec:
             raise ValueError("backend spec key 'max_tokens' must be at least 1")
         if self.retries < 0:
             raise ValueError("backend spec key 'retries' must be at least 0")
+        return self
 
     @property
     def label(self) -> str:
@@ -115,8 +121,7 @@ class LlmBackendSpec:
         return f"http:{self.model or self.endpoint_url}"
 
 
-@dataclass(slots=True, kw_only=True)
-class PipelineRecord:
+class PipelineRecord(NamedTuple):
     """Outcome of one question, as one entry of ``records.json``: the prompt
     sent, the raw answer, latency, whether it matched a gold answer, the
     whitespace-split word counts of the documents before and after
@@ -125,17 +130,18 @@ class PipelineRecord:
 
     question: str = ""
     gold_answers: tuple[str, ...] = ()
-    k: int
+    k: int = 0
     mode: str = ""
     backend: str = ""
     prompt: str = ""
     raw_answer: str = ""
     latency_ms: float = 0.0
-    correct: bool
+    correct: bool = False
     original_words: int = 0
     compressed_words: int = 0
     error: str | None = None
     error_kind: str | None = None
+    _required = ("k", "correct")  # for from_json; the defaults only keep the key order
 
 
 # --- prompts -----------------------------------------------------------------
@@ -407,7 +413,7 @@ def run_pipeline(
             return _answer_pair(unanswered, pair, mode, backend, config, common, parse_endpoint)
         except (BackendError, ValueError) as exc:
             kind = "backend" if isinstance(exc, BackendError) else "data"
-            return replace(unanswered, error=f"{type(exc).__name__}: {exc}", error_kind=kind)
+            return unanswered._replace(error=f"{type(exc).__name__}: {exc}", error_kind=kind)
 
     if backend.max_parallel > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -450,8 +456,7 @@ def _answer_pair(
 
     prompt = fact_prompt_from_strings(doc_strings, pair.question)
     answer, latency = query_llm(backend, prompt, pair.gold_answers)
-    return replace(
-        unanswered,
+    return unanswered._replace(
         prompt=prompt,
         raw_answer=answer,
         latency_ms=latency + compress_latency,

@@ -1,11 +1,10 @@
-"""One loader for the JSON objects the CLI reads into dataclasses:
+"""One loader for the JSON objects the CLI reads into NamedTuples:
 ``records.json`` entries, distill configs and backend specs."""
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import MISSING, fields
 
 from .corpus import DatasetError
 
@@ -22,41 +21,49 @@ _JSON_TYPES = {
 
 
 @functools.cache
-def _rules(cls: type) -> tuple[dict, dict, tuple, tuple]:
-    """Per field its JSON types and their wording; the list and required fields."""
-    types = {f.name: _JSON_TYPES[f.type][0] for f in fields(cls)}
-    wording = {f.name: _JSON_TYPES[f.type][1] for f in fields(cls)}
+def _rules(cls: type) -> tuple[dict, dict, tuple, tuple, tuple]:
+    """Per field its JSON types and their wording; the list and required fields; the defaults."""
+    # a checked type subclasses the NamedTuple of its fields, which keeps a
+    # postponed annotation as a typing.ForwardRef
+    hints = cls.__annotations__ or cls.__base__.__annotations__
+    texts = {name: getattr(hint, "__forward_arg__", hint) for name, hint in hints.items()}
+    types = {name: _JSON_TYPES[text][0] for name, text in texts.items()}
+    wording = {name: _JSON_TYPES[text][1] for name, text in texts.items()}
     lists = tuple(key for key, allowed in types.items() if list in allowed)
-    required = tuple(f.name for f in fields(cls) if f.default is MISSING)
-    return types, wording, lists, required
+    defaults = tuple(map(cls._field_defaults.get, cls._fields))
+    required = getattr(cls, "_required", ()) or tuple(
+        name for name in cls._fields if name not in cls._field_defaults)
+    return types, wording, lists, required, defaults
 
 
 def from_json(cls: type, data, kind: str):
     """Build a ``cls`` from one parsed JSON value. Each field's annotation
     picks the JSON values it takes from ``_JSON_TYPES``: JSON ``true`` is not
     an integer, a number may be an integer, and a list of strings becomes a
-    tuple, in ``data`` itself. Fields without a default are required. Any
-    malformed input raises :class:`DatasetError` naming ``kind`` and the key."""
-    types, wording, lists, required = _rules(cls)
+    tuple, in ``data`` itself. The fields named in ``cls._required``, else
+    those without a default, are required. Any malformed input raises
+    :class:`DatasetError` naming ``kind`` and the key."""
+    types, wording, lists, required, defaults = _rules(cls)
     if type(data) is not dict:
         raise DatasetError(f"{kind} must be a JSON object, not {json.dumps(data)[:40]}")
     try:
         for key, value in data.items():
             if type(value) not in types[key]:
                 raise _mistyped(kind, key, wording[key], value)
-        for key in lists:
-            value = data.get(key)
-            if type(value) is list:
-                if not all(map(str.__instancecheck__, value)):  # map: no generator per value
-                    raise _mistyped(kind, key, wording[key], value)
-                data[key] = tuple(value)
-        return cls(**data)
     except KeyError:
         unknown = ", ".join(sorted(set(data) - types.keys()))
         raise DatasetError(f"{kind} has unknown keys: {unknown}") from None
-    except TypeError:  # every key is known and well typed, so a required one is missing
-        missing = ", ".join(key for key in required if key not in data)
-        raise DatasetError(f"{kind} is missing required keys: {missing}") from None
+    for key in lists:
+        value = data.get(key)
+        if type(value) is list:
+            if not all(map(str.__instancecheck__, value)):  # map: no generator per value
+                raise _mistyped(kind, key, wording[key], value)
+            data[key] = tuple(value)
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise DatasetError(f"{kind} is missing required keys: {', '.join(missing)}")
+    # positional: faster than keywords for a 13-field record, and still checked
+    return cls(*map(data.get, cls._fields, defaults))
 
 
 def _mistyped(kind: str, key: str, wording: str, value) -> DatasetError:
@@ -64,5 +71,6 @@ def _mistyped(kind: str, key: str, wording: str, value) -> DatasetError:
 
 
 def to_json(obj) -> dict:
-    """The inverse of :func:`from_json`, for ``json.dump`` (which writes tuples as lists)."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    """The inverse of :func:`from_json`, for ``json.dump``, which would write
+    the NamedTuple itself as a list (and writes its tuple values as lists)."""
+    return obj._asdict()

@@ -437,9 +437,8 @@ def _int_attribute(node: AmrNode, role: str) -> int | None:
     literal = node.attribute(role)
     if literal is None:
         return None
-    try:
-        return int(literal.text)
-    except ValueError:
+    if not re.fullmatch(r"[+-]?[0-9]+" if role == ":year" else r"[0-9]+", literal.text):
         raise DistillError(
             f"{node.variable!r} has non-numeric {role} value {literal.text!r}"
-        ) from None
+        )
+    return int(literal.text)

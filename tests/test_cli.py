@@ -225,14 +225,20 @@ class TestDistillCommand:
         assert captured.err.startswith("error: distill config ") and key in captured.err
         assert captured.out == ""
 
-    def test_non_numeric_date_value_is_data_error(self, tmp_path, capsys):
+    # int() read the second graph as 3 1999: date parts are ASCII digits
+    @pytest.mark.parametrize(
+        "graph, value",
+        [('(d / date-entity :month "April")', ":month value 'April'"),
+         ('(d / date-entity :year "1_999" :day "٣")', ":day value '٣'")],
+    )
+    def test_non_numeric_date_value_is_data_error(self, graph, value, tmp_path, capsys):
         amr = tmp_path / "g.amr"
         doc = tmp_path / "d.txt"
-        amr.write_text('(d / date-entity :month "April")')
-        doc.write_text("It rained in April.")
+        amr.write_text(graph, encoding="utf-8")
+        doc.write_text("It rained in April 1999.")
         assert main(["distill", str(amr), str(doc)]) == EXIT_DATA
         captured = capsys.readouterr()
-        assert captured.err == "error: 'd' has non-numeric :month value 'April'\n"
+        assert captured.err == f"error: 'd' has non-numeric {value}\n"
         assert captured.out == ""
 
     # a repeated index kept only its last literal: both names distilled to 'Bo'
@@ -773,25 +779,39 @@ def test_cli_import_loads_no_http_client():
     assert result.stdout.strip() == "[]"
 
 
-def test_cli_start_up_loads_only_what_a_command_runs():
+@pytest.mark.parametrize("command", ["distill", "eval", "report"])
+def test_cli_start_up_loads_only_what_a_command_runs(
+    command, tmp_path, fixture_dataset_path, stub_backend_file
+):
     # eval imports hashlib and, for max_parallel > 1, the thread pool when it
-    # runs; no command imports the rest. The baseline is the stdlib that the
-    # package itself imports, so a site that preloads a module cannot fail this.
+    # runs; no command imports the rest, nor what dataclasses would load. The
+    # baseline is the stdlib that the package itself imports, so a site that
+    # preloads a module cannot fail this.
     src = str(Path(__file__).resolve().parents[1] / "src")
     data = Path(__file__).parent / "data"
+    unused = {"calendar", "datetime", "string", "hashlib", "concurrent.futures", "logging",
+              "dataclasses", "inspect", "ast", "dis", "tokenize"}
+    if command == "distill":
+        argv = ["distill", str(data / "table_a1.amr"), str(data / "table_a1.txt")]
+    elif command == "eval":
+        argv = ["eval", str(fixture_dataset_path), "--backend", stub_backend_file,
+                "--mode", "concepts", "--out", str(tmp_path / "run")]
+        unused.remove("hashlib")
+    else:
+        argv = ["report", str(run_eval(tmp_path, fixture_dataset_path, stub_backend_file))]
     code = (
         "import sys, json\n"
-        "import argparse, dataclasses, pathlib, re, typing, threading, urllib.parse\n"
+        "import argparse, pathlib, re, typing, threading, urllib.parse\n"
         "import random, collections, itertools, functools\n"
         "before = set(sys.modules)\n"
         "from conceptrag.cli import main\n"
-        "code = main(['distill', sys.argv[1], sys.argv[2]])\n"
-        "unused = {'calendar', 'datetime', 'string', 'hashlib', 'concurrent.futures', 'logging'}\n"
+        "code = main(sys.argv[2:])\n"
+        "unused = set(json.loads(sys.argv[1]))\n"
         "print(json.dumps([code, sorted(unused & (set(sys.modules) - before))]))"
     )
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
-        [sys.executable, "-c", code, str(data / "table_a1.amr"), str(data / "table_a1.txt")],
+        [sys.executable, "-c", code, json.dumps(sorted(unused)), *argv],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr

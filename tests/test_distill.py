@@ -120,6 +120,19 @@ class TestHandleDate:
         with pytest.raises(DistillError, match="day"):
             handle_date(node)
 
+    # int() read these as 1999, 3, 5 and 4
+    @pytest.mark.parametrize(
+        "role, value", [(":year", '"1_999"'), (":day", '"٣"'), (":day", "+5"), (":month", '" 4"')]
+    )
+    def test_date_parts_must_be_ascii_digits(self, role, value):
+        node = parse_amr(f"(d / date-entity {role} {value})").nodes["d"]
+        with pytest.raises(DistillError, match=f"non-numeric {role} value"):
+            handle_date(node)
+
+    def test_only_a_year_takes_a_sign(self):
+        node = parse_amr("(d / date-entity :month 4 :year -44)").nodes["d"]
+        assert handle_date(node).text == "April -44"
+
     def test_empty_date_entity_yields_nothing(self):
         node = parse_amr("(d / date-entity)").nodes["d"]
         assert handle_date(node) is None

@@ -210,7 +210,7 @@ def name_roles(rng):
 
 
 DATE_VALUES = ["1", "19", "31", "4", "12", "2024", "-44", "0", "32", "13", "+7", "07",
-               '"April"', '"1st"', '""', '" 5"', "2.5"]
+               '"April"', '"1st"', '""', '" 5"', "2.5", '"1_999"', '"٣"', "+1999"]
 
 
 class TestHandlers:

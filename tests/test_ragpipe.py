@@ -9,7 +9,6 @@ import ssl
 import threading
 import time
 import zlib
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -646,7 +645,7 @@ class TestPipeline:
 
     def test_error_kind_says_what_failed(self, fixture_dataset_path):
         pair, other = self.fixture_pairs(fixture_dataset_path, 2)
-        no_amr = replace(other, documents=tuple(replace(d, amr=None) for d in other.documents))
+        no_amr = other._replace(documents=tuple(d._replace(amr=None) for d in other.documents))
         answered, bad_data = run_pipeline([pair, no_amr], "concepts", ORACLE)
         down = http_backend("http://127.0.0.1:9/x", timeout_s=0.5)
         [outage] = run_pipeline([pair], "vanilla", down)
@@ -656,10 +655,17 @@ class TestPipeline:
 
     def test_repeated_name_op_is_a_data_failure(self, fixture_dataset_path):
         [pair] = self.fixture_pairs(fixture_dataset_path, 1)
-        doc = replace(pair.documents[0], amr='(p / person :name (n / name :op1 "A" :op01 "B"))')
-        [record] = run_pipeline([replace(pair, documents=(doc,))], "concepts", ORACLE)
+        doc = pair.documents[0]._replace(amr='(p / person :name (n / name :op1 "A" :op01 "B"))')
+        [record] = run_pipeline([pair._replace(documents=(doc,))], "concepts", ORACLE)
         assert record.error_kind == "data"
         assert record.error == "DistillError: name node 'n' repeats op index 1"
+
+    def test_non_ascii_date_digits_are_a_data_failure(self, fixture_dataset_path):
+        [pair] = self.fixture_pairs(fixture_dataset_path, 1)
+        doc = pair.documents[0]._replace(amr='(d / date-entity :year "1_999")')
+        [record] = run_pipeline([pair._replace(documents=(doc,))], "concepts", ORACLE)
+        assert record.error_kind == "data"
+        assert record.error == "DistillError: 'd' has non-numeric :year value '1_999'"
 
     def test_unparsable_endpoint_url_is_a_backend_failure(self, fixture_dataset_path):
         # urlsplit rejects the unclosed IPv6 bracket; the error names the backend
