@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import re
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .corpus import DatasetError, count_by_k, format_stats_tsv, load_dataset, screen_pairs
@@ -57,15 +59,21 @@ def _read_input(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _read_json(path: Path, kind: str):
-    """Parse a JSON file the CLI reads. ``json`` takes ``NaN`` and
-    ``Infinity``, which are not JSON and which no key here can hold."""
+def _json_text(path: Path, kind: str) -> tuple[json.JSONDecoder, str]:
+    """A decoder and a JSON file's text, decoded as ``json.loads`` decodes bytes. The
+    decoder rejects ``NaN`` and ``Infinity``: not JSON, and no key here can hold them."""
 
     def reject(constant: str):
         raise DatasetError(f"{kind} {path} holds {constant}, which is not a JSON number")
 
-    # bytes: no text-mode decoding pass
-    return json.loads(path.read_bytes(), parse_constant=reject)
+    data = path.read_bytes()  # bytes: no text-mode decoding pass
+    text = data.decode(json.detect_encoding(data), "surrogatepass")
+    return json.JSONDecoder(parse_constant=reject), text
+
+
+def _read_json(path: Path, kind: str):
+    decoder, text = _json_text(path, kind)
+    return decoder.decode(text)
 
 
 def _load_distill_config(args) -> DistillConfig:
@@ -199,9 +207,12 @@ def cmd_eval(args) -> int:
     records = run_pipeline(
         pairs, args.mode, backend, config=config, parse_endpoint=args.parse_endpoint
     )
+    # one record per line: json.dump with indent runs the pure-Python encoder
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     with open(out_dir / "records.json", "w", encoding="utf-8") as handle:
-        json.dump([to_json(r) for r in records], handle, indent=2, ensure_ascii=False)
-        handle.write("\n")
+        for n, record in enumerate(records):
+            handle.write(f"{',' if n else '['}\n{encode(to_json(record))}")
+        handle.write("\n]\n" if records else "[]\n")
     manifest = build_run_manifest(
         args.mode, backend, config, args.dataset,
         screen=not args.no_screen, s_pop_max=args.s_pop_max,
@@ -220,18 +231,35 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _load_records(results_dir: str) -> list[PipelineRecord]:
+_SEPARATOR_RE = re.compile(r"[ \t\n\r]*([\[,\]])[ \t\n\r]*")
+
+
+def _load_records(results_dir: str) -> Iterator[PipelineRecord]:
+    """The records of ``results_dir``, read when iteration starts and built one list
+    item at a time by ``json``'s own scanner: the first fault in file order is raised,
+    and at a fault in the list itself the text is decoded whole, for json's message."""
     path = Path(results_dir) / "records.json"
     if not path.exists():
         raise DatasetError(f"no records.json in {results_dir}")
+    decoder, text = _json_text(path, "records file")
     # records hold no cycles: a collection while they are built only costs time
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        records = _read_json(path, "records file")
-        if type(records) is not list:
-            raise DatasetError(f"{path} must hold a JSON list of records")
-        return [from_json(PipelineRecord, data, "record") for data in records]
+        match = _SEPARATOR_RE.match(text)
+        listed = match is not None and match[1] == "["
+        while listed:
+            try:
+                data, end = decoder.scan_once(text, match.end())
+            except StopIteration:  # no value where one must be, or an empty list
+                break
+            yield from_json(PipelineRecord, data, "record")
+            match = _SEPARATOR_RE.match(text, end)
+            if not match or match[1] != ",":
+                break
+        if not listed or not match or match[1] != "]" or match.end() != len(text):
+            if decoder.decode(text) != []:  # raises json's message if it is no JSON
+                raise DatasetError(f"{path} must hold a JSON list of records")
     finally:
         if was_enabled:
             gc.enable()

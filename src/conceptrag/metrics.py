@@ -1,8 +1,8 @@
 """Evaluation metrics: answer accuracy, area-under-curve integration,
 compression ratio, and latency summaries, plus report rendering.
 
-Aggregation is a single-threaded reduction over immutable record lists so
-floating-point summation order is deterministic.
+Aggregation is one single-threaded pass over each run's records, in record
+order, so floating-point summation order is deterministic.
 """
 
 from __future__ import annotations
@@ -111,15 +111,37 @@ def answer_match(candidate: str, gold_answers: list[str]) -> bool:
     return False
 
 
+def _tally(records: Iterable["PipelineRecord"], label="", run="run") -> tuple:
+    """One pass over a run that keeps only sums. Returns its accuracy curve,
+    its latency rows marked with ``run``, and its counts of records, failures,
+    and words before and after compression (failed records left out)."""
+    original = compressed = 0
+    per_k: dict[tuple[int, bool], int] = {}
+    groups: dict[tuple[str, str], list[float]] = {}
+    for _, _, k, mode, backend, _, _, latency_ms, correct, words, kept, error, _ in records:
+        per_k[k, correct] = per_k.get((k, correct), 0) + 1
+        if not error:
+            original += words
+            compressed += kept
+            groups.setdefault((backend, mode), []).append(latency_ms)
+    totals: dict[int, int] = {}
+    for (k, _), count in per_k.items():
+        totals[k] = totals.get(k, 0) + count
+    curve = EvalCurve({k: 100.0 * per_k.get((k, True), 0) / n for k, n in totals.items()}, label)
+    rows = []
+    for (backend, mode), latencies in sorted(groups.items()):
+        mean = sum(latencies) / len(latencies)  # summed in record order
+        latencies.sort()
+        rows.append({"run": run, "backend": backend, "mode": mode, "count": len(latencies),
+                     "mean_ms": mean, "p50_ms": _nearest_rank(latencies, 50),
+                     "p95_ms": _nearest_rank(latencies, 95)})
+    count = sum(totals.values())
+    return curve, rows, count, count - sum(map(len, groups.values())), original, compressed
+
+
 def accuracy_curve(records: Iterable["PipelineRecord"], label: str = "") -> EvalCurve:
     """Per-K accuracy: 100 x correct / total among pairs with that K."""
-    totals: dict[int, int] = {}
-    correct: dict[int, int] = {}
-    for record in records:
-        totals[record.k] = totals.get(record.k, 0) + 1
-        correct[record.k] = correct.get(record.k, 0) + (1 if record.correct else 0)
-    points = {k: 100.0 * correct[k] / totals[k] for k in totals}
-    return EvalCurve(points=points, label=label)
+    return _tally(records, label)[0]
 
 
 def integrate(
@@ -170,47 +192,31 @@ def _nearest_rank(ordered: list[float], q: float) -> float:
 
 
 def latency_summary(records: Iterable["PipelineRecord"]) -> list[dict]:
-    """Mean/p50/p95 latency in ms per (backend, mode) group. Failed records
-    are left out: their latency is 0, not the time they took."""
-    groups: dict[tuple[str, str], list[float]] = {}
-    for record in records:
-        if not record.error:
-            groups.setdefault((record.backend, record.mode), []).append(record.latency_ms)
-    rows = []
-    for (backend, mode), latencies in sorted(groups.items()):
-        mean = sum(latencies) / len(latencies)  # summed in record order
-        latencies.sort()
-        rows.append(
-            {
-                "backend": backend,
-                "mode": mode,
-                "count": len(latencies),
-                "mean_ms": mean,
-                "p50_ms": _nearest_rank(latencies, 50),
-                "p95_ms": _nearest_rank(latencies, 95),
-            }
-        )
-    return rows
+    """Mean/p50/p95 latency in ms per (backend, mode) group, each row marked as
+    the ``"run"``. Failed records are left out: their latency is 0, not the time they took."""
+    return _tally(records)[1]
 
 
 # --- report assembly ---------------------------------------------------------
 
 
 def build_report(
-    records: list["PipelineRecord"],
+    records: Iterable["PipelineRecord"],
     intervals: list[Interval],
-    baseline_records: list["PipelineRecord"] | None = None,
+    baseline_records: Iterable["PipelineRecord"] | None = None,
     label: str = "run",
 ) -> tuple[dict, list[EvalCurve]]:
     """Aggregate a run (optionally against a baseline run) into one report
     structure with per-K accuracy, Intg (and delta) per interval, the
-    word-level compression ratio, and the latency table. Failed records count
-    as wrong answers but are left out of the ratio and the latency table.
+    word-level compression ratio, and the latency table, whose rows keep the
+    two runs apart. Failed records count as wrong answers but are left out of
+    the ratio and the latency table. Each run is read once, front to back.
     Also returns the accuracy curves: the run's, then the baseline's."""
-    curve = accuracy_curve(records, label=label)
-    baseline_curve = (
-        accuracy_curve(baseline_records, label="baseline") if baseline_records else None
-    )
+    curve, latency, count, errors, original, compressed = _tally(records, label)
+    baseline_curve, baseline_latency, *_ = _tally(baseline_records or (), "baseline", "baseline")
+    baseline_curve = baseline_curve if baseline_curve.points else None
+    # sorted as one table; the sort is stable, so a run's row precedes its baseline's
+    latency = sorted(latency + baseline_latency, key=lambda row: (row["backend"], row["mode"]))
     intg_rows = []
     for interval in intervals:
         try:
@@ -223,19 +229,14 @@ def build_report(
             row["delta"] = report.delta
         intg_rows.append(row)
 
-    answered = [r for r in records if not r.error]
-    originals = [r.original_words for r in answered]
-    compressed = [r.compressed_words for r in answered]
-    ratio = compression_ratio(originals, compressed) if sum(originals) else None
-
     report = {
         "label": label,
-        "records": len(records),
-        "errors": sum(1 for r in records if r.error),
+        "records": count,
+        "errors": errors,
         "accuracy_per_k": {str(k): curve.points[k] for k in sorted(curve.points)},
         "intg": intg_rows,
-        "compression_ratio": ratio,
-        "latency": latency_summary(records + (baseline_records or [])),
+        "compression_ratio": compression_ratio([original], [compressed]) if original else None,
+        "latency": latency,
     }
     return report, [curve, baseline_curve] if baseline_curve else [curve]
 
@@ -255,10 +256,10 @@ def render_report_tsv(report: dict) -> str:
             lines.append(f"{row['interval']}\t{row['intg']:.2f}\t{delta}")
     if report["compression_ratio"] is not None:
         lines.append(f"compression_ratio\t{report['compression_ratio']:.2f}")
-    lines.append("backend\tmode\tcount\tmean_ms\tp50_ms\tp95_ms")
+    lines.append("run\tbackend\tmode\tcount\tmean_ms\tp50_ms\tp95_ms")
     for row in report["latency"]:
         lines.append(
-            f"{row['backend']}\t{row['mode']}\t{row['count']}"
+            f"{row['run']}\t{row['backend']}\t{row['mode']}\t{row['count']}"
             f"\t{row['mean_ms']:.2f}\t{row['p50_ms']:.2f}\t{row['p95_ms']:.2f}"
         )
     return "\n".join(lines) + "\n"

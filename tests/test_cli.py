@@ -391,6 +391,26 @@ class TestEvalAndReport:
         assert svg_path.read_text().startswith("<svg")
         assert "run</text>" in svg_path.read_text() and "baseline</text>" in svg_path.read_text()
 
+    def test_latency_rows_keep_the_two_runs_apart(
+        self, tmp_path, fixture_dataset_path, stub_backend_file, capsys
+    ):
+        # the traversal ablation: both runs are concepts runs on one backend
+        dfs = run_eval(tmp_path / "dfs", fixture_dataset_path, stub_backend_file)
+        extra = ["--traversal", "local-random", "--seed", "11"]
+        local = run_eval(tmp_path / "local", fixture_dataset_path, stub_backend_file, extra=extra)
+        capsys.readouterr()
+        assert main(["report", str(dfs), "--baseline", str(local)]) == EXIT_OK
+        rows = json.loads((dfs / "report.json").read_text())["latency"]
+        assert [(row["run"], row["mode"], row["count"]) for row in rows] == [
+            ("run", "concepts", 20), ("baseline", "concepts", 20)
+        ]
+        tsv = capsys.readouterr().out.splitlines()
+        assert tsv[-3] == "run\tbackend\tmode\tcount\tmean_ms\tp50_ms\tp95_ms"
+        assert [line.split("\t")[:4] for line in tsv[-2:]] == [
+            ["run", "stub:oracle-substring", "concepts", "20"],
+            ["baseline", "stub:oracle-substring", "concepts", "20"],
+        ]
+
     def test_report_with_a_custom_interval(
         self, tmp_path, fixture_dataset_path, stub_backend_file, capsys
     ):

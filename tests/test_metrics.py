@@ -238,6 +238,9 @@ class TestLatency:
             ("stub", "vanilla"), ("stub", "concepts"), ("http:m", "concepts"),
         }
 
+    def test_rows_are_marked_as_the_run(self):
+        assert [row["run"] for row in latency_summary([view()])] == ["run"]
+
     def test_summary_percentiles_of_unordered_latencies(self):
         rng = random.Random(3)
         values = [rng.uniform(0, 100) for _ in range(101)]
@@ -290,6 +293,40 @@ class TestReport:
         ]
         report, _ = build_report(records, [NORMAL_INTERVAL], baseline_records=baseline)
         assert report["intg"][0]["delta"] == pytest.approx(report["intg"][0]["intg"])
+
+    def test_latency_rows_keep_the_two_runs_apart(self):
+        # a run and its baseline that share (backend, mode), as in a traversal ablation
+        records = self.make_records()
+        baseline = [r._replace(latency_ms=100.0) for r in records]
+        report, _ = build_report(iter(records), [NORMAL_INTERVAL], iter(baseline))
+        baseline_rows = [{**row, "run": "baseline"} for row in latency_summary(baseline)]
+        assert report["latency"] == [*latency_summary(records), *baseline_rows]
+        assert [(row["run"], row["count"]) for row in report["latency"]] == [
+            ("run", 40), ("baseline", 40)
+        ]
+        assert report["latency"][1]["mean_ms"] == 100.0
+
+    def test_rows_of_both_runs_are_sorted_by_backend_and_mode(self):
+        records = [view(backend="stub", mode="vanilla"), view(backend="a", mode="concepts")]
+        baseline = [view(backend="stub", mode="concepts"), view(backend="stub", mode="vanilla")]
+        report, _ = build_report(records, [NORMAL_INTERVAL], baseline)
+        assert [(row["run"], row["backend"], row["mode"]) for row in report["latency"]] == [
+            ("run", "a", "concepts"), ("baseline", "stub", "concepts"),
+            ("run", "stub", "vanilla"), ("baseline", "stub", "vanilla"),
+        ]
+
+    def test_each_run_is_read_once(self):
+        reads = []
+
+        def once(records, name):
+            reads.append(name)
+            yield from records
+
+        records = self.make_records()
+        report, curves = build_report(once(records, "run"), [NORMAL_INTERVAL],
+                                      once(records, "baseline"))
+        assert reads == ["run", "baseline"]
+        assert report["records"] == 40 and curves[1] == accuracy_curve(records, "baseline")
 
     def test_failed_records_leave_ratio_and_latency_unchanged(self):
         records = self.make_records()
