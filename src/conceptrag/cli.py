@@ -12,6 +12,7 @@ import gc
 import json
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
@@ -57,6 +58,19 @@ def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text(encoding="utf-8")
+
+
+@contextmanager
+def _collector_off() -> Iterator[None]:
+    """Keep the cyclic collector off, then restore its previous state. A collection
+    while a graph or records are built only walks objects that are still in use."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _json_text(path: Path, kind: str) -> tuple[json.JSONDecoder, str]:
@@ -110,8 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_parse.add_argument("--out", help="write graph.json into this directory")
 
     p_distill = sub.add_parser("distill", parents=[distill_opts], help="distill concepts")
-    p_distill.add_argument("penman_file", help="PENMAN graph file")
-    p_distill.add_argument("source_file", help="source document text file")
+    p_distill.add_argument("penman_file", help="PENMAN graph file, or - for stdin")
+    p_distill.add_argument(
+        "source_file", help="source document text file, or - for stdin (not both)"
+    )
     p_distill.add_argument("--json", action="store_true", help="emit JSON with spans")
 
     p_stats = sub.add_parser("stats", parents=[screen_opts], help="dataset counts per K")
@@ -154,13 +170,15 @@ def cmd_parse(args) -> int:
 
 
 def cmd_distill(args) -> int:
+    if args.penman_file == args.source_file == "-":
+        raise _UsageError("penman_file and source_file cannot both be - (stdin)")
     config = _load_distill_config(args)
     if config.idf_enabled:  # common words are counted over an eval run's documents
         raise DatasetError("distill config key 'idf_enabled' works only in eval: "
                            "one document is no corpus")
-    graph = parse_amr(_read_input(args.penman_file))
-    source = _read_input(args.source_file)
-    concept_set = distill_concepts(graph, source, config=config)
+    with _collector_off():
+        graph = parse_amr(_read_input(args.penman_file))
+        concept_set = distill_concepts(graph, _read_input(args.source_file), config=config)
     if args.json:
         payload = [
             {
@@ -172,9 +190,8 @@ def cmd_distill(args) -> int:
             for c in concept_set.concepts
         ]
         print(json.dumps(payload, indent=2, ensure_ascii=False))
-    else:
-        for concept in concept_set.concepts:
-            print(concept.text)
+    else:  # one write, not a print per concept
+        sys.stdout.write("".join([text + "\n" for text in concept_set.texts()]))
     return EXIT_OK
 
 
@@ -242,10 +259,7 @@ def _load_records(results_dir: str) -> Iterator[PipelineRecord]:
     if not path.exists():
         raise DatasetError(f"no records.json in {results_dir}")
     decoder, text = _json_text(path, "records file")
-    # records hold no cycles: a collection while they are built only costs time
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_off():
         match = _SEPARATOR_RE.match(text)
         listed = match is not None and match[1] == "["
         while listed:
@@ -260,9 +274,6 @@ def _load_records(results_dir: str) -> Iterator[PipelineRecord]:
         if not listed or not match or match[1] != "]" or match.end() != len(text):
             if decoder.decode(text) != []:  # raises json's message if it is no JSON
                 raise DatasetError(f"{path} must hold a JSON list of records")
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def cmd_report(args) -> int:

@@ -342,18 +342,30 @@ def concept_backtrace(
     broken by earliest position); unmatched concepts keep their AMR form.
     Name/wiki/date concepts pass through, taking the source casing and span
     when an exact case-insensitive whole-word match exists. Never drops or
-    adds.
+    adds. Each distinct text is restored once per document.
     """
+    # Two memos map each distinct text to its restored text and span, or to
+    # None to keep the concept: one for instance texts and one for the rest,
+    # so an instance and a name of equal text never share a result. An
+    # instance text first maps to its words (odd items) and the text around them.
+    instances: dict[str, list[str] | tuple[str, tuple[int, int] | None] | None] = {}
+    others: dict[str, tuple[str, tuple[int, int]] | None] = {}
+    for text, provenance, _, _ in concepts:
+        if provenance == "instance":
+            if text not in instances:
+                instances[text] = _TOKEN_RE.split(text)
+        else:
+            others[text] = None
     # Every token that can match a word shares the word's first
     # ``prefix_len`` lowercase characters, so only the words' own prefix
     # buckets are filled. Equal tokens overlap a word equally, so only the
-    # first (earliest) is kept. An instance concept is split into its words
-    # (odd items) and the text around them.
+    # first (earliest) is kept. Each distinct word is matched once.
     prefix_len = max(min_overlap, 1)
-    splits = [_TOKEN_RE.split(c.text) if c.provenance == "instance" else None for c in concepts]
+    best: dict[str, tuple[str, int, int] | None] = {}
     index: dict[str, dict[str, tuple[str, int, int]]] = {}
-    for parts in splits:
-        for word in parts[1::2] if parts else ():
+    for parts in instances.values():
+        for word in parts[1::2]:
+            best[word] = None
             if len(word) >= prefix_len:
                 index[word[:prefix_len].lower()] = {}
     if index:
@@ -363,10 +375,13 @@ def concept_backtrace(
             bucket = index.get(lower[:prefix_len])
             if bucket is not None and lower not in bucket:
                 bucket[lower] = (token, end - len(token), end)
-    lowered = ""
-    to_doc: dict[int, int] | None = None
-    if None in splits:
+        for word in best:
+            best[word] = _best_token_match(word, index, prefix_len)
+    for text, parts in instances.items():
+        instances[text] = _restore_words(parts, best)
+    if others:
         lowered = source_doc.lower()
+        to_doc: dict[int, int] | None = None
         # lowercasing can lengthen the text ('İ' becomes two characters), so
         # offsets into ``lowered`` are mapped back to ``source_doc``
         if len(lowered) != len(source_doc):
@@ -375,17 +390,21 @@ def concept_backtrace(
                 to_doc[at] = i
                 at += len(ch.lower())
             to_doc[at] = len(source_doc)
+        spans: dict[str, tuple[int, int] | None] = {}  # by lowercase target
+        for text in others:
+            target = text.lower()
+            if target not in spans:
+                spans[target] = _find_lowercase(source_doc, lowered, to_doc, target)
+            span = spans[target]
+            others[text] = None if span is None else (source_doc[span[0] : span[1]], span)
     out: list[Concept] = []
-    for concept, parts in zip(concepts, splits):
-        if parts is not None:
-            out.append(_backtrace_instance(concept, parts, index, prefix_len))
-            continue
-        span = _find_lowercase(source_doc, lowered, to_doc, concept.text.lower())
-        if span is None:
+    for concept in concepts:
+        text, provenance, sentence_index, _ = concept
+        restored = (instances if provenance == "instance" else others)[text]
+        if restored is None:
             out.append(concept)
         else:
-            text = source_doc[span[0] : span[1]]
-            out.append(_new(Concept, (text, concept.provenance, concept.sentence_index, span)))
+            out.append(_new(Concept, (restored[0], provenance, sentence_index, restored[1])))
     return out
 
 
@@ -410,25 +429,23 @@ def _find_lowercase(
     return None
 
 
-def _backtrace_instance(
-    concept: Concept,
-    parts: list[str],
-    index: dict[str, dict[str, tuple[str, int, int]]],
-    prefix_len: int,
-) -> Concept:
+def _restore_words(
+    parts: list[str], best: dict[str, tuple[str, int, int] | None]
+) -> tuple[str, tuple[int, int] | None] | None:
+    """An instance text with each word replaced by its best source token, and
+    the span of those tokens when every word has one; None when none has."""
     span: tuple[int, int] | None = None
     missed = False
     for i in range(1, len(parts), 2):
-        best = _best_token_match(parts[i], index, prefix_len)
-        if best is None:
+        match = best[parts[i]]
+        if match is None:
             missed = True
             continue
-        parts[i], start, end = best
+        parts[i], start, end = match
         span = (start, end) if span is None else (min(span[0], start), max(span[1], end))
     if span is None:
-        return concept
-    span = None if missed else span
-    return _new(Concept, ("".join(parts), concept.provenance, concept.sentence_index, span))
+        return None
+    return "".join(parts), None if missed else span
 
 
 def _best_token_match(

@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import io
 import json
 import os
 import subprocess
@@ -101,8 +102,6 @@ class TestParseCommand:
         assert capsys.readouterr().err == "error: no PENMAN graphs in input\n"
 
     def test_stdin(self, monkeypatch, capsys):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO("(w / work-01)"))
         assert main(["parse", "-"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["root"] == "w"
@@ -149,6 +148,50 @@ class TestDistillCommand:
         assert main(argv) == EXIT_OK
         pinned = (data / "table_a1.distill.json").read_bytes().decode("utf-8")
         assert capsys.readouterr().out == pinned
+
+    def test_graph_from_stdin(self, monkeypatch, capsys):
+        data = Path(__file__).parent / "data"
+        monkeypatch.setattr("sys.stdin", io.StringIO((data / "table_a1.amr").read_text("utf-8")))
+        assert main(["distill", "-", str(data / "table_a1.txt"), "--json"]) == EXIT_OK
+        assert capsys.readouterr().out == (data / "table_a1.distill.json").read_text("utf-8")
+
+    # stdin read twice gave the source as "": unbacktraced concepts and exit 0
+    def test_both_inputs_from_stdin_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("(w / want-01 :ARG0 (b / boy))"))
+        assert main(["distill", "-", "-"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: penman_file and source_file cannot both be - (stdin)\n"
+
+    @pytest.mark.parametrize("collector_on", [True, False])
+    def test_distill_leaves_the_collector_as_it_was(self, collector_on, tmp_path, monkeypatch):
+        data = Path(__file__).parent / "data"
+        bad = tmp_path / "bad.amr"
+        bad.write_text('(p / person :name (n / name :op1 "Ann" :op1 "Bo"))')
+        collecting = []  # gc.isenabled() as parse_amr and distill_concepts start and return
+
+        def spy(func):
+            def wrapped(*args, **kwargs):
+                collecting.append(gc.isenabled())
+                result = func(*args, **kwargs)
+                collecting.append(gc.isenabled())
+                return result
+            return wrapped
+
+        monkeypatch.setattr(cli, "parse_amr", spy(cli.parse_amr))
+        monkeypatch.setattr(cli, "distill_concepts", spy(cli.distill_concepts))
+        was_on = gc.isenabled()
+        (gc.enable if collector_on else gc.disable)()
+        try:
+            source = str(data / "table_a1.txt")
+            assert main(["distill", str(data / "table_a1.amr"), source]) == EXIT_OK
+            assert gc.isenabled() is collector_on
+            # a repeated :op1 raises a DistillError inside distill_concepts
+            assert main(["distill", str(bad), source]) == EXIT_DATA
+            assert gc.isenabled() is collector_on
+        finally:
+            (gc.enable if was_on else gc.disable)()
+        assert collecting == [False] * 7
 
     def test_traversal_without_seed_is_usage_error(
         self, tmp_path, table_a1_penman, table_a1_doc, capsys

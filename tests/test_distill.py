@@ -237,6 +237,41 @@ class TestBacktrace:
         assert out.source_span == span
         assert out.text == (source[span[0] : span[1]] if span else concept.text)
 
+    def test_each_distinct_target_and_word_is_searched_once(self, monkeypatch):
+        searched, matched = Counter(), Counter()
+        find, best = distill._find_lowercase, distill._best_token_match
+
+        def find_spy(source_doc, lowered, to_doc, target):
+            searched[target] += 1
+            return find(source_doc, lowered, to_doc, target)
+
+        def best_spy(word, index, prefix_len):
+            matched[word] += 1
+            return best(word, index, prefix_len)
+
+        monkeypatch.setattr(distill, "_find_lowercase", find_spy)
+        monkeypatch.setattr(distill, "_best_token_match", best_spy)
+        # the second sentence names the city without a wiki link: a name
+        # concept with the wiki concept's target
+        graph = parse_amr(
+            '(m / multi-sentence'
+            ' :snt1 (v / visit-01 :ARG0 (p / person :name (n / name :op1 "Ann"))'
+            ' :ARG1 (c / city :wiki "Zurich" :name (n2 / name :op1 "Zurich"))'
+            ' :time (d / date-entity :year 1999))'
+            ' :snt2 (v2 / visit-01 :ARG0 (p2 / person :name (n3 / name :op1 "Ann"))'
+            ' :ARG1 (c2 / city :name (n4 / name :op1 "Zurich"))'
+            ' :time (d2 / date-entity :year 1999)))'
+        )
+        source = "Ann visited Zurich in 1999. In 1999, Ann visited Zurich again."
+        concepts = distill_concepts(graph, source).concepts
+        assert searched == Counter(["ann", "zurich", "1999"])
+        assert matched == Counter(["visit"])
+        first = [("visited", "instance", 1, (4, 11)), ("Ann", "name", 1, (0, 3)),
+                 ("Zurich", "wiki", 1, (12, 18)), ("1999", "date", 1, (22, 26))]
+        second = [(text, "name" if text == "Zurich" else kind, 2, span)
+                  for text, kind, _, span in first]
+        assert concepts == tuple(first + second)
+
     @given(st.lists(st.sampled_from(["work", "run", "Amsterdam", "storm", "1973"]), max_size=8))
     def test_conservatism_count_preserved(self, labels):
         concepts = [Concept(lbl, "instance", 1) for lbl in labels]

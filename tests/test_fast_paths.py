@@ -178,6 +178,57 @@ class TestBacktrace:
                 concepts, doc, min_overlap
             ), min_overlap
 
+    # The reference slices the source at offsets into its lowercase form, which
+    # 'İ' (two characters in lowercase) shifts, so it gets '#' in its place: neither
+    # is a word character, and no word of WORDS ends in 'i' to match into 'i̇'.
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_repeated_concepts_match_linear_scan(self, seed):
+        rng = random.Random(seed)
+        doc = "".join(
+            rng.choice(WORDS) + rng.choice(SEPARATORS + ["İ", "İ "])
+            for _ in range(rng.randint(0, 20))
+        )
+        texts = [" ".join(rng.sample(WORDS, rng.randint(1, 2))) for _ in range(rng.randint(1, 3))]
+        # few texts and all provenances, so texts repeat within a kind and across kinds
+        concepts = [
+            Concept(rng.choice(texts), rng.choice(["instance", "name", "wiki", "date"]), i)
+            for i in range(1, rng.randint(2, 12))
+        ]
+        for min_overlap in range(7):
+            assert concept_backtrace(concepts, doc, min_overlap) == bruteforce.concept_backtrace(
+                concepts, doc.replace("İ", "#"), min_overlap
+            ), min_overlap
+
+    @pytest.mark.parametrize(
+        "concepts, doc",
+        [
+            # an instance and a name of the same text restore to different words
+            (
+                [Concept("work", "instance", 1), Concept("work", "name", 1),
+                 Concept("work", "instance", 2), Concept("work", "name", 3)],
+                "They worked. Work began.",
+            ),
+            # a target that is not found: each repeat keeps its own text
+            (
+                [Concept("Zurich", "wiki", 1), Concept("zurich", "name", 2),
+                 Concept("ZURICH", "wiki", 3)],
+                "Zurichsee and riverbank",
+            ),
+            # every repeat of a target takes the same span of the source
+            (
+                [Concept("zurich", "name", 1), Concept("Zurich", "wiki", 2),
+                 Concept("walk", "instance", 2), Concept("zurich", "name", 3),
+                 Concept("walk", "instance", 3)],
+                "İİ walked to Zurich. İ Zurich",
+            ),
+        ],
+    )
+    def test_repeated_concepts_in_hand_picked_documents(self, concepts, doc):
+        out = concept_backtrace(concepts, doc)
+        assert out == bruteforce.concept_backtrace(concepts, doc.replace("İ", "#"))
+        assert all(doc[slice(*c.source_span)] == c.text for c in out if c.source_span)
+
     def test_overlap_floor_zero_still_needs_one_character(self):
         [out] = concept_backtrace([Concept("xyz", "instance", 1)], "abc def", min_overlap=0)
         assert out.text == "xyz" and out.source_span is None
