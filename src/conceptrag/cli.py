@@ -63,13 +63,19 @@ def _read_input(path: str) -> str:
 @contextmanager
 def _collector_off() -> Iterator[None]:
     """Keep the cyclic collector off, then restore its previous state. A collection
-    while a graph or records are built only walks objects that are still in use."""
+    while a graph or records are built only walks objects that are still in use.
+    Before the collector is back on, the objects built meanwhile move to the oldest
+    generation unwalked, so the next allocation does not collect them all; objects a
+    caller froze stay frozen."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
         if was_enabled:
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 

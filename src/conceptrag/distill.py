@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import random
 import re
+from bisect import bisect_right
 from collections import Counter
-from itertools import accumulate, islice
 from typing import NamedTuple
 
 from .penman import AmrGraph, AmrNode, Literal, dfs_nodes, split_sentences
@@ -20,7 +20,12 @@ from .penman import AmrGraph, AmrNode, Literal, dfs_nodes, split_sentences
 _SENSE_RE = re.compile(r"-[0-9]{2}\Z")
 # one group, so that split() returns the tokens as well as the text between them
 _TOKEN_RE = re.compile(r"([A-Za-z0-9]+(?:'[A-Za-z0-9]+)*)")
-_WORD_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789")
+_UPPER, _LOWER = "ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz"
+_WORD_CHARS = frozenset(_UPPER + _LOWER + "0123456789")
+# lowercases only the letters of _TOKEN_RE, so an offset into the copy is one
+# into the source: full lowercasing turns the Kelvin sign into the word
+# character 'k' and 'İ' into two characters
+_ASCII_LOWER = str.maketrans(_UPPER, _LOWER)
 # English whatever the locale, unlike calendar.month_name
 _MONTH_NAMES = ("January", "February", "March", "April", "May", "June", "July",
                 "August", "September", "October", "November", "December")
@@ -342,65 +347,49 @@ def concept_backtrace(
     broken by earliest position); unmatched concepts keep their AMR form.
     Name/wiki/date concepts pass through, taking the source casing and span
     when an exact case-insensitive whole-word match exists. Never drops or
-    adds. Each distinct text is restored once per document.
+    adds. Each distinct text, word and lowercase target is restored once per
+    document.
     """
     # Two memos map each distinct text to its restored text and span, or to
     # None to keep the concept: one for instance texts and one for the rest,
-    # so an instance and a name of equal text never share a result. An
-    # instance text first maps to its words (odd items) and the text around them.
-    instances: dict[str, list[str] | tuple[str, tuple[int, int] | None] | None] = {}
+    # so an instance and a name of equal text never share a result.
+    instances: dict[str, tuple[str, tuple[int, int] | None] | None] = {}
     others: dict[str, tuple[str, tuple[int, int]] | None] = {}
-    for text, provenance, _, _ in concepts:
-        if provenance == "instance":
-            if text not in instances:
-                instances[text] = _TOKEN_RE.split(text)
-        else:
-            others[text] = None
-    # Every token that can match a word shares the word's first
-    # ``prefix_len`` lowercase characters, so only the words' own prefix
-    # buckets are filled. Equal tokens overlap a word equally, so only the
-    # first (earliest) is kept. Each distinct word is matched once.
+    words: dict[str, tuple[int, int] | None] = {}  # token span by word
+    spans: dict[str, tuple[int, int] | None] = {}  # by lowercase target
+    lowered = source_doc.lower()
+    to_doc: dict[int, int] | None = None
+    # lowercasing can lengthen the text ('İ' becomes two characters), so
+    # offsets into ``lowered`` are mapped back to ``source_doc``
+    if len(lowered) != len(source_doc):
+        to_doc, at = {}, 0
+        for i, ch in enumerate(source_doc):
+            to_doc[at] = i
+            at += len(ch.lower())
+        to_doc[at] = len(source_doc)
+    ascii_lowered = lowered if source_doc.isascii() else source_doc.translate(_ASCII_LOWER)
+    haystack = [source_doc, ascii_lowered, None]
     prefix_len = max(min_overlap, 1)
-    best: dict[str, tuple[str, int, int] | None] = {}
-    index: dict[str, dict[str, tuple[str, int, int]]] = {}
-    for parts in instances.values():
-        for word in parts[1::2]:
-            best[word] = None
-            if len(word) >= prefix_len:
-                index[word[:prefix_len].lower()] = {}
-    if index:
-        pieces = _TOKEN_RE.split(source_doc)
-        for token, end in zip(pieces[1::2], islice(accumulate(map(len, pieces)), 1, None, 2)):
-            lower = token.lower()
-            bucket = index.get(lower[:prefix_len])
-            if bucket is not None and lower not in bucket:
-                bucket[lower] = (token, end - len(token), end)
-        for word in best:
-            best[word] = _best_token_match(word, index, prefix_len)
-    for text, parts in instances.items():
-        instances[text] = _restore_words(parts, best)
-    if others:
-        lowered = source_doc.lower()
-        to_doc: dict[int, int] | None = None
-        # lowercasing can lengthen the text ('İ' becomes two characters), so
-        # offsets into ``lowered`` are mapped back to ``source_doc``
-        if len(lowered) != len(source_doc):
-            to_doc, at = {}, 0
-            for i, ch in enumerate(source_doc):
-                to_doc[at] = i
-                at += len(ch.lower())
-            to_doc[at] = len(source_doc)
-        spans: dict[str, tuple[int, int] | None] = {}  # by lowercase target
-        for text in others:
+    out: list[Concept] = []
+    for concept in concepts:
+        text, provenance, sentence_index, _ = concept
+        if provenance == "instance":
+            if text in instances:
+                restored = instances[text]
+            else:
+                restored = instances[text] = _restore_words(
+                    _TOKEN_RE.split(text), words, haystack, prefix_len
+                )
+        elif text in others:
+            restored = others[text]
+        else:
             target = text.lower()
             if target not in spans:
                 spans[target] = _find_lowercase(source_doc, lowered, to_doc, target)
             span = spans[target]
-            others[text] = None if span is None else (source_doc[span[0] : span[1]], span)
-    out: list[Concept] = []
-    for concept in concepts:
-        text, provenance, sentence_index, _ = concept
-        restored = (instances if provenance == "instance" else others)[text]
+            restored = others[text] = (
+                None if span is None else (source_doc[span[0] : span[1]], span)
+            )
         if restored is None:
             out.append(concept)
         else:
@@ -430,38 +419,79 @@ def _find_lowercase(
 
 
 def _restore_words(
-    parts: list[str], best: dict[str, tuple[str, int, int] | None]
+    parts: list[str], words: dict[str, tuple[int, int] | None], haystack: list, prefix_len: int
 ) -> tuple[str, tuple[int, int] | None] | None:
-    """An instance text with each word replaced by its best source token, and
-    the span of those tokens when every word has one; None when none has."""
+    """An instance text, split by ``_TOKEN_RE`` into its words (odd items)
+    and the text around them, with each word replaced by its best source
+    token, and the span of those tokens when every word has one; None when
+    none has. ``words`` memoizes each word's token span."""
+    source_doc = haystack[0]
     span: tuple[int, int] | None = None
     missed = False
     for i in range(1, len(parts), 2):
-        match = best[parts[i]]
+        word = parts[i]
+        if word in words:
+            match = words[word]
+        else:
+            match = words[word] = _best_token_match(word, haystack, prefix_len)
         if match is None:
             missed = True
             continue
-        parts[i], start, end = match
-        span = (start, end) if span is None else (min(span[0], start), max(span[1], end))
+        start, end = match
+        parts[i] = source_doc[start:end]
+        span = match if span is None else (min(span[0], start), max(span[1], end))
     if span is None:
         return None
     return "".join(parts), None if missed else span
 
 
-def _best_token_match(
-    word: str, index: dict[str, dict[str, tuple[str, int, int]]], prefix_len: int
-) -> tuple[str, int, int] | None:
-    word_lower = word.lower()
-    best: tuple[str, int, int] | None = None
-    best_len = 0
-    for lower, token in index.get(word_lower[:prefix_len], {}).items():
-        # a bucket's tokens share the word's first ``prefix_len`` characters
-        overlap, limit = prefix_len, min(len(lower), len(word_lower))
-        while overlap < limit and lower[overlap] == word_lower[overlap]:
-            overlap += 1
-        if overlap > best_len:
-            best, best_len = token, overlap
+def _best_token_match(word: str, haystack: list, prefix_len: int) -> tuple[int, int] | None:
+    """The span of the earliest source token that shares the longest common
+    lowercase prefix with ``word``, of at least ``prefix_len`` characters;
+    None when no token does.
+
+    ``haystack`` holds the source document, its copy with only ``A``-``Z``
+    lowercased (same offsets), and the ends of its tokens once a search has
+    needed them. Prefixes are searched from the whole word down, dropping 1,
+    2, 4, ... characters until one starts a token; the lengths between that
+    hit and the last miss are then bisected. A word of m characters takes
+    O(log m) searches, most words one.
+    """
+    word = word.lower()  # ASCII, like every token
+    best: tuple[int, int] | None = None
+    low, high, drop = prefix_len, len(word), 0
+    while low <= high:
+        length = max(len(word) - drop, low) if best is None else (low + high) // 2
+        span = _token_with_prefix(word[:length], haystack)
+        if span is None:
+            high, drop = length - 1, 2 * drop or 1
+        else:
+            best, low = span, length + 1
     return best
+
+
+def _token_with_prefix(prefix: str, haystack: list) -> tuple[int, int] | None:
+    """The span of the earliest source token that starts with ``prefix``, the
+    lowercase start of a word. A hit inside a token skips the rest of it."""
+    lowered = haystack[1]
+    # a token holds an apostrophe only before a word character
+    open_end = prefix[-1] == "'"
+    at = lowered.find(prefix)
+    while at >= 0:
+        if at and (
+            lowered[at - 1] in _WORD_CHARS
+            or lowered[at - 1] == "'" and lowered[at - 2 : at - 1] in _WORD_CHARS
+        ):
+            # inside a token (after 'o' + "'" in "o'neil", say): skip past it
+            if haystack[2] is None:
+                haystack[2] = [m.end() for m in _TOKEN_RE.finditer(lowered)]
+            ends = haystack[2]
+            at = lowered.find(prefix, ends[bisect_right(ends, at)])
+        elif open_end and lowered[at + len(prefix) : at + len(prefix) + 1] not in _WORD_CHARS:
+            at = lowered.find(prefix, at + 1)
+        else:
+            return at, _TOKEN_RE.match(lowered, at).end()
+    return None
 
 
 def distill_concepts(

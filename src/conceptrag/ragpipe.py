@@ -469,11 +469,15 @@ def _answer_pair(
 
 
 def dataset_content_hash(path: str | Path) -> str:
-    """Git-style blob hash of the dataset file."""
+    """Git-style blob hash of the dataset file, read in chunks: the file is never
+    held whole."""
     import hashlib
 
-    data = Path(path).read_bytes()
-    return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
+    with open(path, "rb") as handle:
+        digest = hashlib.sha1(b"blob %d\0" % os.fstat(handle.fileno()).st_size)
+        while chunk := handle.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def build_run_manifest(

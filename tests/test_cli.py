@@ -35,6 +35,22 @@ def run_eval(tmp_path, fixture_dataset_path, stub_backend_file, mode="concepts",
     return out
 
 
+def _long_document(tmp_path, sentences):
+    """A multi-sentence graph of nine nodes a sentence, and its source text."""
+    body = "\n".join(
+        f'  :snt{i} (w{i} / want-01 :ARG0 (b{i} / boy) :ARG1 (g{i} / go-02 :ARG0 b{i}'
+        f' :ARG4 (c{i} / city :wiki "Paris" :name (n{i} / name :op1 "Paris"))'
+        f' :time (d{i} / date-entity :year 1999) :manner (q{i} / quick)'
+        f' :instrument (t{i} / telescope :mod (v{i} / small))))'
+        for i in range(1, sentences + 1)
+    )
+    amr, doc = tmp_path / "long.amr", tmp_path / "long.txt"
+    amr.write_text(f"(m / multi-sentence\n{body})\n", encoding="utf-8")
+    sentence = "The boy wanted to go quickly to Paris in 1999 with a small telescope. "
+    doc.write_text(sentence * sentences, encoding="utf-8")
+    return amr, doc
+
+
 class TestParseCommand:
     def test_valid_file(self, tmp_path, table_a1_penman, capsys):
         src = tmp_path / "g.amr"
@@ -149,6 +165,19 @@ class TestDistillCommand:
         pinned = (data / "table_a1.distill.json").read_bytes().decode("utf-8")
         assert capsys.readouterr().out == pinned
 
+    # at the overlap floors where backtrace tries prefixes down to one character;
+    # CI diffs the installed console script's output against the same files
+    @pytest.mark.parametrize("overlap", [0, 1])
+    def test_json_output_at_small_overlaps_is_pinned(self, overlap, tmp_path, capsys):
+        data = Path(__file__).parent / "data"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"min_backtrace_overlap": overlap}))
+        argv = ["distill", str(data / "table_a1.amr"), str(data / "table_a1.txt"), "--json",
+                "--config", str(config)]
+        assert main(argv) == EXIT_OK
+        pinned = (data / f"table_a1.overlap{overlap}.distill.json").read_bytes().decode("utf-8")
+        assert capsys.readouterr().out == pinned
+
     def test_graph_from_stdin(self, monkeypatch, capsys):
         data = Path(__file__).parent / "data"
         monkeypatch.setattr("sys.stdin", io.StringIO((data / "table_a1.amr").read_text("utf-8")))
@@ -192,6 +221,43 @@ class TestDistillCommand:
         finally:
             (gc.enable if was_on else gc.disable)()
         assert collecting == [False] * 7
+
+    # the ~3,000 objects per 1,000 nodes built while the collector was off took one
+    # gen-0 collection, on the first allocation after it was back on
+    def test_collector_does_not_walk_the_distilled_graph(self, tmp_path, monkeypatch):
+        amr, doc = _long_document(tmp_path, sentences=330)
+        collections = []  # gen-0 collections as parse_amr starts, and after main
+        parse = cli.parse_amr
+
+        def spy(text):
+            collections.append(gc.get_stats()[0]["collections"])
+            return parse(text)
+
+        monkeypatch.setattr(cli, "parse_amr", spy)
+        was_on = gc.isenabled()
+        gc.enable()
+        try:
+            assert main(["distill", str(amr), str(doc)]) == EXIT_OK
+            allocated = [[] for _ in range(100)]
+            collections.append(gc.get_stats()[0]["collections"])
+        finally:
+            (gc.enable if was_on else gc.disable)()
+        assert len(allocated) == 100
+        assert collections[0] == collections[1]
+
+    def test_distill_keeps_what_a_caller_froze(self, tmp_path):
+        argv = ["distill", *map(str, _long_document(tmp_path, sentences=10))]
+        assert main(argv) == EXIT_OK  # fills the caches a first call fills
+        was_on = gc.isenabled()
+        gc.enable()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert main(argv) == EXIT_OK
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+            (gc.enable if was_on else gc.disable)()
 
     def test_traversal_without_seed_is_usage_error(
         self, tmp_path, table_a1_penman, table_a1_doc, capsys

@@ -155,7 +155,8 @@ WORDS = [
     "work", "worked", "Workers", "wor", "w", "walk", "walking", "WALKED", "run",
     "ran", "river", "bank", "don't", "a1", "1972", "Zurich", "zur", "riverbank",
 ]
-SEPARATORS = ["", " ", " ", ", ", ". ", "-", "é ", "'s "]
+# the Kelvin sign is no word character, but lowercases to the word character 'k'
+SEPARATORS = ["", " ", " ", ", ", ". ", "-", "é ", "'s ", "K", "K "]
 
 
 class TestBacktrace:
@@ -222,12 +223,43 @@ class TestBacktrace:
                  Concept("walk", "instance", 3)],
                 "İİ walked to Zurich. İ Zurich",
             ),
+            # a word after an apostrophe inside a token starts no token
+            (
+                [Concept("neil", "instance", 1), Concept("neil", "name", 1)],
+                "O'Neil met Neil, then neils.",
+            ),
+            # a prefix that ends in an apostrophe is no token's prefix when no
+            # word character follows the apostrophe
+            (
+                [Concept("don't", "instance", 1), Concept("don'd", "instance", 2)],
+                "Don' x don's",
+            ),
         ],
     )
     def test_repeated_concepts_in_hand_picked_documents(self, concepts, doc):
         out = concept_backtrace(concepts, doc)
         assert out == bruteforce.concept_backtrace(concepts, doc.replace("İ", "#"))
         assert all(doc[slice(*c.source_span)] == c.text for c in out if c.source_span)
+
+    # Every prefix of every word is found inside the one long token; a search that
+    # did not skip the rest of the token would take quadratic time. A long word
+    # shares only 40 characters with any token; a search that dropped one
+    # character at a time would search the source 100,000 times.
+    @pytest.mark.parametrize(
+        "doc, words",
+        [
+            ("b" + "a" * 200_000, ["a" * n for n in range(4, 40)]),
+            ("b" + "a" * 200_000 + " aaaaaaa", ["a" * n for n in range(4, 40)]),
+            (("x" * 40 + " ") * 5_000, ["x" * 100_000]),
+        ],
+        ids=["one-token", "one-token-then-a-word", "long-word"],
+    )
+    def test_hostile_words_are_matched_in_linear_time(self, doc, words):
+        concepts = [Concept(word, "instance", 1) for word in words]
+        start = time.perf_counter()
+        out = concept_backtrace(concepts, doc)
+        assert time.perf_counter() - start < 1.0
+        assert out == bruteforce.concept_backtrace(concepts, doc)
 
     def test_overlap_floor_zero_still_needs_one_character(self):
         [out] = concept_backtrace([Concept("xyz", "instance", 1)], "abc def", min_overlap=0)

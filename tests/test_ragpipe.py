@@ -8,6 +8,7 @@ import socket
 import ssl
 import threading
 import time
+import tracemalloc
 import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -718,6 +719,28 @@ class TestManifest:
         assert "sekrit" not in blob
         assert manifest["dataset_hash"] == dataset_content_hash(fixture_dataset_path)
         assert len(manifest["config_hash"]) == 64
+
+    # empty, shorter than one read, and several reads with a partial last one
+    @pytest.mark.parametrize("size", [0, 1000, 200_001])
+    def test_dataset_hash_is_the_git_blob_hash(self, size, tmp_path):
+        path = tmp_path / "data.jsonl"
+        data = bytes(i % 251 for i in range(size))
+        path.write_bytes(data)
+        expected = hashlib.sha1(b"blob " + str(size).encode() + b"\x00" + data).hexdigest()
+        assert dataset_content_hash(path) == expected
+        if size == 0:  # what `git hash-object` prints for an empty file
+            assert expected == "e69de29bb2d1d6434b8b29ae775ad8c2e48c5391"
+
+    def test_dataset_hash_does_not_hold_the_file(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b"0123456789abcdef" * (1 << 18))  # 4 MiB
+        tracemalloc.start()
+        try:
+            dataset_content_hash(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_config_hash_covers_the_written_settings(self, fixture_dataset_path):
         manifest = build_run_manifest(
