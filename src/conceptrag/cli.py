@@ -64,9 +64,11 @@ def _read_input(path: str) -> str:
 def _collector_off() -> Iterator[None]:
     """Keep the cyclic collector off, then restore its previous state. A collection
     while a graph or records are built only walks objects that are still in use.
-    Before the collector is back on, the objects built meanwhile move to the oldest
-    generation unwalked, so the next allocation does not collect them all; objects a
-    caller froze stay frozen."""
+    Before the collector is back on, every object of the two young generations moves
+    to the oldest one unwalked, so the next allocation does not collect them all.
+    That is every young object of the process, not only those built meanwhile, and
+    unreachable cycles among them wait for a full collection. When a caller froze
+    objects nothing moves, so they stay frozen."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -20,12 +20,7 @@ from .penman import AmrGraph, AmrNode, Literal, dfs_nodes, split_sentences
 _SENSE_RE = re.compile(r"-[0-9]{2}\Z")
 # one group, so that split() returns the tokens as well as the text between them
 _TOKEN_RE = re.compile(r"([A-Za-z0-9]+(?:'[A-Za-z0-9]+)*)")
-_UPPER, _LOWER = "ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz"
-_WORD_CHARS = frozenset(_UPPER + _LOWER + "0123456789")
-# lowercases only the letters of _TOKEN_RE, so an offset into the copy is one
-# into the source: full lowercasing turns the Kelvin sign into the word
-# character 'k' and 'İ' into two characters
-_ASCII_LOWER = str.maketrans(_UPPER, _LOWER)
+_WORD_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789")
 # English whatever the locale, unlike calendar.month_name
 _MONTH_NAMES = ("January", "February", "March", "April", "May", "June", "July",
                 "August", "September", "October", "November", "December")
@@ -358,17 +353,20 @@ def concept_backtrace(
     words: dict[str, tuple[int, int] | None] = {}  # token span by word
     spans: dict[str, tuple[int, int] | None] = {}  # by lowercase target
     lowered = source_doc.lower()
-    to_doc: dict[int, int] | None = None
     # lowercasing can lengthen the text ('İ' becomes two characters), so
-    # offsets into ``lowered`` are mapped back to ``source_doc``
-    if len(lowered) != len(source_doc):
-        to_doc, at = {}, 0
-        for i, ch in enumerate(source_doc):
-            to_doc[at] = i
-            at += len(ch.lower())
-        to_doc[at] = len(source_doc)
-    ascii_lowered = lowered if source_doc.isascii() else source_doc.translate(_ASCII_LOWER)
-    haystack = [source_doc, ascii_lowered, None]
+    # offsets into ``lowered`` are mapped back to ``source_doc`` through
+    # ``to_doc``, built for the first name, wiki or date target
+    to_doc: dict[int, int] | None = None
+    shifted = len(lowered) != len(source_doc)
+    # Words are searched in a lowercase copy with the source's offsets. 'İ' and
+    # the Kelvin sign are the only characters whose lowercase holds an ASCII
+    # letter ('i' + U+0307, 'k'); they are no word characters, so they are
+    # blanked first, and every other character lowercases to one character.
+    if shifted or "\u212a" in source_doc:
+        words_in = source_doc.replace("\u0130", " ").replace("\u212a", " ").lower()
+    else:
+        words_in = lowered
+    haystack = [source_doc, words_in, None]
     prefix_len = max(min_overlap, 1)
     out: list[Concept] = []
     for concept in concepts:
@@ -385,6 +383,12 @@ def concept_backtrace(
         else:
             target = text.lower()
             if target not in spans:
+                if shifted and to_doc is None:
+                    to_doc, at = {}, 0
+                    for i, ch in enumerate(source_doc):
+                        to_doc[at] = i
+                        at += len(ch.lower())
+                    to_doc[at] = len(source_doc)
                 spans[target] = _find_lowercase(source_doc, lowered, to_doc, target)
             span = spans[target]
             restored = others[text] = (
@@ -450,11 +454,11 @@ def _best_token_match(word: str, haystack: list, prefix_len: int) -> tuple[int, 
     lowercase prefix with ``word``, of at least ``prefix_len`` characters;
     None when no token does.
 
-    ``haystack`` holds the source document, its copy with only ``A``-``Z``
-    lowercased (same offsets), and the ends of its tokens once a search has
-    needed them. Prefixes are searched from the whole word down, dropping 1,
-    2, 4, ... characters until one starts a token; the lengths between that
-    hit and the last miss are then bisected. A word of m characters takes
+    ``haystack`` holds the source document, its lowercase copy with the same
+    offsets (see :func:`concept_backtrace`), and the ends of its tokens once a
+    search has needed them. Prefixes are searched from the whole word down,
+    dropping 1, 2, 4, ... characters until one starts a token; the lengths
+    between that hit and the last miss are then bisected. A word of m characters takes
     O(log m) searches, most words one.
     """
     word = word.lower()  # ASCII, like every token

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from urllib.parse import unquote, urlsplit
 
 from . import metrics
-from .corpus import QadPair
+from .corpus import DatasetError, QadPair
 from .distill import DistillConfig, common_terms, distill_concepts
 from .penman import parse_amr
 from .schema import to_json
@@ -470,13 +470,19 @@ def _answer_pair(
 
 def dataset_content_hash(path: str | Path) -> str:
     """Git-style blob hash of the dataset file, read in chunks: the file is never
-    held whole."""
+    held whole. The header takes the size from ``fstat``; a file whose length
+    changes while it is read is a DatasetError, not a wrong hash."""
     import hashlib
 
     with open(path, "rb") as handle:
-        digest = hashlib.sha1(b"blob %d\0" % os.fstat(handle.fileno()).st_size)
+        size = os.fstat(handle.fileno()).st_size
+        digest = hashlib.sha1(b"blob %d\0" % size)
+        read = 0
         while chunk := handle.read(1 << 16):
             digest.update(chunk)
+            read += len(chunk)
+    if read != size:
+        raise DatasetError(f"dataset {path} changed while it was hashed: {size} bytes, read {read}")
     return digest.hexdigest()
 
 

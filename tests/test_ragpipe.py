@@ -4,6 +4,7 @@ import base64
 import hashlib
 import http.client
 import json
+import os
 import socket
 import ssl
 import threading
@@ -15,7 +16,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from conceptrag import ragpipe
-from conceptrag.corpus import QadPair, SupportDoc, load_dataset
+from conceptrag.corpus import DatasetError, QadPair, SupportDoc, load_dataset
 from conceptrag.distill import DistillConfig, distill_concepts
 from conceptrag.penman import parse_amr
 from conceptrag.ragpipe import (
@@ -741,6 +742,21 @@ class TestManifest:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_dataset_that_grows_while_hashed_is_an_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b"x" * 1000)
+        real_fstat = os.fstat
+
+        def fstat_then_append(fd):
+            result = real_fstat(fd)
+            with open(path, "ab") as handle:
+                handle.write(b"more")
+            return result
+
+        monkeypatch.setattr(os, "fstat", fstat_then_append)
+        with pytest.raises(DatasetError, match="1000 bytes, read 1004"):
+            dataset_content_hash(path)
 
     def test_config_hash_covers_the_written_settings(self, fixture_dataset_path):
         manifest = build_run_manifest(
