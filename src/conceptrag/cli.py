@@ -12,7 +12,6 @@ import gc
 import json
 import re
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
@@ -58,27 +57,6 @@ def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text(encoding="utf-8")
-
-
-@contextmanager
-def _collector_off() -> Iterator[None]:
-    """Keep the cyclic collector off, then restore its previous state. A collection
-    while a graph or records are built only walks objects that are still in use.
-    Before the collector is back on, every object of the two young generations moves
-    to the oldest one unwalked, so the next allocation does not collect them all.
-    That is every young object of the process, not only those built meanwhile, and
-    unreachable cycles among them wait for a full collection. When a caller froze
-    objects nothing moves, so they stay frozen."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            if gc.get_freeze_count() == 0:
-                gc.freeze()
-                gc.unfreeze()
-            gc.enable()
 
 
 def _json_text(path: Path, kind: str) -> tuple[json.JSONDecoder, str]:
@@ -184,9 +162,8 @@ def cmd_distill(args) -> int:
     if config.idf_enabled:  # common words are counted over an eval run's documents
         raise DatasetError("distill config key 'idf_enabled' works only in eval: "
                            "one document is no corpus")
-    with _collector_off():
-        graph = parse_amr(_read_input(args.penman_file))
-        concept_set = distill_concepts(graph, _read_input(args.source_file), config=config)
+    graph = parse_amr(_read_input(args.penman_file))
+    concept_set = distill_concepts(graph, _read_input(args.source_file), config=config)
     if args.json:
         payload = [
             {
@@ -267,21 +244,20 @@ def _load_records(results_dir: str) -> Iterator[PipelineRecord]:
     if not path.exists():
         raise DatasetError(f"no records.json in {results_dir}")
     decoder, text = _json_text(path, "records file")
-    with _collector_off():
-        match = _SEPARATOR_RE.match(text)
-        listed = match is not None and match[1] == "["
-        while listed:
-            try:
-                data, end = decoder.scan_once(text, match.end())
-            except StopIteration:  # no value where one must be, or an empty list
-                break
-            yield from_json(PipelineRecord, data, "record")
-            match = _SEPARATOR_RE.match(text, end)
-            if not match or match[1] != ",":
-                break
-        if not listed or not match or match[1] != "]" or match.end() != len(text):
-            if decoder.decode(text) != []:  # raises json's message if it is no JSON
-                raise DatasetError(f"{path} must hold a JSON list of records")
+    match = _SEPARATOR_RE.match(text)
+    listed = match is not None and match[1] == "["
+    while listed:
+        try:
+            data, end = decoder.scan_once(text, match.end())
+        except StopIteration:  # no value where one must be, or an empty list
+            break
+        yield from_json(PipelineRecord, data, "record")
+        match = _SEPARATOR_RE.match(text, end)
+        if not match or match[1] != ",":
+            break
+    if not listed or not match or match[1] != "]" or match.end() != len(text):
+        if decoder.decode(text) != []:  # raises json's message if it is no JSON
+            raise DatasetError(f"{path} must hold a JSON list of records")
 
 
 def cmd_report(args) -> int:
@@ -314,6 +290,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # A command builds a graph, concepts or records, reads them once and drops
+    # them: a collection meanwhile only walks objects still in use. They are freed
+    # by reference counting before the collector is back on, so none is left young.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
@@ -331,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def entrypoint() -> None:  # console_scripts hook

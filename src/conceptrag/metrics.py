@@ -43,23 +43,18 @@ class Interval(_IntervalFields):
 
     @property
     def name(self) -> str:
-        if (self.x_s, self.x_e) == (1, 10):
-            return "normal"
-        if (self.x_s, self.x_e) == (6, 10):
-            return "long"
-        return f"{self.x_s},{self.x_e}"
+        return _INTERVAL_NAMES.get(self, f"{self.x_s},{self.x_e}")
 
 
-NORMAL_INTERVAL = Interval(1, 10)
-LONG_INTERVAL = Interval(6, 10)
+_NAMED_INTERVALS = {"normal": Interval(1, 10), "long": Interval(6, 10)}
+_INTERVAL_NAMES = {interval: name for name, interval in _NAMED_INTERVALS.items()}
+NORMAL_INTERVAL, LONG_INTERVAL = _NAMED_INTERVALS.values()
 
 
 def parse_interval(text: str) -> Interval:
     """Accepts 'normal', 'long', or 'a,b'."""
-    if text == "normal":
-        return NORMAL_INTERVAL
-    if text == "long":
-        return LONG_INTERVAL
+    if text in _NAMED_INTERVALS:
+        return _NAMED_INTERVALS[text]
     parts = text.split(",")
     if len(parts) != 2:
         raise MetricsError(f"interval must be 'normal', 'long', or 'a,b', got {text!r}")

@@ -406,8 +406,10 @@ def iter_penman_blocks(text: str) -> Iterator[str]:
             yield "\n".join(block)
 
     block: list[str] = []
-    for line in text.splitlines():
-        if line.strip():
+    # only \n ends a line: str.splitlines also splits at U+2028, \x1c and others,
+    # which a string literal may hold
+    for line in text.split("\n"):
+        if line.strip(" \t\r\f\v"):
             block.append(line)
         elif block:
             yield from flush(block)

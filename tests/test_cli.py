@@ -12,7 +12,15 @@ from pathlib import Path
 import pytest
 
 from conceptrag import cli, ragpipe
-from conceptrag.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
+from conceptrag.cli import (
+    EXIT_BACKEND,
+    EXIT_DATA,
+    EXIT_INTERRUPTED,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_parser,
+    main,
+)
 from conceptrag.metrics import LONG_INTERVAL, NORMAL_INTERVAL, EvalCurve, integrate
 from conceptrag.ragpipe import BackendError
 from conceptrag.schema import from_json
@@ -59,6 +67,14 @@ class TestParseCommand:
         graph = json.loads(capsys.readouterr().out)
         assert graph["root"] == "m"
         assert graph["nodes"]["w"]["instance"] == "work-01"
+
+    def test_output_is_pinned(self, capsys):
+        # the whole Table A1 graph, byte for byte; CI diffs the installed
+        # console script's output against the same file
+        data = Path(__file__).parent / "data"
+        assert main(["parse", str(data / "table_a1.amr")]) == EXIT_OK
+        pinned = (data / "table_a1.parse.json").read_bytes().decode("utf-8")
+        assert capsys.readouterr().out == pinned
 
     def test_unbalanced_parens_exit_code_and_offset(self, tmp_path, capsys):
         src = tmp_path / "bad.amr"
@@ -222,28 +238,47 @@ class TestDistillCommand:
             (gc.enable if was_on else gc.disable)()
         assert collecting == [False] * 7
 
-    # the ~3,000 objects per 1,000 nodes built while the collector was off took one
-    # gen-0 collection, on the first allocation after it was back on
+    # the ~3,000 objects per 1,000 nodes built while the collector is off are freed
+    # with the graph: no collection walks them while they are built, nor after main
     def test_collector_does_not_walk_the_distilled_graph(self, tmp_path, monkeypatch):
         amr, doc = _long_document(tmp_path, sentences=330)
-        collections = []  # gen-0 collections as parse_amr starts, and after main
-        parse = cli.parse_amr
+        collections = []  # gen-0 collections as parse_amr starts and distill_concepts returns
+        nodes = []  # the graph's node count; the graph itself is not kept
+        young = []  # generation 0's size as each collection after main starts
+        parse, distill = cli.parse_amr, cli.distill_concepts
 
-        def spy(text):
+        def parse_spy(text):
             collections.append(gc.get_stats()[0]["collections"])
-            return parse(text)
+            graph = parse(text)
+            nodes.append(len(graph.nodes))
+            return graph
 
-        monkeypatch.setattr(cli, "parse_amr", spy)
+        def distill_spy(*args, **kwargs):
+            concept_set = distill(*args, **kwargs)
+            collections.append(gc.get_stats()[0]["collections"])
+            return concept_set
+
+        def count_young(phase, info):
+            if phase == "start":
+                young.append(len(gc.get_objects(generation=0)))
+
+        monkeypatch.setattr(cli, "parse_amr", parse_spy)
+        monkeypatch.setattr(cli, "distill_concepts", distill_spy)
         was_on = gc.isenabled()
         gc.enable()
         try:
             assert main(["distill", str(amr), str(doc)]) == EXIT_OK
-            allocated = [[] for _ in range(100)]
-            collections.append(gc.get_stats()[0]["collections"])
+            gc.callbacks.append(count_young)
+            try:
+                allocated = [[] for _ in range(3000)]
+            finally:
+                gc.callbacks.remove(count_young)
         finally:
             (gc.enable if was_on else gc.disable)()
-        assert len(allocated) == 100
+        assert len(allocated) == 3000
         assert collections[0] == collections[1]
+        # a graph left young would add its ~9,000 objects to the first collection
+        assert young and max(young) < nodes[0]
 
     def test_distill_keeps_what_a_caller_froze(self, tmp_path):
         argv = ["distill", *map(str, _long_document(tmp_path, sentences=10))]
@@ -817,6 +852,72 @@ class TestExitCodes:
             pytest.fail("Ctrl-C escaped main as a traceback")
         assert code == 130  # 128 + SIGINT
         assert capsys.readouterr().err == "interrupted\n"
+
+    @pytest.mark.parametrize("collector_on", [True, False])
+    def test_main_leaves_the_collector_as_it_was_on_every_exit(
+        self, collector_on, tmp_path, fixture_dataset_path, monkeypatch, capsys
+    ):
+        backend = tmp_path / "backend.json"
+        backend.write_text(json.dumps({
+            "kind": "http-chat", "endpoint_url": "http://127.0.0.1:9/x", "timeout_s": 0.2,
+        }))
+        outage = ["eval", str(fixture_dataset_path), "--backend", str(backend),
+                  "--mode", "vanilla", "--out", str(tmp_path / "results")]
+        collecting = []  # gc.isenabled() as each command runs
+
+        def command(exc):
+            def run(args):
+                collecting.append(gc.isenabled())
+                raise exc
+            return run
+
+        monkeypatch.setitem(cli._COMMANDS, "stats", command(KeyboardInterrupt))
+        monkeypatch.setitem(cli._COMMANDS, "parse", command(RuntimeError("escapes main")))
+        was_on = gc.isenabled()
+        (gc.enable if collector_on else gc.disable)()
+        try:
+            assert main(["frobnicate"]) == EXIT_USAGE
+            assert gc.isenabled() is collector_on
+            assert main(outage) == EXIT_BACKEND
+            assert gc.isenabled() is collector_on
+            assert main(["stats", "missing.jsonl"]) == EXIT_INTERRUPTED
+            assert gc.isenabled() is collector_on
+            with pytest.raises(RuntimeError, match="escapes main"):
+                main(["parse", "missing.amr"])
+            assert gc.isenabled() is collector_on
+        finally:
+            (gc.enable if was_on else gc.disable)()
+        assert collecting == [False, False]
+
+    # no cycle is built per pair: what a run leaves for the collector is the
+    # parser's, whatever the run's size
+    @pytest.mark.parametrize("max_parallel", [1, 2])
+    def test_garbage_a_run_leaves_does_not_grow_with_its_size(
+        self, max_parallel, tmp_path, fixture_dataset_path, capsys
+    ):
+        backend = tmp_path / "backend.json"
+        backend.write_text(json.dumps(
+            {"kind": "stub", "policy": "oracle-substring", "max_parallel": max_parallel}
+        ))
+        lines = fixture_dataset_path.read_text("utf-8").splitlines(keepends=True)
+
+        def unreachable_after_eval(pairs):
+            dataset = tmp_path / f"pairs-{pairs}.jsonl"
+            dataset.write_text("".join(lines[:pairs]), "utf-8")
+            argv = ["eval", str(dataset), "--backend", str(backend), "--mode", "concepts",
+                    "--out", str(tmp_path / f"results-{pairs}"), "--no-screen"]
+            assert main(argv) == EXIT_OK
+            return gc.collect()
+
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            unreachable_after_eval(2)  # fills the caches a first call fills
+            small, large = unreachable_after_eval(2), unreachable_after_eval(20)
+        finally:
+            (gc.enable if was_on else gc.disable)()
+        assert small == large
 
     def test_entrypoint_exits_with_the_code_of_main(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["conceptrag", "stats", str(tmp_path / "missing.jsonl")])

@@ -282,3 +282,17 @@ class TestCorpusBlocks:
         text = "# ::id 1\n# ::snt intro\n\n# ::id 2\n(a / one)\n\n# stray note\n"
         graphs = parse_corpus(text)
         assert [g.nodes[g.root].instance for g in graphs] == ["one"]
+
+    # str.splitlines also ends a line at U+2028, U+0085, \v, \f and \x1c-\x1e: a
+    # literal holding one came back with \n in its place
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\v", "\f", "\x1c"])
+    def test_literal_keeps_a_line_separator(self, separator):
+        text = f'(a / say-01 :ARG1 "x{separator}y")'
+        assert parse_corpus(text) == [parse_amr(text)]
+        assert parse_amr(text).nodes["a"].attributes == ((":ARG1", Literal(f"x{separator}y", True)),)
+
+    # a line holding only U+2028 cut the literal into two blocks, and the first
+    # was an unterminated string literal
+    def test_literal_spans_a_line_holding_only_a_line_separator(self):
+        text = '(a / say-01 :ARG1 "x\n\u2028\ny")\n'
+        assert parse_corpus(text) == [parse_amr(text)]
