@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -486,6 +487,29 @@ class TestEvalAndReport:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["mode"] == "concepts"
         assert len(manifest["dataset_hash"]) == 40
+
+    # the fixture's concepts-mode records, byte for byte apart from latency_ms;
+    # CI diffs the installed console script's dfs and local-random runs against
+    # the same files
+    @pytest.mark.parametrize(
+        "name, flags",
+        [
+            ("dfs", []),
+            ("local-random-7", ["--traversal", "local-random", "--seed", "7"]),
+            ("global-random-7", ["--traversal", "global-random", "--seed", "7"]),
+            ("idf-0.2", ["--config", "idf"]),
+        ],
+    )
+    def test_concepts_records_are_pinned(
+        self, name, flags, tmp_path, fixture_dataset_path, stub_backend_file, capsys
+    ):
+        idf = tmp_path / "idf.json"
+        idf.write_text(json.dumps({"idf_enabled": True, "idf_threshold": 0.2}))
+        flags = [str(idf) if flag == "idf" else flag for flag in flags]
+        out = run_eval(tmp_path, fixture_dataset_path, stub_backend_file, extra=flags)
+        written = (out / "records.json").read_bytes().decode("utf-8")
+        pinned = Path(__file__).parent / "data" / "eval" / f"concepts.{name}.records.json"
+        assert re.sub(r'"latency_ms": [^,]*, ', "", written) == pinned.read_bytes().decode("utf-8")
 
     def test_report_intg_matches_direct_integration(
         self, tmp_path, fixture_dataset_path, stub_backend_file, capsys

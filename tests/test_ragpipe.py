@@ -662,6 +662,35 @@ class TestPipeline:
         assert record.error_kind == "data"
         assert record.error == "DistillError: name node 'n' repeats op index 1"
 
+    # a pair reports the first document, in order, that fails at any stage:
+    # a document's distill error wins over a later document's parse error
+    def test_distill_error_wins_over_a_later_parse_error(self, fixture_dataset_path):
+        [pair] = self.fixture_pairs(fixture_dataset_path, 1)
+        repeated = SupportDoc("A B", True, '(p / person :name (n / name :op1 "A" :op01 "B"))')
+        unparsable = SupportDoc("violin solo", True, "(v / violin")
+        [record] = run_pipeline([pair._replace(documents=(repeated, unparsable))], "concepts", ORACLE)
+        assert record.error_kind == "data"
+        assert record.error == "DistillError: name node 'n' repeats op index 1"
+
+    def test_distill_error_wins_over_a_later_parse_endpoint_outage(self, fixture_dataset_path):
+        [pair] = self.fixture_pairs(fixture_dataset_path, 1)
+        repeated = SupportDoc("A B", True, '(p / person :name (n / name :op1 "A" :op01 "B"))')
+        no_amr = SupportDoc("violin solo", True)
+        [record] = run_pipeline(
+            [pair._replace(documents=(repeated, no_amr))], "concepts", ORACLE,
+            parse_endpoint="http://127.0.0.1:9/x",
+        )
+        assert record.error_kind == "data"
+        assert record.error == "DistillError: name node 'n' repeats op index 1"
+
+    def test_parse_error_wins_over_a_later_distill_error(self, fixture_dataset_path):
+        [pair] = self.fixture_pairs(fixture_dataset_path, 1)
+        unparsable = SupportDoc("violin solo", True, "(v / violin")
+        repeated = SupportDoc("A B", True, '(p / person :name (n / name :op1 "A" :op01 "B"))')
+        [record] = run_pipeline([pair._replace(documents=(unparsable, repeated))], "concepts", ORACLE)
+        assert record.error_kind == "data"
+        assert record.error.startswith("AmrParseError: ")
+
     def test_non_ascii_date_digits_are_a_data_failure(self, fixture_dataset_path):
         [pair] = self.fixture_pairs(fixture_dataset_path, 1)
         doc = pair.documents[0]._replace(amr='(d / date-entity :year "1_999")')
