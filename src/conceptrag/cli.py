@@ -73,7 +73,10 @@ def _json_text(path: Path, kind: str) -> tuple[json.JSONDecoder, str]:
 
 def _read_json(path: Path, kind: str):
     decoder, text = _json_text(path, kind)
-    return decoder.decode(text)
+    try:
+        return decoder.decode(text)
+    except RecursionError:
+        raise DatasetError(f"{kind} {path} is nested too deeply") from None
 
 
 def _load_distill_config(args) -> DistillConfig:
@@ -251,12 +254,14 @@ def _load_records(results_dir: str) -> Iterator[PipelineRecord]:
             data, end = decoder.scan_once(text, match.end())
         except StopIteration:  # no value where one must be, or an empty list
             break
+        except RecursionError:
+            raise DatasetError(f"records file {path} is nested too deeply") from None
         yield from_json(PipelineRecord, data, "record")
         match = _SEPARATOR_RE.match(text, end)
         if not match or match[1] != ",":
             break
     if not listed or not match or match[1] != "]" or match.end() != len(text):
-        if decoder.decode(text) != []:  # raises json's message if it is no JSON
+        if _read_json(path, "records file") != []:  # read again, for json's message
             raise DatasetError(f"{path} must hold a JSON list of records")
 
 

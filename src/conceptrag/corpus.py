@@ -80,6 +80,8 @@ def load_dataset(path: str | Path) -> list[QadPair]:
                 data = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+            except RecursionError:
+                raise DatasetError(f"line {lineno}: JSON nested too deeply") from None
             pairs.append(_pair_from_dict(data, f"line {lineno}"))
     return pairs
 

@@ -498,27 +498,34 @@ def _token_with_prefix(prefix: str, haystack: list) -> tuple[int, int] | None:
     return None
 
 
-def distill_concepts(
-    graph: AmrGraph,
-    source_doc: str,
-    config: DistillConfig | None = None,
-    *,
-    common: frozenset[str] = frozenset(),
-) -> ConceptSet:
-    """Run the full distillation over one document's AMR graph.
-
-    Sentences are traversed in ``config.traversal`` order, the role buffer
-    consolidates name/wiki/date constructs, and the result is formatted and
-    backtraced against ``source_doc``. A concept whose backtraced text,
-    lowercased, is in ``common`` (see :func:`common_terms`) is dropped, so
-    only one-word concepts can be. An empty graph yields an empty set.
-    """
+def distill_documents(
+    graphs: list[AmrGraph], source_docs: list[str], config: DistillConfig | None = None,
+    *, common: frozenset[str] = frozenset(),
+) -> list[ConceptSet]:
+    """Distill each graph against its source document, stage by stage: every
+    graph is traversed in ``config.traversal`` order, with a random stream of
+    its own, and formatted; then every result is backtraced, and a concept
+    whose text, lowercased, is in ``common`` (see :func:`common_terms`) is
+    dropped. The first graph, in order, that breaks a role's rule raises."""
     config = config or DistillConfig()
-    concepts: list[Concept] = []
-    for stream in _traversal_streams(graph, config):
-        concepts.extend(_run_stream(graph, stream))
-    concepts = concept_format(concepts, config.stoplist())
-    concepts = concept_backtrace(concepts, source_doc, config.min_backtrace_overlap)
-    if common:
-        concepts = [c for c in concepts if c.text.lower() not in common]
-    return ConceptSet(concepts=tuple(concepts))
+    formatted = []
+    for graph in graphs:
+        concepts: list[Concept] = []
+        for stream in _traversal_streams(graph, config):
+            concepts.extend(_run_stream(graph, stream))
+        formatted.append(concept_format(concepts, config.stoplist()))
+    sets = []
+    for concepts, source_doc in zip(formatted, source_docs, strict=True):
+        concepts = concept_backtrace(concepts, source_doc, config.min_backtrace_overlap)
+        if common:
+            concepts = [c for c in concepts if c.text.lower() not in common]
+        sets.append(ConceptSet(concepts=tuple(concepts)))
+    return sets
+
+
+def distill_concepts(
+    graph: AmrGraph, source_doc: str, config: DistillConfig | None = None,
+    *, common: frozenset[str] = frozenset(),
+) -> ConceptSet:
+    """:func:`distill_documents` over one document."""
+    return distill_documents([graph], [source_doc], config, common=common)[0]

@@ -19,7 +19,7 @@ from urllib.parse import unquote, urlsplit
 
 from . import metrics
 from .corpus import DatasetError, QadPair
-from .distill import DistillConfig, common_terms, distill_concepts
+from .distill import DistillConfig, common_terms, distill_documents
 from .penman import parse_amr
 from .schema import to_json
 
@@ -104,8 +104,10 @@ class LlmBackendSpec(_LlmBackendSpecFields):
                 "backend spec key 'policy' must be 'echo-facts' or 'oracle-substring', "
                 f"not {self.policy!r}"
             )
-        if not self.timeout_s > 0:  # also rejects NaN
-            raise ValueError("backend spec key 'timeout_s' must be above 0")
+        # also rejects NaN; a socket timeout overflows above threading.TIMEOUT_MAX
+        if not 0 < self.timeout_s <= threading.TIMEOUT_MAX:
+            raise ValueError("backend spec key 'timeout_s' must be above 0 and at most "
+                             f"{threading.TIMEOUT_MAX:.0f}")
         if self.max_parallel < 1:
             raise ValueError("backend spec key 'max_parallel' must be at least 1")
         if self.max_tokens < 1:
@@ -435,16 +437,20 @@ def _answer_pair(
     compress_latency = 0.0
     if mode == "vanilla":
         doc_strings = [doc.text for doc in pair.documents]
-    elif mode == "concepts":
-        doc_strings = []
-        for doc in pair.documents:
-            penman_text = doc.amr
-            if penman_text is None:
-                if not parse_endpoint:
+    elif mode == "concepts":  # stage by stage: parse every document, then distill them
+        texts = [doc.text for doc in pair.documents]
+        graphs = []
+        try:
+            for doc in pair.documents:
+                if doc.amr is None and not parse_endpoint:
                     raise ValueError("document has no inline AMR and no --parse-endpoint")
-                penman_text = parse_remote(parse_endpoint, doc.text)
-            concept_set = distill_concepts(parse_amr(penman_text), doc.text, config, common=common)
-            doc_strings.append(concept_set.facts_string())
+                amr = doc.amr if doc.amr is not None else parse_remote(parse_endpoint, doc.text)
+                graphs.append(parse_amr(amr))
+        except (BackendError, ValueError):  # an earlier document's DistillError comes first
+            distill_documents(graphs, texts[: len(graphs)], config, common=common)
+            raise
+        doc_strings = [s.facts_string() for s in distill_documents(graphs, texts, config,
+                                                                     common=common)]
     else:  # keywords / summary: two-pass compression through the backend
         doc_strings = []
         for doc in pair.documents:

@@ -27,6 +27,10 @@ from conceptrag.ragpipe import BackendError
 from conceptrag.schema import from_json
 
 
+# nesting that json's decoder refuses on every Python (3.13 decodes 5,000)
+DEPTH = 100_000
+
+
 @pytest.fixture()
 def stub_backend_file(tmp_path):
     path = tmp_path / "backend.json"
@@ -453,6 +457,15 @@ class TestStatsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: line 2: ") and field in err
 
+    def test_deeply_nested_dataset_line_is_data_error(self, tmp_path, capsys):
+        # json's decoder raises RecursionError; every Python nests this too deep
+        deep = "[" * DEPTH + "]" * DEPTH
+        bad = tmp_path / "deep.jsonl"
+        good = {"question": "q", "answers": ["a"], "docs": [{"text": "t", "hasanswer": True}]}
+        bad.write_text(json.dumps(good) + f'\n{{"question": {deep}}}\n')
+        assert main(["stats", str(bad)]) == EXIT_DATA
+        assert capsys.readouterr().err == "error: line 2: JSON nested too deeply\n"
+
     def test_non_object_dataset_line_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("5\n")
@@ -670,6 +683,13 @@ class TestEvalAndReport:
                 "'timeout_s' must be above 0",
             ),
             ('{"kind": "stub", "timeout_s": 0}', "'timeout_s' must be above 0"),
+            # a socket timeout overflows above threading.TIMEOUT_MAX; 1e309 decodes as inf
+            ('{"kind": "stub", "timeout_s": 1e309}', "'timeout_s' must be above 0 and at most "),
+            (
+                '{"kind": "http-chat", "endpoint_url": "http://127.0.0.1:9/x", "timeout_s": 1e300}',
+                "'timeout_s' must be above 0 and at most ",
+            ),
+
             ('{"kind": "stub", "max_tokens": 0}', "'max_tokens' must be at least 1"),
             ('{"kind": "stub", "retries": -1}', "'retries' must be at least 0"),
             ('{"kind": "stub", "stub_delay_ms": 1}', "unknown keys: stub_delay_ms"),
@@ -701,6 +721,38 @@ class TestEvalAndReport:
         assert captured.err.startswith("error: backend spec ") and key in captured.err
         assert "hunter2" not in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--backend", "--config"])
+    def test_deeply_nested_spec_or_config_is_data_error(
+        self, flag, tmp_path, fixture_dataset_path, stub_backend_file, capsys
+    ):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"stoplist_add": %s}' % ("[" * DEPTH + "]" * DEPTH))
+        files = {"--backend": stub_backend_file, flag: str(deep)}
+        out = tmp_path / "results"
+        code = main(["eval", str(fixture_dataset_path), "--mode", "vanilla", "--out", str(out),
+                     *(arg for pair in files.items() for arg in pair)])
+        assert code == EXIT_DATA
+        kind = "backend spec" if flag == "--backend" else "distill config"
+        assert capsys.readouterr().err == f"error: {kind} {deep} is nested too deeply\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            '[{"k": 1, "correct": true}, {"k": 1, "correct": true, "question": %s}]',
+            "[%s]",
+            "%s",
+            '{"records": %s}',  # no list: the text is decoded whole
+        ],
+    )
+    def test_deeply_nested_records_are_data_error(self, records, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "records.json").write_text(records % ("[" * DEPTH + "]" * DEPTH))
+        assert main(["report", str(run)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: records file {run / 'records.json'} is nested too deeply\n"
 
     @pytest.mark.parametrize(
         "records, message",

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -15,17 +16,19 @@ from conceptrag.distill import (
     Concept,
     DistillConfig,
     DistillError,
+    TRAVERSAL_KINDS,
     common_terms,
     concept_backtrace,
     concept_format,
     distill_concepts,
+    distill_documents,
     handle_date,
     handle_name,
     strip_sense,
 )
 from conceptrag.penman import parse_amr
 from conceptrag.schema import from_json, to_json
-from graphgen import random_penman
+from graphgen import INSTANCE_POOL, WORD_POOL, random_penman
 
 
 def name_node(*ops, roles=None):
@@ -468,6 +471,41 @@ class TestDistill:
             if traversal == "local-random":
                 order = [c.sentence_index for c in concepts.concepts]
                 assert order == sorted(order)
+
+
+# source words for the graphs of graphgen: labels, inflected frames and names
+SOURCE_WORDS = INSTANCE_POOL + WORD_POOL + ["seeing", "wanted", "builds", "said", "Moving"]
+
+
+class TestDistillDocuments:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=3_000), min_size=1, max_size=4),
+        st.sampled_from(TRAVERSAL_KINDS),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_each_document_distills_as_it_does_alone(self, seeds, traversal, filtered):
+        graphs = [parse_amr(random_penman(seed)) for seed in seeds]
+        docs = [" ".join(random.Random(seed).choices(SOURCE_WORDS, k=12)) for seed in seeds]
+        config = DistillConfig(traversal=traversal, seed=seeds[-1])
+        common = common_terms(docs, 0.3) if filtered else frozenset()
+        alone = [distill_concepts(g, d, config, common=common) for g, d in zip(graphs, docs)]
+        assert distill_documents(graphs, docs, config, common=common) == alone
+
+    def test_first_failing_graph_raises(self):
+        graphs = [
+            parse_amr("(w / work-01)"),
+            parse_amr('(d / date-entity :day 40)'),
+            parse_amr('(n / name :op1 "A" :op01 "B")'),
+        ]
+        with pytest.raises(DistillError, match="day 40"):
+            distill_documents(graphs, ["worked", "x", "A B"])
+        with pytest.raises(DistillError, match="repeats op index 1"):
+            distill_documents(graphs[::-1], ["A B", "x", "worked"])
+
+    def test_one_source_document_per_graph(self):
+        with pytest.raises(ValueError):
+            distill_documents([parse_amr("(w / work-01)")], ["worked", "extra"])
 
 
 class TestDistillConfig:

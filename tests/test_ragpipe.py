@@ -195,6 +195,19 @@ class TestStubBackends:
         assert answer == "full document text"
 
 
+class TestBackendSpec:
+    # a socket takes no timeout above threading.TIMEOUT_MAX: it raised OverflowError
+    @pytest.mark.parametrize("timeout_s", [threading.TIMEOUT_MAX * 2, float("inf")])
+    def test_timeout_above_the_thread_maximum_is_rejected(self, timeout_s):
+        with pytest.raises(ValueError, match="'timeout_s' must be above 0 and at most "):
+            LlmBackendSpec(kind="http-chat", endpoint_url="http://127.0.0.1:9/x",
+                           timeout_s=timeout_s)
+
+    def test_timeout_at_the_thread_maximum_is_accepted(self):
+        spec = LlmBackendSpec(kind="stub", timeout_s=threading.TIMEOUT_MAX)
+        assert spec.timeout_s == threading.TIMEOUT_MAX
+
+
 class TestHttpBackend:
     def test_fixed_reply_and_latency(self, mock_llm_server):
         backend = LlmBackendSpec(kind="http-chat", endpoint_url=f"{mock_llm_server}/ok", model="m")
