@@ -449,8 +449,8 @@ def _answer_pair(
         except (BackendError, ValueError):  # an earlier document's DistillError comes first
             distill_documents(graphs, texts[: len(graphs)], config, common=common)
             raise
-        doc_strings = [s.facts_string() for s in distill_documents(graphs, texts, config,
-                                                                     common=common)]
+        concept_sets = distill_documents(graphs, texts, config, common=common)
+        doc_strings = [concept_set.facts_string() for concept_set in concept_sets]
     else:  # keywords / summary: two-pass compression through the backend
         doc_strings = []
         for doc in pair.documents:

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from conceptrag import distill
 from conceptrag.distill import (
     DEFAULT_STOPLIST,
+    TRAVERSAL_KINDS,
     Concept,
     DistillConfig,
     DistillError,
-    TRAVERSAL_KINDS,
     common_terms,
     concept_backtrace,
     concept_format,
@@ -495,7 +495,7 @@ class TestDistillDocuments:
     def test_first_failing_graph_raises(self):
         graphs = [
             parse_amr("(w / work-01)"),
-            parse_amr('(d / date-entity :day 40)'),
+            parse_amr("(d / date-entity :day 40)"),
             parse_amr('(n / name :op1 "A" :op01 "B")'),
         ]
         with pytest.raises(DistillError, match="day 40"):
