@@ -6,8 +6,11 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -929,6 +932,61 @@ class TestExitCodes:
         assert code == 130  # 128 + SIGINT
         assert capsys.readouterr().err == "interrupted\n"
 
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="concepts mode compresses in workers only with two usable CPUs")
+    def test_ctrl_c_while_workers_compress_prints_only_interrupted(
+        self, tmp_path, fixture_dataset_path, stub_backend_file
+    ):
+        # 8,000 pairs: about a second of compression in two workers. Ctrl-C
+        # from a terminal reaches the whole process group, the workers too.
+        lines = fixture_dataset_path.read_text("utf-8").splitlines(keepends=True)
+        dataset = tmp_path / "big.jsonl"
+        dataset.write_text("".join(lines * 400), "utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        argv = ["eval", str(dataset), "--backend", stub_backend_file, "--mode", "concepts",
+                "--out", str(tmp_path / "run")]
+        process = subprocess.Popen(
+            [sys.executable, "-m", "conceptrag.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        try:
+            children_file = Path(f"/proc/{process.pid}/task/{process.pid}/children")
+            deadline = time.monotonic() + 60
+            while not (children := children_file.read_text().split()):
+                assert process.poll() is None and time.monotonic() < deadline
+                time.sleep(0.001)
+            os.killpg(process.pid, signal.SIGINT)
+            _, err = process.communicate(timeout=60)
+            alive = [pid for pid in children if Path(f"/proc/{pid}").exists()]
+        finally:  # whatever failed, nothing of the session is left running
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            process.communicate()
+        assert process.returncode == EXIT_INTERRUPTED
+        assert err == "interrupted\n"
+        assert alive == []
+
+    def test_a_thread_that_cannot_start_is_a_backend_error(
+        self, tmp_path, fixture_dataset_path, monkeypatch, capsys
+    ):
+        backend = tmp_path / "backend.json"
+        backend.write_text(json.dumps({"kind": "stub", "max_parallel": 2}))
+
+        def start(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        code = main(["eval", str(fixture_dataset_path), "--backend", str(backend),
+                     "--mode", "concepts", "--out", str(tmp_path / "run")])
+        assert code == EXIT_BACKEND
+        assert capsys.readouterr().err == (
+            "backend error: cannot start a thread for backend spec key 'max_parallel' 2: "
+            "can't start new thread\n"
+        )
+
     @pytest.mark.parametrize("collector_on", [True, False])
     def test_main_leaves_the_collector_as_it_was_on_every_exit(
         self, collector_on, tmp_path, fixture_dataset_path, monkeypatch, capsys
@@ -1090,13 +1148,14 @@ def test_cli_start_up_loads_only_what_a_command_runs(
     command, tmp_path, fixture_dataset_path, stub_backend_file
 ):
     # eval imports hashlib and, for max_parallel > 1, the thread pool when it
-    # runs; no command imports the rest, nor what dataclasses would load. The
+    # runs; the fixture's concepts run is too small for worker processes. No
+    # command imports the rest, nor what dataclasses would load. The
     # baseline is the stdlib that the package itself imports, so a site that
     # preloads a module cannot fail this.
     src = str(Path(__file__).resolve().parents[1] / "src")
     data = Path(__file__).parent / "data"
     unused = {"calendar", "datetime", "string", "hashlib", "concurrent.futures", "logging",
-              "dataclasses", "inspect", "ast", "dis", "tokenize"}
+              "multiprocessing", "dataclasses", "inspect", "ast", "dis", "tokenize"}
     if command == "distill":
         argv = ["distill", str(data / "table_a1.amr"), str(data / "table_a1.txt")]
     elif command == "eval":
