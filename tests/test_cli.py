@@ -1143,12 +1143,18 @@ def test_cli_import_loads_no_http_client():
     assert result.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command", ["distill", "eval", "report"])
+@pytest.mark.parametrize("command", [
+    "distill", "eval", "report",
+    pytest.param("eval-workers", marks=pytest.mark.skipif(
+        len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+        reason="concepts mode compresses in workers only with two usable CPUs")),
+])
 def test_cli_start_up_loads_only_what_a_command_runs(
     command, tmp_path, fixture_dataset_path, stub_backend_file
 ):
     # eval imports hashlib and, for max_parallel > 1, the thread pool when it
-    # runs; the fixture's concepts run is too small for worker processes. No
+    # runs. The fixture's concepts run is too small for worker processes;
+    # three copies of it (330 documents) fork them, with os.fork alone. No
     # command imports the rest, nor what dataclasses would load. The
     # baseline is the stdlib that the package itself imports, so a site that
     # preloads a module cannot fail this.
@@ -1158,21 +1164,27 @@ def test_cli_start_up_loads_only_what_a_command_runs(
               "multiprocessing", "dataclasses", "inspect", "ast", "dis", "tokenize"}
     if command == "distill":
         argv = ["distill", str(data / "table_a1.amr"), str(data / "table_a1.txt")]
-    elif command == "eval":
-        argv = ["eval", str(fixture_dataset_path), "--backend", stub_backend_file,
+    elif command.startswith("eval"):
+        dataset = fixture_dataset_path
+        if command == "eval-workers":
+            dataset = tmp_path / "three-copies.jsonl"
+            dataset.write_text(fixture_dataset_path.read_text("utf-8") * 3, "utf-8")
+        argv = ["eval", str(dataset), "--backend", stub_backend_file,
                 "--mode", "concepts", "--out", str(tmp_path / "run")]
         unused.remove("hashlib")
     else:
         argv = ["report", str(run_eval(tmp_path, fixture_dataset_path, stub_backend_file))]
     code = (
-        "import sys, json\n"
+        "import sys, json, os\n"
         "import argparse, pathlib, re, typing, threading, urllib.parse\n"
         "import random, collections, itertools, functools\n"
         "before = set(sys.modules)\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
         "from conceptrag.cli import main\n"
         "code = main(sys.argv[2:])\n"
         "unused = set(json.loads(sys.argv[1]))\n"
-        "print(json.dumps([code, sorted(unused & (set(sys.modules) - before))]))"
+        "print(json.dumps([code, sorted(unused & (set(sys.modules) - before)), len(forks)]))"
     )
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
@@ -1180,4 +1192,5 @@ def test_cli_start_up_loads_only_what_a_command_runs(
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout.splitlines()[-1]) == [EXIT_OK, []]
+    workers = len(os.sched_getaffinity(0)) if command == "eval-workers" else 0
+    assert json.loads(result.stdout.splitlines()[-1]) == [EXIT_OK, [], workers]

@@ -2,8 +2,8 @@
 compressing in process gives."""
 
 import errno
-import multiprocessing
 import os
+import signal
 import threading
 
 import pytest
@@ -67,7 +67,8 @@ def without_latency(records):
 
 
 def assert_nothing_left_running():
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child at all, not even one to reap
+        os.waitpid(-1, os.WNOHANG)
     assert threading.active_count() == 1
 
 
@@ -93,6 +94,16 @@ def test_pool_records_equal_in_process_records(config, big_pairs, forks, monkeyp
     )]
 
 
+def test_three_workers_take_every_third_pair(big_pairs, forks, monkeypatch):
+    # the affinity is patched, so this holds on a host with two CPUs too
+    expected = in_process(monkeypatch, big_pairs, DistillConfig())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    records = run_pipeline(big_pairs, "concepts", ORACLE)
+    assert len(forks) == 3
+    assert without_latency(records) == without_latency(expected)
+    assert_nothing_left_running()
+
+
 @pytest.mark.parametrize("failing_fork", [1, 2])
 def test_a_fork_that_fails_compresses_in_process(failing_fork, big_pairs, forks, monkeypatch):
     # the first fork fails, or the second after one worker started: that worker ends
@@ -109,6 +120,44 @@ def test_a_fork_that_fails_compresses_in_process(failing_fork, big_pairs, forks,
     records = run_pipeline(big_pairs, "concepts", ORACLE)
     assert len(forks) == failing_fork
     assert without_latency(records) == without_latency(expected)
+    assert_nothing_left_running()
+
+
+def test_a_killed_worker_has_its_pairs_compressed_in_process(big_pairs, forks, monkeypatch):
+    big_pairs[5] = victim = big_pairs[5]._replace()  # one pair, told apart by identity
+    expected = in_process(monkeypatch, big_pairs, DistillConfig())
+    parent, compress_pair, compressed_here = os.getpid(), ragpipe.compress_pair, []
+
+    def killed_on_the_victim(pair, **settings):
+        if pair is victim:
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)  # as the OOM killer would
+            compressed_here.append(pair)
+        return compress_pair(pair, **settings)
+
+    monkeypatch.setattr(ragpipe, "compress_pair", killed_on_the_victim)
+    records = run_pipeline(big_pairs, "concepts", ORACLE)
+    assert len(forks) == len(os.sched_getaffinity(0))
+    assert compressed_here == [victim]
+    assert without_latency(records) == without_latency(expected)
+    assert_nothing_left_running()
+
+
+def test_an_error_in_the_workers_raises_as_it_does_in_process(big_pairs, forks, monkeypatch):
+    compress_pair = ragpipe.compress_pair
+
+    def fails_on_one_pair(pair, **settings):
+        if pair is big_pairs[-1]:
+            raise RuntimeError("a fault in compress_pair")
+        return compress_pair(pair, **settings)
+
+    monkeypatch.setattr(ragpipe, "compress_pair", fails_on_one_pair)
+    with pytest.raises(RuntimeError, match="^a fault in compress_pair$"):
+        in_process(monkeypatch, big_pairs, DistillConfig())
+    assert forks == []
+    with pytest.raises(RuntimeError, match="^a fault in compress_pair$"):
+        run_pipeline(big_pairs, "concepts", ORACLE)
+    assert len(forks) == len(os.sched_getaffinity(0))
     assert_nothing_left_running()
 
 
