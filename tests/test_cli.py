@@ -77,12 +77,14 @@ class TestParseCommand:
         assert graph["nodes"]["w"]["instance"] == "work-01"
 
     def test_output_is_pinned(self, capsys):
-        # the whole Table A1 graph, byte for byte; CI diffs the installed
-        # console script's output against the same file
+        # the whole Table A1 graph, and a two-graph corpus with forward and
+        # re-entrant references and a literal after a nested node, byte for
+        # byte; CI diffs the installed console script's output against the same files
         data = Path(__file__).parent / "data"
-        assert main(["parse", str(data / "table_a1.amr")]) == EXIT_OK
-        pinned = (data / "table_a1.parse.json").read_bytes().decode("utf-8")
-        assert capsys.readouterr().out == pinned
+        for name in ("table_a1", "reentrant"):
+            assert main(["parse", str(data / f"{name}.amr")]) == EXIT_OK
+            pinned = (data / f"{name}.parse.json").read_bytes().decode("utf-8")
+            assert capsys.readouterr().out == pinned, name
 
     def test_unbalanced_parens_exit_code_and_offset(self, tmp_path, capsys):
         src = tmp_path / "bad.amr"
