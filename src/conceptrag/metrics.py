@@ -168,17 +168,12 @@ def _trapezoid_area(curve: EvalCurve, interval: Interval) -> float:
     )
 
 
-def compression_ratio(original_words: list[int], compressed_words: list[int]) -> float:
+def compression_ratio(original_words: int, compressed_words: int) -> float:
     """Word-level size of the compressed texts as a percentage of the
-    originals (the uncompressed baseline is 100.0), from per-text word counts."""
-    if len(original_words) != len(compressed_words):
-        raise MetricsError(
-            f"originals ({len(original_words)}) and compressed ({len(compressed_words)}) differ"
-        )
-    total = sum(original_words)
-    if total == 0:
+    originals (the uncompressed baseline is 100.0), from their word counts."""
+    if original_words == 0:
         raise MetricsError("original texts contain no words")
-    return 100.0 * sum(compressed_words) / total
+    return 100.0 * compressed_words / original_words
 
 
 def _nearest_rank(ordered: list[float], q: float) -> float:
@@ -230,7 +225,7 @@ def build_report(
         "errors": errors,
         "accuracy_per_k": {str(k): curve.points[k] for k in sorted(curve.points)},
         "intg": intg_rows,
-        "compression_ratio": compression_ratio([original], [compressed]) if original else None,
+        "compression_ratio": compression_ratio(original, compressed) if original else None,
         "latency": latency,
     }
     return report, [curve, baseline_curve] if baseline_curve else [curve]

@@ -74,19 +74,32 @@ class AmrNode(NamedTuple):
 
 
 class AmrGraph(NamedTuple):
-    """A parsed graph: a root variable, nodes in definition order, and the
-    edges in the textual order of roles. ``children`` maps each variable to
-    its own edges in that order, and ``parents`` maps each non-root variable
-    to the variable it was defined under; both follow from ``edges``."""
+    """A parsed graph: a root variable and nodes in definition order.
+    ``children`` maps each variable to its own edges in the textual order of
+    roles, and ``parents`` maps each non-root variable to the variable it was
+    defined under."""
 
     root: str
     nodes: dict[str, AmrNode]
-    edges: list[AmrEdge]
     children: dict[str, list[AmrEdge]]
     parents: dict[str, str]
 
     def to_dict(self) -> dict:
-        """JSON-friendly rendering used by the CLI ``parse`` command."""
+        """JSON-friendly rendering used by the CLI ``parse`` command. Edges come in
+        textual order, walked with a stack of iterators so that any depth renders."""
+        edges = []
+        stack = [iter(self.children[self.root])]
+        while stack:
+            for e in stack[-1]:
+                literal = isinstance(e.target, Literal)
+                kind = "attribute" if literal else "node" if e.defines else "reference"
+                target = e.target.text if literal else e.target
+                edges.append({"source": e.source, "role": e.role, "target": target, "kind": kind})
+                if e.defines:
+                    stack.append(iter(self.children[e.target]))
+                    break
+            else:
+                stack.pop()
         return {
             "root": self.root,
             "nodes": {
@@ -99,17 +112,7 @@ class AmrGraph(NamedTuple):
                 }
                 for v, n in self.nodes.items()
             },
-            "edges": [
-                {
-                    "source": e.source,
-                    "role": e.role,
-                    "target": e.target.text if isinstance(e.target, Literal) else e.target,
-                    "kind": "attribute"
-                    if isinstance(e.target, Literal)
-                    else ("node" if e.defines else "reference"),
-                }
-                for e in self.edges
-            ],
+            "edges": edges,
         }
 
 
@@ -206,8 +209,7 @@ def parse_amr(text: str) -> AmrGraph:
     """
     instances: dict[str, str] = {}  # variable -> instance, in definition order
     attributes: dict[str, list[tuple[str, Literal]]] = {}
-    edges: list[AmrEdge] = []  # in textual role order
-    children: dict[str, list[AmrEdge]] = {}  # variable -> its edges, in that order
+    children: dict[str, list[AmrEdge]] = {}  # variable -> its edges, in textual order
     parents: dict[str, str] = {}  # variable -> the variable it was defined under
     # symbols that are neither a variable defined so far nor a literal, as
     # (symbol, offset): forward references, or errors that count only once
@@ -268,7 +270,6 @@ def parse_amr(text: str) -> AmrGraph:
         else:
             later.append((symbol, m.start("symbol")))
             edge = new(AmrEdge, (source, role, symbol, False))
-        edges.append(edge)
         children[source].append(edge)
         last = m
     if stack or end is None:
@@ -285,7 +286,7 @@ def parse_amr(text: str) -> AmrGraph:
     nodes = {
         v: new(AmrNode, (v, instance, tuple(attributes[v]))) for v, instance in instances.items()
     }
-    return new(AmrGraph, (root, nodes, edges, children, parents))
+    return new(AmrGraph, (root, nodes, children, parents))
 
 
 def _raise_parse_error(text: str, pos: int, depth: int, defined: dict[str, str]) -> NoReturn:

@@ -126,6 +126,7 @@ class _Parser:
         self.defined: dict[str, int] = {}
         self.node_instances: dict[str, str] = {}
         self.raw_edges: list[tuple[str, str, object, bool, int] | None] = []
+        self.edges: list[AmrEdge] = []  # in textual order, once built
         self.root: str | None = None
 
     def fail(self, message: str, at: int):
@@ -217,11 +218,19 @@ class _Parser:
             )
             nodes[variable] = AmrNode(variable, instance, attrs)
         parents = {edge.target: edge.source for edge in edges if edge.defines}
-        return AmrGraph(self.root, nodes, edges, children(nodes, edges), parents)
+        self.edges = edges
+        return AmrGraph(self.root, nodes, children(nodes, edges), parents)
 
 
 def parse_amr(text: str) -> AmrGraph:
     return _Parser(text).parse()
+
+
+def textual_edges(text: str) -> list[AmrEdge]:
+    """The graph's edges in the order their roles appear in ``text``."""
+    parser = _Parser(text)
+    parser.parse()
+    return parser.edges
 
 
 def children(variables, edges: list[AmrEdge]) -> dict[str, list[AmrEdge]]:
@@ -229,8 +238,13 @@ def children(variables, edges: list[AmrEdge]) -> dict[str, list[AmrEdge]]:
     return {v: [edge for edge in edges if edge.source == v] for v in variables}
 
 
+def all_edges(graph: AmrGraph) -> list[AmrEdge]:
+    """Every edge, grouped by source; each source's edges in textual order."""
+    return [edge for edges in graph.children.values() for edge in edges]
+
+
 def defining_parent(graph: AmrGraph, variable: str) -> str | None:
-    for edge in graph.edges:
+    for edge in all_edges(graph):
         if edge.defines and edge.target == variable:
             return edge.source
     return None
@@ -335,7 +349,7 @@ def _traversal_streams(graph: AmrGraph, config: DistillConfig) -> list[list[tupl
     if graph.nodes[graph.root].instance == "multi-sentence":
         numbered = sorted(
             (int(edge.role[len(":snt") :]), edge.target)
-            for edge in graph.edges
+            for edge in all_edges(graph)
             if edge.source == graph.root and edge.role.startswith(":snt")
         )
         roots = [target for _, target in numbered]
@@ -354,7 +368,7 @@ def _traversal_streams(graph: AmrGraph, config: DistillConfig) -> list[list[tupl
 
 def _preorder(graph: AmrGraph, variable: str) -> list[str]:
     order = [variable]
-    for edge in graph.edges:
+    for edge in all_edges(graph):
         if edge.defines and defining_parent(graph, edge.target) == variable:
             order += _preorder(graph, edge.target)
     return order

@@ -417,6 +417,9 @@ class TestDistillCommand:
         doc.write_text("The boy walked.")
         assert main(["distill", str(amr), str(doc)]) == EXIT_OK
         assert capsys.readouterr().out.splitlines() == ["walked"] * depth + ["boy"]
+        # parse renders the edges of the same graph without recursion
+        assert main(["parse", str(amr)]) == EXIT_OK
+        assert len(json.loads(capsys.readouterr().out)["edges"]) == depth
 
 
 class TestStatsCommand:

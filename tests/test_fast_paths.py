@@ -41,6 +41,11 @@ FRAGMENTS = HOSTILE + [
 # alignments that a shorter match would split another way, a comment that
 # holds '/' and ')', and unicode whitespace (only skipped between tokens)
 HAZARDS = ["~ab1913", "~e.12", "/~1x", "# a / b )\n", "\xa0", "\u2003", "\u2028", "\x85", "\x0b"]
+# references that come before the definition they name
+FORWARD_REFERENCES = [
+    "(a / b :ARG0 c :ARG1 (c / d :ARG0 a))",
+    "(a / b :ARG0 (c / d :ARG1 e :mod 1) :ARG2 (e / f :ARG0 g :ARG1 c) :ARG3 (g / h))",
+]
 
 
 def outcome(func, text):
@@ -79,6 +84,20 @@ class TestParser:
         for seed in range(300):
             text = random_penman(seed)
             assert parse_amr(text) == bruteforce.parse_amr(text), seed
+
+    def test_rendered_edges_in_textual_order(self):
+        # to_dict derives the edge list from children; the reference parser
+        # lists the edges as it reads them
+        def render(edge):
+            if isinstance(edge.target, Literal):
+                return {"source": edge.source, "role": edge.role, "target": edge.target.text,
+                        "kind": "attribute"}
+            kind = "node" if edge.defines else "reference"
+            return {"source": edge.source, "role": edge.role, "target": edge.target, "kind": kind}
+
+        for text in [random_penman(seed) for seed in range(300)] + FORWARD_REFERENCES:
+            expected = [render(edge) for edge in bruteforce.textual_edges(text)]
+            assert parse_amr(text).to_dict()["edges"] == expected, text
 
     def test_damaged_graphs_fail_alike(self):
         rng = random.Random(5)
@@ -137,15 +156,9 @@ class TestParser:
         assert result == ("error", f"expected a value after :ARG0 (byte offset {offset})", offset)
 
     def test_defining_parent(self):
-        texts = [random_penman(seed) for seed in range(300)]
-        # references that come before the definition they name
-        texts += [
-            "(a / b :ARG0 c :ARG1 (c / d :ARG0 a))",
-            "(a / b :ARG0 (c / d :ARG1 e :mod 1) :ARG2 (e / f :ARG0 g :ARG1 c) :ARG3 (g / h))",
-        ]
-        for text in texts:
+        for text in [random_penman(seed) for seed in range(300)] + FORWARD_REFERENCES:
             graph = parse_amr(text)
-            assert graph.children == bruteforce.children(graph.nodes, graph.edges), text
+            assert graph.children == bruteforce.parse_amr(text).children, text
             for variable in [*graph.nodes, "absent"]:
                 expected = bruteforce.defining_parent(graph, variable)
                 assert graph.parents.get(variable) == expected, (text, variable)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from conceptrag.distill import distill_concepts
 from conceptrag.penman import (
-    AmrEdge,
     AmrParseError,
     GraphError,
     Literal,
@@ -32,7 +31,7 @@ class TestParse:
         graph = parse_amr("(w / work-01)")
         assert graph.root == "w"
         assert graph.nodes["w"].instance == "work-01"
-        assert graph.edges == []
+        assert graph.to_dict()["edges"] == []
 
     def test_table_a1_structure(self, table_a1_penman):
         graph = parse_amr(table_a1_penman)
@@ -90,7 +89,7 @@ class TestParse:
 
     def test_edge_list_in_textual_role_order(self):
         graph = parse_amr("(a / x :r1 (b / y :r2 (c / z)) :r3 (d / w) :r4 7)")
-        assert [(e.source, e.role) for e in graph.edges] == [
+        assert [(e["source"], e["role"]) for e in graph.to_dict()["edges"]] == [
             ("a", ":r1"), ("b", ":r2"), ("a", ":r3"), ("a", ":r4"),
         ]
 
@@ -252,10 +251,11 @@ class TestDeepGraphs:
     def test_parse_serialize_and_dfs(self):
         graph = parse_amr(self.deep_chain())
         assert len(graph.nodes) == 2 * self.DEPTH + 1
-        assert [(e.source, e.role) for e in graph.edges[:4]] == [
+        edges = graph.to_dict()["edges"]
+        assert [(e["source"], e["role"]) for e in edges[:4]] == [
             ("v0", ":mod"), ("v0", ":ARG0"), ("v1", ":mod"), ("v1", ":ARG0"),
         ]
-        assert graph.edges[-1] == AmrEdge("v0", ":quant", Literal("0"))
+        assert edges[-1] == {"source": "v0", "role": ":quant", "target": "0", "kind": "attribute"}
         # indent=0 keeps the text linear in depth
         assert parse_amr(serialize_amr(graph, indent=0)) == graph
         expected = [v for i in range(self.DEPTH) for v in (f"v{i}", f"m{i}")] + ["z"]
