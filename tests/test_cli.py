@@ -191,6 +191,20 @@ class TestDistillCommand:
         pinned = (data / "table_a1.distill.json").read_bytes().decode("utf-8")
         assert capsys.readouterr().out == pinned
 
+    # a node's first :wiki decides, "-" meaning no link, and only a name that a
+    # wiki-linked node defines is dropped; CI diffs the installed console
+    # script's output against the same files
+    @pytest.mark.parametrize(
+        "traversal", [["dfs"], ["local-random", "--seed", "7"], ["global-random", "--seed", "7"]]
+    )
+    def test_wiki_rule_output_is_pinned(self, traversal, capsys):
+        data = Path(__file__).parent / "data"
+        argv = ["distill", str(data / "wiki.amr"), str(data / "wiki.txt"), "--json",
+                "--traversal", *traversal]
+        assert main(argv) == EXIT_OK
+        pinned = (data / f"wiki.{'-'.join(traversal[::2])}.distill.json").read_bytes()
+        assert capsys.readouterr().out == pinned.decode("utf-8")
+
     # at the overlap floors where backtrace tries prefixes down to one character;
     # CI diffs the installed console script's output against the same files
     @pytest.mark.parametrize("overlap", [0, 1])

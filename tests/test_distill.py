@@ -99,6 +99,17 @@ class TestHandleWiki:
         graph = parse_amr('(p / person :name (n / name :op1 "Kan"))')
         assert distill_concepts(graph, "Kan").texts() == ["Kan"]
 
+    def test_wiki_linked_multi_sentence_root_drops_its_sentence_name(self):
+        # the root is in no sentence, so its wiki string is not emitted; the
+        # name it defines as :snt1 is dropped all the same, and a name defined
+        # under a plain node of :snt2 is kept
+        graph = parse_amr(
+            '(m / multi-sentence :wiki "Paris" :snt1 (n / name :op1 "Paris")'
+            ' :snt2 (w / want-01 :ARG1 (c / city :name (n2 / name :op1 "Paris"))))'
+        )
+        concepts = distill_concepts(graph, "Paris. They want Paris.").concepts
+        assert concepts == (("want", "instance", 2, (12, 16)), ("Paris", "name", 2, (0, 5)))
+
 
 class TestHandleDate:
     def test_full_date(self):
