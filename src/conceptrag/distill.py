@@ -170,12 +170,19 @@ def common_terms(docs: list[str], threshold: float) -> frozenset[str]:
 # --- role handlers
 
 
-def _wiki_value(node: AmrNode) -> str | None:
-    """The node's :wiki string, or None when absent or the '-' no-link marker."""
-    literal = node.attribute(":wiki")
-    if literal is None or literal.text == "-":
-        return None
-    return literal.text
+def _wiki_links(graph: AmrGraph) -> tuple[dict[str, str], set[str]]:
+    """Each wiki-linked node's wiki string, underscores as spaces, and the
+    variables those nodes define. A node's first :wiki decides; '-' is no link."""
+    wikis: dict[str, str] = {}
+    named: set[str] = set()
+    for variable, node in graph.nodes.items():
+        for role, literal in node.attributes:
+            if role == ":wiki":
+                if literal.text != "-":
+                    wikis[variable] = literal.text.replace("_", " ")
+                    named.update(e.target for e in graph.children[variable] if e.defines)
+                break
+    return wikis, named
 
 
 def handle_name(node: AmrNode, sentence_index: int = 1) -> Concept:
@@ -245,16 +252,18 @@ def _int_value(node: AmrNode, role: str, literal: Literal | None) -> int | None:
 # --- traversal state machine
 
 
-def _run_stream(graph: AmrGraph, stream: list[tuple[int, str]]) -> list[Concept]:
+def _run_stream(
+    graph: AmrGraph, stream: list[tuple[int, str]], wikis: dict[str, str], named: set[str]
+) -> list[Concept]:
     """Feed (sentence_index, variable) items through the role-buffering loop:
-    special-role nodes (names, date-entities and wiki-linked nodes)
-    accumulate, any other node flushes the buffer before appending its own
-    instance, and the stream end flushes the remainder.
+    special-role nodes (names, date-entities and the wiki-linked nodes of
+    ``wikis``) accumulate, any other node flushes the buffer before appending
+    its own instance, and the stream end flushes the remainder.
 
-    A name child of a wiki-linked entity contributes nothing: the wiki string
-    is the standardized form of the same entity, so it replaces the name and
-    duplicates never arise. The decision is structural, which keeps the
-    emitted multiset identical under every traversal order.
+    A name in ``named``, defined by a wiki-linked entity, contributes nothing:
+    the wiki string is the standardized form of the same entity, so it
+    replaces the name and duplicates never arise. The decision is structural,
+    which keeps the emitted multiset identical under every traversal order.
     """
     nodes = graph.nodes
     concepts: list[Concept] = []
@@ -262,10 +271,9 @@ def _run_stream(graph: AmrGraph, stream: list[tuple[int, str]]) -> list[Concept]
     for sentence_index, variable in stream:
         node = nodes[variable]
         instance = node.instance
-        wiki = _wiki_value(node) if node.attributes else None
+        wiki = wikis.get(variable)
         if instance == "name":
-            parent = graph.parents.get(variable)
-            if parent is None or _wiki_value(nodes[parent]) is None:
+            if variable not in named:
                 role_buffer.append(handle_name(node, sentence_index))
         elif wiki is None and instance != "date-entity":
             if role_buffer:
@@ -274,8 +282,7 @@ def _run_stream(graph: AmrGraph, stream: list[tuple[int, str]]) -> list[Concept]
             concepts.append(_new(Concept, (instance, "instance", sentence_index, None)))
             continue
         if wiki is not None:
-            text = wiki.replace("_", " ")
-            role_buffer.append(_new(Concept, (text, "wiki", sentence_index, None)))
+            role_buffer.append(_new(Concept, (wiki, "wiki", sentence_index, None)))
         if instance == "date-entity":
             date = handle_date(node, sentence_index)
             if date is not None:
@@ -342,14 +349,12 @@ def concept_backtrace(
     broken by earliest position); unmatched concepts keep their AMR form.
     Name/wiki/date concepts pass through, taking the source casing and span
     when an exact case-insensitive whole-word match exists. Never drops or
-    adds. Each distinct text, word and lowercase target is restored once per
-    document.
+    adds. Each distinct instance text and word is restored, and each
+    lowercase target searched, once per document.
     """
-    # Two memos map each distinct text to its restored text and span, or to
-    # None to keep the concept: one for instance texts and one for the rest,
-    # so an instance and a name of equal text never share a result.
+    # each distinct instance text's restored text and span, or None to keep it;
+    # a name, wiki or date concept's is the source slice at its target's span
     instances: dict[str, tuple[str, tuple[int, int] | None] | None] = {}
-    others: dict[str, tuple[str, tuple[int, int]] | None] = {}
     words: dict[str, tuple[int, int] | None] = {}  # token span by word
     spans: dict[str, tuple[int, int] | None] = {}  # by lowercase target
     lowered = source_doc.lower()
@@ -378,8 +383,6 @@ def concept_backtrace(
                 restored = instances[text] = _restore_words(
                     _TOKEN_RE.split(text), words, haystack, prefix_len
                 )
-        elif text in others:
-            restored = others[text]
         else:
             target = text.lower()
             if target not in spans:
@@ -391,9 +394,7 @@ def concept_backtrace(
                     to_doc[at] = len(source_doc)
                 spans[target] = _find_lowercase(source_doc, lowered, to_doc, target)
             span = spans[target]
-            restored = others[text] = (
-                None if span is None else (source_doc[span[0] : span[1]], span)
-            )
+            restored = None if span is None else (source_doc[span[0] : span[1]], span)
         if restored is None:
             out.append(concept)
         else:
@@ -510,9 +511,10 @@ def distill_documents(
     config = config or DistillConfig()
     formatted = []
     for graph in graphs:
+        wikis, named = _wiki_links(graph)
         concepts: list[Concept] = []
         for stream in _traversal_streams(graph, config):
-            concepts.extend(_run_stream(graph, stream))
+            concepts.extend(_run_stream(graph, stream, wikis, named))
         formatted.append(concept_format(concepts, config.stoplist()))
     sets = []
     for concepts, source_doc in zip(formatted, source_docs, strict=True):

@@ -66,23 +66,15 @@ class AmrNode(NamedTuple):
     instance: str
     attributes: tuple[tuple[str, Literal], ...] = ()
 
-    def attribute(self, role: str) -> Literal | None:
-        for r, value in self.attributes:
-            if r == role:
-                return value
-        return None
-
 
 class AmrGraph(NamedTuple):
     """A parsed graph: a root variable and nodes in definition order.
     ``children`` maps each variable to its own edges in the textual order of
-    roles, and ``parents`` maps each non-root variable to the variable it was
-    defined under."""
+    roles."""
 
     root: str
     nodes: dict[str, AmrNode]
     children: dict[str, list[AmrEdge]]
-    parents: dict[str, str]
 
     def to_dict(self) -> dict:
         """JSON-friendly rendering used by the CLI ``parse`` command. Edges come in
@@ -210,7 +202,6 @@ def parse_amr(text: str) -> AmrGraph:
     instances: dict[str, str] = {}  # variable -> instance, in definition order
     attributes: dict[str, list[tuple[str, Literal]]] = {}
     children: dict[str, list[AmrEdge]] = {}  # variable -> its edges, in textual order
-    parents: dict[str, str] = {}  # variable -> the variable it was defined under
     # symbols that are neither a variable defined so far nor a literal, as
     # (symbol, offset): forward references, or errors that count only once
     # the whole text has parsed
@@ -252,7 +243,6 @@ def parse_amr(text: str) -> AmrGraph:
             instances[variable] = instance
             attributes[variable] = []
             children[variable] = []
-            parents[variable] = source
             edge = new(AmrEdge, (source, role, variable, True))
             stack.append(variable)
         elif body is not None:
@@ -286,7 +276,7 @@ def parse_amr(text: str) -> AmrGraph:
     nodes = {
         v: new(AmrNode, (v, instance, tuple(attributes[v]))) for v, instance in instances.items()
     }
-    return new(AmrGraph, (root, nodes, children, parents))
+    return new(AmrGraph, (root, nodes, children))
 
 
 def _raise_parse_error(text: str, pos: int, depth: int, defined: dict[str, str]) -> NoReturn:

@@ -6,7 +6,7 @@ These are the earlier implementations kept as they were: the
 character-at-a-time lexer, the recursive-descent parser with its per-node
 attribute scan, the linear ``defining_parent`` scan, the backtrace that
 compares every concept word with every source token, and the name and date
-handlers that read every attribute through a regex or ``node.attribute``
+handlers that read every attribute through a regex or ``attribute``
 (the name handler with the repeated-index rule added). ``distill_concepts``
 runs the distillation layer by layer on top of them. They are quadratic or
 recursive on purpose; only their output matters.
@@ -217,9 +217,8 @@ class _Parser:
                 if e.source == variable and isinstance(e.target, Literal)
             )
             nodes[variable] = AmrNode(variable, instance, attrs)
-        parents = {edge.target: edge.source for edge in edges if edge.defines}
         self.edges = edges
-        return AmrGraph(self.root, nodes, children(nodes, edges), parents)
+        return AmrGraph(self.root, nodes, children(nodes, edges))
 
 
 def parse_amr(text: str) -> AmrGraph:
@@ -241,6 +240,14 @@ def children(variables, edges: list[AmrEdge]) -> dict[str, list[AmrEdge]]:
 def all_edges(graph: AmrGraph) -> list[AmrEdge]:
     """Every edge, grouped by source; each source's edges in textual order."""
     return [edge for edges in graph.children.values() for edge in edges]
+
+
+def attribute(node: AmrNode, role: str) -> Literal | None:
+    """The node's first literal for ``role``, or None."""
+    for r, value in node.attributes:
+        if r == role:
+            return value
+    return None
 
 
 def defining_parent(graph: AmrGraph, variable: str) -> str | None:
@@ -377,7 +384,7 @@ def _preorder(graph: AmrGraph, variable: str) -> list[str]:
 def _wiki(node: AmrNode, sentence_index: int = 1) -> Concept | None:
     """The node's Wikipedia reference with underscores as spaces, or None
     when it has no :wiki or the '-' no-link marker."""
-    literal = node.attribute(":wiki")
+    literal = attribute(node, ":wiki")
     if literal is None or literal.text == "-":
         return None
     return Concept(literal.text.replace("_", " "), "wiki", sentence_index)
@@ -448,7 +455,7 @@ def handle_date(node: AmrNode, sentence_index: int = 1) -> Concept | None:
 
 
 def _int_attribute(node: AmrNode, role: str) -> int | None:
-    literal = node.attribute(role)
+    literal = attribute(node, role)
     if literal is None:
         return None
     if not re.fullmatch(r"[+-]?[0-9]+" if role == ":year" else r"[0-9]+", literal.text):

@@ -159,9 +159,6 @@ class TestParser:
         for text in [random_penman(seed) for seed in range(300)] + FORWARD_REFERENCES:
             graph = parse_amr(text)
             assert graph.children == bruteforce.parse_amr(text).children, text
-            for variable in [*graph.nodes, "absent"]:
-                expected = bruteforce.defining_parent(graph, variable)
-                assert graph.parents.get(variable) == expected, (text, variable)
 
 
 WORDS = [
