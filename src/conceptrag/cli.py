@@ -77,6 +77,8 @@ def _read_json(path: Path, kind: str):
         return decoder.decode(text)
     except RecursionError:
         raise DatasetError(f"{kind} {path} is nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{kind} {path} is not valid JSON: {exc}") from None
 
 
 def _load_distill_config(args) -> DistillConfig:
@@ -252,7 +254,7 @@ def _load_records(results_dir: str) -> Iterator[PipelineRecord]:
     while listed:
         try:
             data, end = decoder.scan_once(text, match.end())
-        except StopIteration:  # no value where one must be, or an empty list
+        except (StopIteration, json.JSONDecodeError):  # no value or a bad one, or []
             break
         except RecursionError:
             raise DatasetError(f"records file {path} is nested too deeply") from None

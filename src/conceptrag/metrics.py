@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -156,16 +157,14 @@ def integrate(
 
 
 def _trapezoid_area(curve: EvalCurve, interval: Interval) -> float:
-    missing = [k for k in range(interval.x_s, interval.x_e + 1) if k not in curve.points]
+    x_s, x_e = interval
+    # counted from the curve's points, so a wide interval costs no more than a narrow one
+    missing = x_e - x_s + 1 - sum(x_s <= k <= x_e for k in curve.points)
     if missing:
-        raise MetricsError(
-            f"curve {curve.label!r} lacks Acc at K={missing} inside "
-            f"[{interval.x_s},{interval.x_e}]"
-        )
-    return sum(
-        0.5 * (curve.points[k] + curve.points[k - 1])
-        for k in range(interval.x_s + 1, interval.x_e + 1)
-    )
+        first = list(islice((k for k in range(x_s, x_e + 1) if k not in curve.points), 3))
+        named = first if missing <= 3 else f"[{', '.join(map(str, first))}, ...] ({missing} Ks)"
+        raise MetricsError(f"curve {curve.label!r} lacks Acc at K={named} inside [{x_s},{x_e}]")
+    return sum(0.5 * (curve.points[k] + curve.points[k - 1]) for k in range(x_s + 1, x_e + 1))
 
 
 def compression_ratio(original_words: int, compressed_words: int) -> float:

@@ -624,6 +624,15 @@ class TestEvalAndReport:
         report = json.loads((out / "report.json").read_text())
         assert [row["interval"] for row in report["intg"]] == ["2,5"]
 
+    def test_a_wide_interval_names_few_missing_ks(self, tmp_path, capsys):
+        # the row named every missing K: 0.69 MB for 1,100000
+        run = Path(__file__).parent / "data" / "report" / "run"
+        argv = ["report", str(run), "--interval", "1,100000", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        [row] = [line for line in capsys.readouterr().out.splitlines() if line.startswith("1,")]
+        assert len(row) < 1_000
+        assert "lacks Acc at K=[11, 12, 13, ...] (99990 Ks) inside [1,100000]" in row
+
     @pytest.mark.parametrize("interval", ["5,2", "a,b"])
     def test_invalid_interval_is_data_error(self, interval, tmp_path, capsys):
         run = tmp_path / "run"
@@ -758,6 +767,47 @@ class TestEvalAndReport:
         kind = "backend spec" if flag == "--backend" else "distill config"
         assert capsys.readouterr().err == f"error: {kind} {deep} is nested too deeply\n"
         assert not out.exists()
+
+    # json's bare message did not say which file was at fault
+    def test_a_backend_spec_syntax_error_names_the_file(
+        self, tmp_path, fixture_dataset_path, capsys
+    ):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"kind": "stub",')
+        out = tmp_path / "results"
+        code = main(["eval", str(fixture_dataset_path), "--backend", str(spec),
+                     "--mode", "vanilla", "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: backend spec {spec} is not valid JSON: Expecting property name enclosed"
+            " in double quotes: line 1 column 17 (char 16)\n"
+        )
+        assert not out.exists()
+
+    def test_a_distill_config_syntax_error_names_the_file(self, tmp_path, capsys):
+        data = Path(__file__).parent / "data"
+        config = tmp_path / "config.json"
+        config.write_text('{"traversal": ')
+        argv = ["distill", str(data / "table_a1.amr"), str(data / "table_a1.txt"),
+                "--config", str(config)]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: distill config {config} is not valid JSON: Expecting value:"
+            " line 1 column 15 (char 14)\n"
+        )
+
+    @pytest.mark.parametrize("faulty", ["run", "baseline"])
+    def test_a_records_syntax_error_names_the_file(self, faulty, tmp_path, capsys):
+        for name in ("run", "baseline"):
+            (tmp_path / name).mkdir()
+            comma = "" if name == faulty else ","
+            (tmp_path / name / "records.json").write_text(f'[{{"k": 1{comma} "correct": true}}]')
+        run, baseline = tmp_path / "run", tmp_path / "baseline"
+        assert main(["report", str(run), "--baseline", str(baseline)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: records file {tmp_path / faulty / 'records.json'} is not valid JSON:"
+            " Expecting ',' delimiter: line 1 column 10 (char 9)\n"
+        )
 
     @pytest.mark.parametrize(
         "records",

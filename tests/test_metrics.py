@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from xml.etree import ElementTree
 
 import pytest
@@ -142,6 +143,18 @@ class TestIntegrate:
         curve = EvalCurve({1: 10.0, 3: 30.0})
         with pytest.raises(MetricsError, match="K=\\[2\\]"):
             integrate(curve, Interval(1, 3))
+
+    @pytest.mark.parametrize(
+        "points, interval, named",
+        [
+            ({2: 1.0, 4: 1.0}, Interval(1, 5), "K=[1, 3, 5] inside [1,5]"),
+            ({2: 1.0}, Interval(1, 5), "K=[1, 3, 4, ...] (4 Ks) inside [1,5]"),
+            ({1: 1.0, 50: 1.0}, Interval(1, 10**9), "K=[2, 3, 4, ...] (999999998 Ks)"),
+        ],
+    )
+    def test_missing_ks_named_first_few_then_counted(self, points, interval, named):
+        with pytest.raises(MetricsError, match=re.escape(named)):
+            integrate(EvalCurve(points), interval)
 
     def test_delta_against_baseline(self):
         ours = EvalCurve({k: 60.0 for k in range(1, 11)})

@@ -117,6 +117,8 @@ def test_a_faulty_file_gets_the_message_json_loads_gives(text, encoding, tmp_pat
 
     try:
         loaded = json.loads(data, parse_constant=reject)
+    except json.JSONDecodeError as exc:  # a syntax error names the file first
+        expected = f"records file {path} is not valid JSON: {exc}"
     except ValueError as exc:
         expected = str(exc)
     else:
