@@ -625,7 +625,7 @@ class TestEvalAndReport:
         assert [row["interval"] for row in report["intg"]] == ["2,5"]
 
     def test_a_wide_interval_names_few_missing_ks(self, tmp_path, capsys):
-        # the row named every missing K: 0.69 MB for 1,100000
+        # the row names the first missing Ks and their count, not each of the 99,990
         run = Path(__file__).parent / "data" / "report" / "run"
         argv = ["report", str(run), "--interval", "1,100000", "--out", str(tmp_path)]
         assert main(argv) == EXIT_OK
@@ -768,7 +768,7 @@ class TestEvalAndReport:
         assert capsys.readouterr().err == f"error: {kind} {deep} is nested too deeply\n"
         assert not out.exists()
 
-    # json's bare message did not say which file was at fault
+    # a syntax error names the file's kind and path before json's own message
     def test_a_backend_spec_syntax_error_names_the_file(
         self, tmp_path, fixture_dataset_path, capsys
     ):
