@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error,
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import re
@@ -24,6 +25,7 @@ from .metrics import (
     build_report,
     parse_interval,
     render_accuracy_svg,
+    tally,
     write_report,
 )
 from .penman import parse_amr, parse_corpus
@@ -33,7 +35,9 @@ from .ragpipe import (
     LlmBackendSpec,
     PipelineRecord,
     build_run_manifest,
+    fork_map,
     run_pipeline,
+    usable_cpus,
 )
 from .schema import from_json, to_json
 
@@ -267,15 +271,35 @@ def _load_records(results_dir: str) -> Iterator[PipelineRecord]:
             raise DatasetError(f"{path} must hold a JSON list of records")
 
 
+# With --baseline, report tallies the two runs in two workers once the smaller records.json
+# holds 1 MiB. On 2 vCPUs, runs of 500, 1,000 and 2,000 records as eval writes them (0.25,
+# 0.5, 1 MB) took 17.6, 29.6 and 50.8 ms in process, against 21.7, 26.8 and 36.0 pooled.
+_POOL_MIN_RECORDS_BYTES = 1 << 20
+
+
+def _records_bytes(results_dir: str) -> int:
+    try:
+        return (Path(results_dir) / "records.json").stat().st_size
+    except OSError:  # reported when the run is read, in process
+        return 0
+
+
 def cmd_report(args) -> int:
-    records = _load_records(args.results_dir)
-    baseline = _load_records(args.baseline) if args.baseline else None
     intervals = (
         [parse_interval(text) for text in args.interval]
         if args.interval
         else [NORMAL_INTERVAL, LONG_INTERVAL]
     )
-    report, curves = build_report(records, intervals, baseline, label=args.results_dir)
+    runs = [args.results_dir, *([args.baseline] if args.baseline else [])]
+    jobs = [functools.partial(tally, _load_records(run)) for run in runs]
+    # the run and its baseline each in a worker of its own, when both are big enough;
+    # a run whose worker failed is read again in process, so the run's fault comes first
+    if (len(runs) > 1 and usable_cpus() > 1
+            and min(map(_records_bytes, runs)) >= _POOL_MIN_RECORDS_BYTES):
+        tallies = fork_map(jobs)
+    else:
+        tallies = [job() for job in jobs]
+    report, curves = build_report(tallies[0], intervals, *tallies[1:], label=args.results_dir)
     out_dir = Path(args.out) if args.out else Path(args.results_dir)
     tsv = write_report(report, out_dir)
     if args.svg:

@@ -107,10 +107,11 @@ def answer_match(candidate: str, gold_answers: list[str]) -> bool:
     return False
 
 
-def _tally(records: Iterable["PipelineRecord"], label="", run="run") -> tuple:
-    """One pass over a run that keeps only sums. Returns its accuracy curve,
-    its latency rows marked with ``run``, and its counts of records, failures,
-    and words before and after compression (failed records left out)."""
+def tally(records: Iterable["PipelineRecord"]) -> tuple:
+    """One pass over a run that keeps only sums. Returns its per-K accuracy points, its
+    latency rows, each marked as the ``"run"``, and its counts of records, failures, and
+    words before and after compression (failed records left out): plain values, which
+    ``marshal`` can carry from a worker process."""
     original = compressed = 0
     per_k: dict[tuple[int, bool], int] = {}
     groups: dict[tuple[str, str], list[float]] = {}
@@ -123,21 +124,21 @@ def _tally(records: Iterable["PipelineRecord"], label="", run="run") -> tuple:
     totals: dict[int, int] = {}
     for (k, _), count in per_k.items():
         totals[k] = totals.get(k, 0) + count
-    curve = EvalCurve({k: 100.0 * per_k.get((k, True), 0) / n for k, n in totals.items()}, label)
+    points = {k: 100.0 * per_k.get((k, True), 0) / n for k, n in totals.items()}
     rows = []
     for (backend, mode), latencies in sorted(groups.items()):
         mean = sum(latencies) / len(latencies)  # summed in record order
         latencies.sort()
-        rows.append({"run": run, "backend": backend, "mode": mode, "count": len(latencies),
+        rows.append({"run": "run", "backend": backend, "mode": mode, "count": len(latencies),
                      "mean_ms": mean, "p50_ms": _nearest_rank(latencies, 50),
                      "p95_ms": _nearest_rank(latencies, 95)})
     count = sum(totals.values())
-    return curve, rows, count, count - sum(map(len, groups.values())), original, compressed
+    return points, rows, count, count - sum(map(len, groups.values())), original, compressed
 
 
 def accuracy_curve(records: Iterable["PipelineRecord"], label: str = "") -> EvalCurve:
     """Per-K accuracy: 100 x correct / total among pairs with that K."""
-    return _tally(records, label)[0]
+    return EvalCurve(tally(records)[0], label)
 
 
 def integrate(
@@ -183,27 +184,25 @@ def _nearest_rank(ordered: list[float], q: float) -> float:
 def latency_summary(records: Iterable["PipelineRecord"]) -> list[dict]:
     """Mean/p50/p95 latency in ms per (backend, mode) group, each row marked as
     the ``"run"``. Failed records are left out: their latency is 0, not the time they took."""
-    return _tally(records)[1]
+    return tally(records)[1]
 
 
 # --- report assembly ---------------------------------------------------------
 
 
 def build_report(
-    records: Iterable["PipelineRecord"],
-    intervals: list[Interval],
-    baseline_records: Iterable["PipelineRecord"] | None = None,
-    label: str = "run",
+    run: tuple, intervals: list[Interval], baseline: tuple | None = None, label: str = "run"
 ) -> tuple[dict, list[EvalCurve]]:
-    """Aggregate a run (optionally against a baseline run) into one report
-    structure with per-K accuracy, Intg (and delta) per interval, the
-    word-level compression ratio, and the latency table, whose rows keep the
-    two runs apart. Failed records count as wrong answers but are left out of
-    the ratio and the latency table. Each run is read once, front to back.
-    Also returns the accuracy curves: the run's, then the baseline's."""
-    curve, latency, count, errors, original, compressed = _tally(records, label)
-    baseline_curve, baseline_latency, *_ = _tally(baseline_records or (), "baseline", "baseline")
-    baseline_curve = baseline_curve if baseline_curve.points else None
+    """Assemble a run's :func:`tally` (optionally against a baseline run's) into one
+    report structure with per-K accuracy, Intg (and delta) per interval, the word-level
+    compression ratio, and the latency table, whose rows keep the two runs apart.
+    Failed records count as wrong answers but are left out of the ratio and the latency
+    table. Also returns the accuracy curves: the run's, then the baseline's."""
+    points, latency, count, errors, original, compressed = run
+    curve = EvalCurve(points, label)
+    baseline_points, baseline_latency = baseline[:2] if baseline else ({}, [])
+    baseline_curve = EvalCurve(baseline_points, "baseline") if baseline_points else None
+    baseline_latency = [{**row, "run": "baseline"} for row in baseline_latency]
     # sorted as one table; the sort is stable, so a run's row precedes its baseline's
     latency = sorted(latency + baseline_latency, key=lambda row: (row["backend"], row["mode"]))
     intg_rows = []

@@ -487,28 +487,45 @@ _POOL_MIN_DOCUMENTS = 120
 def _compress_in_workers(pairs: list[QadPair], compress, parse_endpoint: str | None, out: list):
     """Fills ``out`` with ``compress``, a :func:`compress_pair`, over ``pairs`` in forked
     processes, one per usable CPU: worker i of n takes ``pairs[i::n]``. Only with more than
-    one usable CPU, a caller with one thread (a fork copies only the calling one), a big
-    enough run and no parse-endpoint request; after a failed fork, none of it is filled."""
+    one usable CPU, a big enough run and no parse-endpoint request."""
     documents = [doc for pair in pairs for doc in pair.documents]
-    if not (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-            and threading.active_count() == 1 and len(documents) >= _POOL_MIN_DOCUMENTS
+    n = usable_cpus()
+    if (n > 1 and len(documents) >= _POOL_MIN_DOCUMENTS
             and not (parse_endpoint and any(doc.amr is None for doc in documents))):
-        return
+        shares = fork_map([functools.partial(list, map(compress, pairs[i::n])) for i in range(n)])
+        for i, share in enumerate(shares):
+            out[i::n] = share
+
+
+def usable_cpus() -> int:
+    """The CPUs forked workers could run on: 1 where ``sched_getaffinity`` is missing, or
+    for a caller with more than one thread (a fork copies only the calling one)."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def fork_map(jobs: list) -> list:
+    """The results of ``jobs``, each called in a forked process of its own and its
+    result marshalled back through its own pipe. The job of a worker that failed, died or
+    never started (after a failed fork) is called again here, in order, once every worker
+    is reaped: its exception, if any, is raised as in process. Ctrl-C stops this process
+    alone, and leaves no worker behind."""
     import marshal
     import signal
 
-    n, pids, pipes = len(os.sched_getaffinity(0)), {}, []  # pids of workers not yet reaped
-    # the workers keep SIGINT blocked from the fork on: Ctrl-C stops this process alone
+    done, pids, pipes = {}, {}, []  # pids of workers not yet reaped
+    # the workers keep SIGINT blocked from the fork on
     blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        for i in range(n):
+        for i, job in enumerate(jobs):
             read, write = os.pipe()
             pipes.append(open(read, "rb"))
             with open(write, "wb") as writer:
                 pids[i] = os.fork()
                 if pids[i] == 0:  # a worker never returns, runs no atexit, flushes no buffer
                     try:
-                        writer.write(marshal.dumps([compress(pair) for pair in pairs[i::n]]))
+                        writer.write(marshal.dumps(job()))
                         writer.flush()
                         os._exit(0)
                     finally:
@@ -516,9 +533,9 @@ def _compress_in_workers(pairs: list[QadPair], compress, parse_endpoint: str | N
         signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
         for i, pipe in enumerate(pipes):
             data, (_, status) = pipe.read(), os.waitpid(pids.pop(i), 0)
-            if status == 0:  # a worker that died leaves its pairs to be compressed in process
-                out[i::n] = marshal.loads(data)
-    except OSError:  # a pipe, fork or wait failed: what is not filled is compressed in process
+            if status == 0:
+                done[i] = marshal.loads(data)
+    except OSError:  # a pipe, fork or wait failed: what is not done is done in process
         pass
     finally:  # after Ctrl-C, a failed fork or an error, no worker is left
         for pid in pids.values():
@@ -527,6 +544,7 @@ def _compress_in_workers(pairs: list[QadPair], compress, parse_endpoint: str | N
         for pipe in pipes:
             pipe.close()
         signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+    return [done[i] if i in done else job() for i, job in enumerate(jobs)]
 
 
 # --- run manifest ------------------------------------------------------------

@@ -643,6 +643,16 @@ class TestEvalAndReport:
         assert captured.err.startswith(f"error: invalid interval {interval!r}: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("interval", ["1,2,3", "5"])
+    def test_interval_without_two_bounds_is_data_error(self, interval, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "records.json").write_text('[{"k": 1, "correct": true}]')
+        assert main(["report", str(run), "--interval", interval]) == EXIT_DATA
+        assert capsys.readouterr() == (
+            "", f"error: interval must be 'normal', 'long', or 'a,b', got {interval!r}\n"
+        )
+
     def test_unusable_out_fails_before_the_run(
         self, tmp_path, fixture_dataset_path, stub_backend_file, monkeypatch, capsys
     ):

@@ -533,6 +533,10 @@ class TestDistillConfig:
         with pytest.raises(ValueError, match="unknown"):
             from_json(DistillConfig, {"stoplst": []}, "distill config")
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_idf_threshold_takes_both_bounds(self, threshold):
+        assert DistillConfig(idf_threshold=threshold).idf_threshold == threshold
+
     def test_strip_sense(self):
         assert strip_sense("work-01") == "work"
         assert strip_sense("date-entity") == "date-entity"

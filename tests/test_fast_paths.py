@@ -155,7 +155,7 @@ class TestParser:
         offset = len(text[:-1].encode("utf-8"))
         assert result == ("error", f"expected a value after :ARG0 (byte offset {offset})", offset)
 
-    def test_defining_parent(self):
+    def test_children_match_the_reference_parser(self):
         for text in [random_penman(seed) for seed in range(300)] + FORWARD_REFERENCES:
             graph = parse_amr(text)
             assert graph.children == bruteforce.parse_amr(text).children, text

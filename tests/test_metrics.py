@@ -25,6 +25,7 @@ from conceptrag.metrics import (
     parse_interval,
     render_accuracy_svg,
     render_report_tsv,
+    tally,
 )
 from conceptrag.ragpipe import PipelineRecord
 
@@ -289,7 +290,7 @@ class TestReport:
         return records
 
     def test_report_structure(self):
-        report, _ = build_report(self.make_records(), [NORMAL_INTERVAL, LONG_INTERVAL])
+        report, _ = build_report(tally(self.make_records()), [NORMAL_INTERVAL, LONG_INTERVAL])
         assert set(report["accuracy_per_k"]) == {str(k) for k in range(1, 11)}
         assert [row["interval"] for row in report["intg"]] == ["normal", "long"]
         assert report["compression_ratio"] == pytest.approx(40.0)
@@ -300,14 +301,14 @@ class TestReport:
             PipelineRecord(k=r.k, correct=False, backend="stub", mode="vanilla", latency_ms=1.0)
             for r in records
         ]
-        report, _ = build_report(records, [NORMAL_INTERVAL], baseline_records=baseline)
+        report, _ = build_report(tally(records), [NORMAL_INTERVAL], baseline=tally(baseline))
         assert report["intg"][0]["delta"] == pytest.approx(report["intg"][0]["intg"])
 
     def test_latency_rows_keep_the_two_runs_apart(self):
         # a run and its baseline that share (backend, mode), as in a traversal ablation
         records = self.make_records()
         baseline = [r._replace(latency_ms=100.0) for r in records]
-        report, _ = build_report(iter(records), [NORMAL_INTERVAL], iter(baseline))
+        report, _ = build_report(tally(iter(records)), [NORMAL_INTERVAL], tally(iter(baseline)))
         baseline_rows = [{**row, "run": "baseline"} for row in latency_summary(baseline)]
         assert report["latency"] == [*latency_summary(records), *baseline_rows]
         assert [(row["run"], row["count"]) for row in report["latency"]] == [
@@ -318,7 +319,7 @@ class TestReport:
     def test_rows_of_both_runs_are_sorted_by_backend_and_mode(self):
         records = [view(backend="stub", mode="vanilla"), view(backend="a", mode="concepts")]
         baseline = [view(backend="stub", mode="concepts"), view(backend="stub", mode="vanilla")]
-        report, _ = build_report(records, [NORMAL_INTERVAL], baseline)
+        report, _ = build_report(tally(records), [NORMAL_INTERVAL], tally(baseline))
         assert [(row["run"], row["backend"], row["mode"]) for row in report["latency"]] == [
             ("run", "a", "concepts"), ("baseline", "stub", "concepts"),
             ("run", "stub", "vanilla"), ("baseline", "stub", "vanilla"),
@@ -332,8 +333,8 @@ class TestReport:
             yield from records
 
         records = self.make_records()
-        report, curves = build_report(once(records, "run"), [NORMAL_INTERVAL],
-                                      once(records, "baseline"))
+        report, curves = build_report(tally(once(records, "run")), [NORMAL_INTERVAL],
+                                      tally(once(records, "baseline")))
         assert reads == ["run", "baseline"]
         assert report["records"] == 40 and curves[1] == accuracy_curve(records, "baseline")
 
@@ -343,8 +344,8 @@ class TestReport:
             k=3, correct=False, backend="stub", mode="concepts", original_words=20,
             error="BackendTimeout: backend timed out",
         )
-        report, curves = build_report(records, [NORMAL_INTERVAL])
-        with_failure, failed_curves = build_report([*records, failed], [NORMAL_INTERVAL])
+        report, curves = build_report(tally(records), [NORMAL_INTERVAL])
+        with_failure, failed_curves = build_report(tally([*records, failed]), [NORMAL_INTERVAL])
         assert with_failure["compression_ratio"] == report["compression_ratio"]
         assert with_failure["latency"] == report["latency"]
         assert with_failure["errors"] == 1
@@ -354,14 +355,15 @@ class TestReport:
     def test_returns_the_curves_it_reports(self):
         records = self.make_records()
         baseline = [PipelineRecord(k=r.k, correct=True) for r in records]
-        report, curves = build_report(records, [NORMAL_INTERVAL], baseline_records=baseline)
+        report, curves = build_report(tally(records), [NORMAL_INTERVAL],
+                                      baseline=tally(baseline))
         assert curves == [
             accuracy_curve(records, label="run"), accuracy_curve(baseline, label="baseline")
         ]
         assert report["accuracy_per_k"] == {str(k): v for k, v in curves[0].points.items()}
 
     def test_tsv_rendering_rounds_to_two_decimals(self):
-        report, _ = build_report(self.make_records(), [NORMAL_INTERVAL])
+        report, _ = build_report(tally(self.make_records()), [NORMAL_INTERVAL])
         tsv = render_report_tsv(report)
         assert "K\tAcc" in tsv
         for line in tsv.splitlines():

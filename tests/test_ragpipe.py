@@ -207,6 +207,9 @@ class TestBackendSpec:
         spec = LlmBackendSpec(kind="stub", timeout_s=threading.TIMEOUT_MAX)
         assert spec.timeout_s == threading.TIMEOUT_MAX
 
+    def test_max_tokens_of_one_is_accepted(self):
+        assert LlmBackendSpec(kind="stub", max_tokens=1).max_tokens == 1
+
 
 class TestHttpBackend:
     def test_fixed_reply_and_latency(self, mock_llm_server):
@@ -361,6 +364,8 @@ def chat_server():
         return server
 
     yield start
+    # this thread's kept-alive connections, closed: the handler threads serving them end
+    vars(ragpipe._local).pop("connections", None)
     for server in servers:
         server.shutdown()
         server.server_close()
@@ -513,6 +518,20 @@ class TestConnections:
         assert conn._context.verify_mode == ssl.CERT_REQUIRED
         assert conn._context.check_hostname
         assert conn.sock is None  # no socket is opened until the first request
+
+    def test_status_300_is_an_http_error(self, chat_server):
+        server = chat_server()
+        with pytest.raises(BackendHttpError) as exc:
+            query_llm(http_backend(f"{server.url}/fail-300"), "x")
+        assert exc.value.status == 300
+
+    def test_url_that_cannot_be_sent_is_not_retried(self):
+        # http.client rejects the space while it sends, before any connection
+        with pytest.raises(BackendError) as exc:
+            query_llm(http_backend("http://127.0.0.1:9/a b", retries=2), "x")
+        assert type(exc.value) is BackendError
+        assert str(exc.value).startswith("backend request failed: URL can't contain control")
+        assert not exc.value.retryable
 
     @pytest.mark.parametrize(
         "url", ["ftp://127.0.0.1/v1/chat", "http:///v1/chat", "127.0.0.1:8000/v1/chat",

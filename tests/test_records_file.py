@@ -3,6 +3,7 @@ layout, the record-by-record reader against ``json.loads``, its messages for
 faulty files, its memory, and the report output pinned byte for byte."""
 
 import json
+import os
 import random
 import tracemalloc
 from pathlib import Path
@@ -180,7 +181,9 @@ def _synthetic_run(run: Path, n: int, seed: int) -> int:
     return len(text)
 
 
-def test_report_memory_stays_near_the_larger_file(tmp_path, capsys):
+def test_report_memory_stays_near_the_larger_file(tmp_path, monkeypatch, capsys):
+    # both files pass report's size rule: on one usable CPU they are read in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     sizes = [_synthetic_run(tmp_path / "run", 5000, 1), _synthetic_run(tmp_path / "base", 4000, 2)]
     argv = ["report", str(tmp_path / "run"), "--baseline", str(tmp_path / "base"),
             "--svg", str(tmp_path / "curve.svg")]
