@@ -68,6 +68,16 @@ class TestHandleName:
     def test_join_is_space_separated(self, words):
         assert handle_name(name_node(*words)).text == " ".join(words)
 
+    def test_an_op_that_defines_a_node_is_no_op(self):
+        graph = parse_amr("(n / name :op1 (x / foo))")
+        with pytest.raises(DistillError, match=r"^name node 'n' is missing :op1$"):
+            distill_concepts(graph, "")
+
+    def test_a_role_that_defines_a_node_is_skipped(self):
+        graph = parse_amr('(p / person :name (n / name :op1 "Ann" :mod (x / foo)))')
+        concepts = distill_concepts(graph, "").concepts
+        assert [(c.text, c.provenance) for c in concepts] == [("Ann", "name"), ("foo", "instance")]
+
 
 class TestHandleWiki:
     def test_underscores_become_spaces(self):
@@ -94,6 +104,11 @@ class TestHandleWiki:
         )
         concepts = distill_concepts(graph, "NYC is big").texts()
         assert concepts == ["New York City"]
+
+    def test_only_a_literal_wiki_counts(self):
+        graph = parse_amr('(c / city :wiki (x / foo) :wiki "Paris")')
+        concepts = distill_concepts(graph, "").concepts
+        assert [(c.text, c.provenance) for c in concepts] == [("Paris", "wiki"), ("foo", "instance")]
 
     def test_name_without_wiki_survives(self):
         graph = parse_amr('(p / person :name (n / name :op1 "Kan"))')
@@ -146,6 +161,11 @@ class TestHandleDate:
     def test_only_a_year_takes_a_sign(self):
         node = parse_amr("(d / date-entity :month 4 :year -44)").nodes["d"]
         assert handle_date(node).text == "April -44"
+
+    def test_only_a_literal_date_part_counts(self):
+        graph = parse_amr("(d / date-entity :year (y / foo) :year 1999)")
+        concepts = distill_concepts(graph, "").concepts
+        assert [(c.text, c.provenance) for c in concepts] == [("1999", "date"), ("foo", "instance")]
 
     def test_empty_date_entity_yields_nothing(self):
         node = parse_amr("(d / date-entity)").nodes["d"]
