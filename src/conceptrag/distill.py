@@ -9,13 +9,14 @@ and an optional filter of words common across a run's documents.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from bisect import bisect_right
 from collections import Counter
 from typing import NamedTuple
 
-from .penman import AmrGraph, AmrNode, Literal, dfs_nodes, split_sentences
+from .penman import AmrEdge, AmrGraph, Literal, dfs_nodes, split_sentences
 
 _SENSE_RE = re.compile(r"-[0-9]{2}\Z")
 # one group, so that split() returns the tokens as well as the text between them
@@ -135,9 +136,11 @@ class DistillConfig(_DistillConfigFields):
     ``traversal`` orders nodes within the traversal: depth-first, shuffled
     per sentence, or shuffled across the whole document. Random orders are
     fully determined by ``seed``. ``idf_enabled`` makes an eval run drop
-    words found in more than ``idf_threshold`` of its documents. Only the
-    constructor checks the values and builds the stoplist; ``_replace`` skips it.
+    words found in more than ``idf_threshold`` of its documents. The
+    constructor checks the values; ``_replace`` skips the checks.
     """
+
+    __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -151,13 +154,16 @@ class DistillConfig(_DistillConfigFields):
             raise ValueError("distill config key 'idf_threshold' must be from 0 to 1")
         if self.min_backtrace_overlap < 0:
             raise ValueError("distill config key 'min_backtrace_overlap' must be at least 0")
-        # built once per config, not per document; an attribute, not a field,
-        # so equality, hashing and the JSON form do not see it
-        self._stoplist = (DEFAULT_STOPLIST | set(self.stoplist_add)) - set(self.stoplist_remove)
         return self
 
     def stoplist(self) -> frozenset[str]:
-        return self._stoplist
+        return _stoplist(tuple(self.stoplist_add), tuple(self.stoplist_remove))
+
+
+@functools.lru_cache(maxsize=64)
+def _stoplist(add: tuple[str, ...], remove: tuple[str, ...]) -> frozenset[str]:
+    """The default stoplist with ``add`` and without ``remove``, built once per pair."""
+    return (DEFAULT_STOPLIST | set(add)) - set(remove)
 
 
 def common_terms(docs: list[str], threshold: float) -> frozenset[str]:
@@ -172,64 +178,67 @@ def common_terms(docs: list[str], threshold: float) -> frozenset[str]:
 
 def _wiki_links(graph: AmrGraph) -> tuple[dict[str, str], set[str]]:
     """Each wiki-linked node's wiki string, underscores as spaces, and the
-    variables those nodes define. A node's first :wiki decides; '-' is no link."""
+    variables those nodes define. A node's first literal :wiki decides; '-' is
+    no link. A ``multi-sentence`` root, in no sentence, links nothing."""
     wikis: dict[str, str] = {}
     named: set[str] = set()
-    for variable, node in graph.nodes.items():
-        for role, literal in node.attributes:
-            if role == ":wiki":
-                if literal.text != "-":
-                    wikis[variable] = literal.text.replace("_", " ")
-                    named.update(e.target for e in graph.children[variable] if e.defines)
+    children = iter(graph.children.items())
+    if graph.nodes[graph.root] == "multi-sentence":
+        next(children)  # the root, defined first
+    for variable, edges in children:
+        for _, role, target, _ in edges:
+            if role == ":wiki" and isinstance(target, Literal):
+                if target.text != "-":
+                    wikis[variable] = target.text.replace("_", " ")
+                    named.update(e.target for e in edges if e.defines)
                 break
     return wikis, named
 
 
-def handle_name(node: AmrNode, sentence_index: int = 1) -> Concept:
-    """Join a name node's :opN literals (ascending N) into one concept. The
-    indices must run 1..N, each once (``:op01`` is index 1)."""
-    attributes = node.attributes
+def handle_name(variable: str, edges: list[AmrEdge], sentence_index: int = 1) -> Concept:
+    """Join the literals of a name node's :opN edges (ascending N) into one
+    concept. The indices must run 1..N, each once (``:op01`` is index 1)."""
     texts: list[str] = []
-    for (role, literal), expected in zip(attributes, _OP_ROLES):
-        if role != expected:
+    for (_, role, target, _), expected in zip(edges, _OP_ROLES):
+        if role != expected or not isinstance(target, Literal):
             break
-        texts.append(literal.text)
+        texts.append(target.text)
     else:
-        if texts and len(texts) == len(attributes):
+        if texts and len(texts) == len(edges):
             return _new(Concept, (" ".join(texts), "name", sentence_index, None))
     ops: dict[int, str] = {}
-    for role, literal in attributes:
+    for _, role, target, _ in edges:
         match = _OP_ROLE_RE.match(role)
-        if match:
+        if match and isinstance(target, Literal):
             n = int(match.group(1))
             if n in ops:
-                raise DistillError(f"name node {node.variable!r} repeats op index {n}")
-            ops[n] = literal.text
+                raise DistillError(f"name node {variable!r} repeats op index {n}")
+            ops[n] = target.text
     if 1 not in ops:
-        raise DistillError(f"name node {node.variable!r} is missing :op1")
+        raise DistillError(f"name node {variable!r} is missing :op1")
     if sorted(ops) != list(range(1, len(ops) + 1)):
         raise DistillError(
-            f"name node {node.variable!r} has non-contiguous op indices {sorted(ops)}"
+            f"name node {variable!r} has non-contiguous op indices {sorted(ops)}"
         )
     text = " ".join(ops[i] for i in range(1, len(ops) + 1))
     return _new(Concept, (text, "name", sentence_index, None))
 
 
-def handle_date(node: AmrNode, sentence_index: int = 1) -> Concept | None:
-    """Render a date-entity's day/month/year as e.g. '19 April 2024'; bare
-    years stay numeric. Returns None when no component is present."""
+def handle_date(variable: str, edges: list[AmrEdge], sentence_index: int = 1) -> Concept | None:
+    """Render a date-entity's first literal :day, :month and :year as e.g.
+    '19 April 2024'; bare years stay numeric. None when no part is present."""
     parts: list[str] = []
-    first = dict(reversed(node.attributes))  # each role's first literal
-    day = _int_value(node, ":day", first.get(":day"))
-    month = _int_value(node, ":month", first.get(":month"))
-    year = _int_value(node, ":year", first.get(":year"))
+    first = {r: t for _, r, t, _ in reversed(edges) if isinstance(t, Literal)}  # per role
+    day = _int_value(variable, ":day", first.get(":day"))
+    month = _int_value(variable, ":month", first.get(":month"))
+    year = _int_value(variable, ":year", first.get(":year"))
     if day is not None:
         if not 1 <= day <= 31:
-            raise DistillError(f"date-entity {node.variable!r} has day {day} outside 1-31")
+            raise DistillError(f"date-entity {variable!r} has day {day} outside 1-31")
         parts.append(str(day))
     if month is not None:
         if not 1 <= month <= 12:
-            raise DistillError(f"date-entity {node.variable!r} has month {month} outside 1-12")
+            raise DistillError(f"date-entity {variable!r} has month {month} outside 1-12")
         parts.append(_MONTH_NAMES[month - 1])
     if year is not None:
         parts.append(str(year))
@@ -238,14 +247,14 @@ def handle_date(node: AmrNode, sentence_index: int = 1) -> Concept | None:
     return _new(Concept, (" ".join(parts), "date", sentence_index, None))
 
 
-def _int_value(node: AmrNode, role: str, literal: Literal | None) -> int | None:
+def _int_value(variable: str, role: str, literal: Literal | None) -> int | None:
     """A date part's ASCII digits as a number; only a year may take a sign."""
     if literal is None:
         return None
     text = literal.text
     digits = text[1:] if role == ":year" and text.startswith(("+", "-")) else text
     if not (digits.isascii() and digits.isdigit()):  # int() takes "1_999" and "٣"
-        raise DistillError(f"{node.variable!r} has non-numeric {role} value {text!r}")
+        raise DistillError(f"{variable!r} has non-numeric {role} value {text!r}")
     return int(text)
 
 
@@ -266,15 +275,15 @@ def _run_stream(
     which keeps the emitted multiset identical under every traversal order.
     """
     nodes = graph.nodes
+    children = graph.children
     concepts: list[Concept] = []
     role_buffer: list[Concept] = []
     for sentence_index, variable in stream:
-        node = nodes[variable]
-        instance = node.instance
+        instance = nodes[variable]
         wiki = wikis.get(variable)
         if instance == "name":
             if variable not in named:
-                role_buffer.append(handle_name(node, sentence_index))
+                role_buffer.append(handle_name(variable, children[variable], sentence_index))
         elif wiki is None and instance != "date-entity":
             if role_buffer:
                 concepts.extend(role_buffer)
@@ -284,7 +293,7 @@ def _run_stream(
         if wiki is not None:
             role_buffer.append(_new(Concept, (wiki, "wiki", sentence_index, None)))
         if instance == "date-entity":
-            date = handle_date(node, sentence_index)
+            date = handle_date(variable, children[variable], sentence_index)
             if date is not None:
                 role_buffer.append(date)
     concepts.extend(role_buffer)
@@ -509,13 +518,14 @@ def distill_documents(
     whose text, lowercased, is in ``common`` (see :func:`common_terms`) is
     dropped. The first graph, in order, that breaks a role's rule raises."""
     config = config or DistillConfig()
+    stoplist = config.stoplist()
     formatted = []
     for graph in graphs:
         wikis, named = _wiki_links(graph)
         concepts: list[Concept] = []
         for stream in _traversal_streams(graph, config):
             concepts.extend(_run_stream(graph, stream, wikis, named))
-        formatted.append(concept_format(concepts, config.stoplist()))
+        formatted.append(concept_format(concepts, stoplist))
     sets = []
     for concepts, source_doc in zip(formatted, source_docs, strict=True):
         concepts = concept_backtrace(concepts, source_doc, config.min_backtrace_overlap)

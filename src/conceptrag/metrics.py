@@ -200,9 +200,8 @@ def build_report(
     table. Also returns the accuracy curves: the run's, then the baseline's."""
     points, latency, count, errors, original, compressed = run
     curve = EvalCurve(points, label)
-    baseline_points, baseline_latency = baseline[:2] if baseline else ({}, [])
-    baseline_curve = EvalCurve(baseline_points, "baseline") if baseline_points else None
-    baseline_latency = [{**row, "run": "baseline"} for row in baseline_latency]
+    baseline_curve = None if baseline is None else EvalCurve(baseline[0], "baseline")
+    baseline_latency = [{**row, "run": "baseline"} for row in baseline[1]] if baseline else []
     # sorted as one table; the sort is stable, so a run's row precedes its baseline's
     latency = sorted(latency + baseline_latency, key=lambda row: (row["backend"], row["mode"]))
     intg_rows = []

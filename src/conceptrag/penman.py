@@ -4,7 +4,8 @@ An AMR graph is a rooted, directed, labelled, acyclic graph. In PENMAN text
 each node is introduced once as ``(variable / instance ...)``; later bare
 mentions of the same variable are re-entrant references and do not create new
 nodes. Multi-sentence documents parse to a ``multi-sentence`` root whose
-``:sntN`` children are the roots of the source sentences, one each.
+``:sntN`` children are the roots of the source sentences, one each. A parsed
+:class:`AmrGraph` holds each variable, instance and literal exactly once.
 
 The dialect accepted here is AMR 3.0 style: variables ``[a-z][a-z0-9']*``,
 roles ``:[A-Za-z0-9-]+``, double-quoted string literals with backslash
@@ -61,51 +62,37 @@ class AmrEdge(NamedTuple):
     defines: bool = False
 
 
-class AmrNode(NamedTuple):
-    variable: str
-    instance: str
-    attributes: tuple[tuple[str, Literal], ...] = ()
-
-
 class AmrGraph(NamedTuple):
-    """A parsed graph: a root variable and nodes in definition order.
-    ``children`` maps each variable to its own edges in the textual order of
-    roles."""
+    """A parsed graph. ``nodes`` maps each variable to its instance label in
+    definition order, the root first; ``children`` maps each variable to its
+    own edges, literals included, in the textual order of roles."""
 
     root: str
-    nodes: dict[str, AmrNode]
+    nodes: dict[str, str]
     children: dict[str, list[AmrEdge]]
 
     def to_dict(self) -> dict:
         """JSON-friendly rendering used by the CLI ``parse`` command. Edges come in
-        textual order, walked with a stack of iterators so that any depth renders."""
+        textual order, walked with a stack of iterators so that any depth renders;
+        each literal is also an attribute of its source node."""
+        nodes = {v: {"instance": instance, "attributes": []} for v, instance in self.nodes.items()}
         edges = []
         stack = [iter(self.children[self.root])]
         while stack:
             for e in stack[-1]:
-                literal = isinstance(e.target, Literal)
-                kind = "attribute" if literal else "node" if e.defines else "reference"
-                target = e.target.text if literal else e.target
+                if isinstance(e.target, Literal):
+                    kind, target = "attribute", e.target.text
+                    attribute = {"role": e.role, "value": target, "quoted": e.target.quoted}
+                    nodes[e.source]["attributes"].append(attribute)
+                else:
+                    kind, target = "node" if e.defines else "reference", e.target
                 edges.append({"source": e.source, "role": e.role, "target": target, "kind": kind})
                 if e.defines:
                     stack.append(iter(self.children[e.target]))
                     break
             else:
                 stack.pop()
-        return {
-            "root": self.root,
-            "nodes": {
-                v: {
-                    "instance": n.instance,
-                    "attributes": [
-                        {"role": r, "value": lit.text, "quoted": lit.quoted}
-                        for r, lit in n.attributes
-                    ],
-                }
-                for v, n in self.nodes.items()
-            },
-            "edges": edges,
-        }
+        return {"root": self.root, "nodes": nodes, "edges": edges}
 
 
 # --- lexer -----------------------------------------------------------------
@@ -200,7 +187,6 @@ def parse_amr(text: str) -> AmrGraph:
     definitions, and references to undefined variables.
     """
     instances: dict[str, str] = {}  # variable -> instance, in definition order
-    attributes: dict[str, list[tuple[str, Literal]]] = {}
     children: dict[str, list[AmrEdge]] = {}  # variable -> its edges, in textual order
     # symbols that are neither a variable defined so far nor a literal, as
     # (symbol, offset): forward references, or errors that count only once
@@ -216,7 +202,6 @@ def parse_amr(text: str) -> AmrGraph:
         _raise_parse_error(text, 0, 0, instances)
     root = m["variable"]
     instances[root] = m["node"]
-    attributes[root] = []
     children[root] = []
     stack = [root]  # nodes whose ')' is still to come, innermost last
     # the last unit taken whole, and the last unit whose run of ')' was taken
@@ -241,22 +226,17 @@ def parse_amr(text: str) -> AmrGraph:
             if variable in instances:
                 break
             instances[variable] = instance
-            attributes[variable] = []
             children[variable] = []
             edge = new(AmrEdge, (source, role, variable, True))
             stack.append(variable)
         elif body is not None:
             if "\\" in body:
                 body = _ESCAPE_RE.sub(r"\1", body)
-            literal = new(Literal, (body, True))
-            edge = new(AmrEdge, (source, role, literal, False))
-            attributes[source].append((role, literal))
+            edge = new(AmrEdge, (source, role, new(Literal, (body, True)), False))
         elif symbol in instances:  # a variable reference, number, or polarity
             edge = new(AmrEdge, (source, role, symbol, False))
         elif _NUMERIC_RE.match(symbol) or symbol in ("-", "+"):
-            literal = new(Literal, (symbol, False))
-            edge = new(AmrEdge, (source, role, literal, False))
-            attributes[source].append((role, literal))
+            edge = new(AmrEdge, (source, role, new(Literal, (symbol, False)), False))
         else:
             later.append((symbol, m.start("symbol")))
             edge = new(AmrEdge, (source, role, symbol, False))
@@ -273,10 +253,7 @@ def parse_amr(text: str) -> AmrGraph:
             else:
                 message = f"invalid attribute value {symbol!r}"
             raise AmrParseError(message, _byte_offset(text, offset))
-    nodes = {
-        v: new(AmrNode, (v, instance, tuple(attributes[v]))) for v, instance in instances.items()
-    }
-    return new(AmrGraph, (root, nodes, children))
+    return new(AmrGraph, (root, instances, children))
 
 
 def _raise_parse_error(text: str, pos: int, depth: int, defined: dict[str, str]) -> NoReturn:
@@ -333,7 +310,7 @@ def serialize_amr(graph: AmrGraph, indent: int = 4) -> str:
             out.append(item)
             continue
         variable, depth = item
-        out.append(f"({variable} / {graph.nodes[variable].instance}")
+        out.append(f"({variable} / {graph.nodes[variable]}")
         pending.append(")")
         pad = "\n" + " " * (indent * (depth + 1))
         for edge in reversed(graph.children[variable]):
@@ -354,7 +331,7 @@ def split_sentences(graph: AmrGraph) -> list[str]:
     ordered by N; any other root is the only sentence. A sentence owns the
     nodes its root reaches over defining edges.
     """
-    if graph.nodes[graph.root].instance != "multi-sentence":
+    if graph.nodes[graph.root] != "multi-sentence":
         return [graph.root]
 
     roots: dict[int, str] = {}  # N -> the root variable of sentence :sntN

@@ -3,11 +3,11 @@
 against.
 
 These are the earlier implementations kept as they were: the
-character-at-a-time lexer, the recursive-descent parser with its per-node
-attribute scan, the linear ``defining_parent`` scan, the backtrace that
-compares every concept word with every source token, and the name and date
-handlers that read every attribute through a regex or ``attribute``
-(the name handler with the repeated-index rule added). ``distill_concepts``
+character-at-a-time lexer, the recursive-descent parser, the linear
+``defining_parent`` scan, the backtrace that compares every concept word
+with every source token, and the name and date handlers that read every
+literal edge through a regex or ``attribute`` (the name handler with the
+repeated-index rule added). ``distill_concepts``
 runs the distillation layer by layer on top of them. They are quadratic or
 recursive on purpose; only their output matters.
 """
@@ -25,7 +25,7 @@ from conceptrag.distill import (
     DistillConfig,
     DistillError,
 )
-from conceptrag.penman import AmrEdge, AmrGraph, AmrNode, AmrParseError, Literal
+from conceptrag.penman import AmrEdge, AmrGraph, AmrParseError, Literal
 
 _VAR_RE = re.compile(r"[a-z][a-z0-9']*\Z")
 _ROLE_RE = re.compile(r":[A-Za-z0-9-]+\Z")
@@ -209,15 +209,8 @@ class _Parser:
             else:
                 edges.append(AmrEdge(source, role, target, defines=True))
 
-        nodes = {}
-        for variable, instance in self.node_instances.items():
-            attrs = tuple(
-                (e.role, e.target)
-                for e in edges
-                if e.source == variable and isinstance(e.target, Literal)
-            )
-            nodes[variable] = AmrNode(variable, instance, attrs)
         self.edges = edges
+        nodes = dict(self.node_instances)
         return AmrGraph(self.root, nodes, children(nodes, edges))
 
 
@@ -242,9 +235,14 @@ def all_edges(graph: AmrGraph) -> list[AmrEdge]:
     return [edge for edges in graph.children.values() for edge in edges]
 
 
-def attribute(node: AmrNode, role: str) -> Literal | None:
-    """The node's first literal for ``role``, or None."""
-    for r, value in node.attributes:
+def literals(edges: list[AmrEdge]) -> list[tuple[str, Literal]]:
+    """The (role, literal) pairs of a node's literal edges, in textual order."""
+    return [(edge.role, edge.target) for edge in edges if isinstance(edge.target, Literal)]
+
+
+def attribute(edges: list[AmrEdge], role: str) -> Literal | None:
+    """A node's first literal for ``role``, or None."""
+    for r, value in literals(edges):
         if r == role:
             return value
     return None
@@ -338,7 +336,8 @@ def distill_concepts(
     document in turn."""
     config = config or DistillConfig()
     streams = _traversal_streams(graph, config)
-    concepts = [c for stream in streams for c in _role_buffer(graph, stream)]
+    in_sentences = {variable for stream in streams for _, variable in stream}
+    concepts = [c for stream in streams for c in _role_buffer(graph, stream, in_sentences)]
     stoplist = (DEFAULT_STOPLIST | set(config.stoplist_add)) - set(config.stoplist_remove)
     formatted = []
     for concept in concepts:
@@ -353,7 +352,7 @@ def distill_concepts(
 
 
 def _traversal_streams(graph: AmrGraph, config: DistillConfig) -> list[list[tuple[int, str]]]:
-    if graph.nodes[graph.root].instance == "multi-sentence":
+    if graph.nodes[graph.root] == "multi-sentence":
         numbered = sorted(
             (int(edge.role[len(":snt") :]), edge.target)
             for edge in all_edges(graph)
@@ -381,71 +380,75 @@ def _preorder(graph: AmrGraph, variable: str) -> list[str]:
     return order
 
 
-def _wiki(node: AmrNode, sentence_index: int = 1) -> Concept | None:
+def _wiki(graph: AmrGraph, variable: str, sentence_index: int = 1) -> Concept | None:
     """The node's Wikipedia reference with underscores as spaces, or None
     when it has no :wiki or the '-' no-link marker."""
-    literal = attribute(node, ":wiki")
+    literal = attribute(graph.children[variable], ":wiki")
     if literal is None or literal.text == "-":
         return None
     return Concept(literal.text.replace("_", " "), "wiki", sentence_index)
 
 
-def _role_buffer(graph: AmrGraph, stream: list[tuple[int, str]]) -> list[Concept]:
+def _role_buffer(
+    graph: AmrGraph, stream: list[tuple[int, str]], in_sentences: set[str]
+) -> list[Concept]:
     out: list[Concept] = []
     buffer: list[Concept] = []
     for sentence_index, variable in stream:
-        node = graph.nodes[variable]
-        wiki = _wiki(node, sentence_index)
-        if node.instance not in ("name", "date-entity") and wiki is None:
+        instance = graph.nodes[variable]
+        edges = graph.children[variable]
+        wiki = _wiki(graph, variable, sentence_index)
+        if instance not in ("name", "date-entity") and wiki is None:
             out += buffer
             buffer = []
-            out.append(Concept(node.instance, "instance", sentence_index))
+            out.append(Concept(instance, "instance", sentence_index))
             continue
-        if node.instance == "name":
-            # a wiki-linked parent's wiki string stands for the name
+        if instance == "name":
+            # a wiki-linked parent's wiki string stands for the name; a
+            # parent in no sentence links nothing
             parent = defining_parent(graph, variable)
-            if parent is None or _wiki(graph.nodes[parent]) is None:
-                buffer.append(handle_name(node, sentence_index))
+            if parent not in in_sentences or _wiki(graph, parent) is None:
+                buffer.append(handle_name(variable, edges, sentence_index))
         if wiki is not None:
             buffer.append(wiki)
-        if node.instance == "date-entity":
-            date = handle_date(node, sentence_index)
+        if instance == "date-entity":
+            date = handle_date(variable, edges, sentence_index)
             if date is not None:
                 buffer.append(date)
     return out + buffer
 
 
-def handle_name(node: AmrNode, sentence_index: int = 1) -> Concept:
+def handle_name(variable: str, edges: list[AmrEdge], sentence_index: int = 1) -> Concept:
     ops: dict[int, str] = {}
-    for role, literal in node.attributes:
+    for role, literal in literals(edges):
         match = _OP_ROLE_RE.match(role)
         if match:
             n = int(match.group(1))
             if n in ops:
-                raise DistillError(f"name node {node.variable!r} repeats op index {n}")
+                raise DistillError(f"name node {variable!r} repeats op index {n}")
             ops[n] = literal.text
     if 1 not in ops:
-        raise DistillError(f"name node {node.variable!r} is missing :op1")
+        raise DistillError(f"name node {variable!r} is missing :op1")
     if sorted(ops) != list(range(1, len(ops) + 1)):
         raise DistillError(
-            f"name node {node.variable!r} has non-contiguous op indices {sorted(ops)}"
+            f"name node {variable!r} has non-contiguous op indices {sorted(ops)}"
         )
     text = " ".join(ops[i] for i in range(1, len(ops) + 1))
     return Concept(text, "name", sentence_index)
 
 
-def handle_date(node: AmrNode, sentence_index: int = 1) -> Concept | None:
+def handle_date(variable: str, edges: list[AmrEdge], sentence_index: int = 1) -> Concept | None:
     parts: list[str] = []
-    day = _int_attribute(node, ":day")
-    month = _int_attribute(node, ":month")
-    year = _int_attribute(node, ":year")
+    day = _int_attribute(variable, edges, ":day")
+    month = _int_attribute(variable, edges, ":month")
+    year = _int_attribute(variable, edges, ":year")
     if day is not None:
         if not 1 <= day <= 31:
-            raise DistillError(f"date-entity {node.variable!r} has day {day} outside 1-31")
+            raise DistillError(f"date-entity {variable!r} has day {day} outside 1-31")
         parts.append(str(day))
     if month is not None:
         if not 1 <= month <= 12:
-            raise DistillError(f"date-entity {node.variable!r} has month {month} outside 1-12")
+            raise DistillError(f"date-entity {variable!r} has month {month} outside 1-12")
         parts.append(_MONTH_NAMES[month - 1])
     if year is not None:
         parts.append(str(year))
@@ -454,12 +457,12 @@ def handle_date(node: AmrNode, sentence_index: int = 1) -> Concept | None:
     return Concept(" ".join(parts), "date", sentence_index)
 
 
-def _int_attribute(node: AmrNode, role: str) -> int | None:
-    literal = attribute(node, role)
+def _int_attribute(variable: str, edges: list[AmrEdge], role: str) -> int | None:
+    literal = attribute(edges, role)
     if literal is None:
         return None
     if not re.fullmatch(r"[+-]?[0-9]+" if role == ":year" else r"[0-9]+", literal.text):
         raise DistillError(
-            f"{node.variable!r} has non-numeric {role} value {literal.text!r}"
+            f"{variable!r} has non-numeric {role} value {literal.text!r}"
         )
     return int(literal.text)

@@ -92,8 +92,8 @@ def test_worked_example_distillation(table_a1_penman, table_a1_doc):
     ]
     assert concepts.texts() == expected  # exact order, hence equal multiset
 
-    date_node = parse_amr("(d / date-entity :day 19 :month 4 :year 2024)").nodes["d"]
-    assert handle_date(date_node).text == "19 April 2024"
+    date_edges = parse_amr("(d / date-entity :day 19 :month 4 :year 2024)").children["d"]
+    assert handle_date("d", date_edges).text == "19 April 2024"
 
 
 @criterion(3, "oracle-stub pipeline: 100% accuracy in concepts and vanilla; an answer-dropping stoplist degrades concepts below vanilla")

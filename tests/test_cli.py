@@ -594,6 +594,25 @@ class TestEvalAndReport:
         assert svg_path.read_text().startswith("<svg")
         assert "run</text>" in svg_path.read_text() and "baseline</text>" in svg_path.read_text()
 
+    def test_an_empty_baseline_is_named_in_each_interval(
+        self, tmp_path, fixture_dataset_path, stub_backend_file, capsys
+    ):
+        ours = run_eval(tmp_path, fixture_dataset_path, stub_backend_file)
+        base = tmp_path / "empty"
+        base.mkdir()
+        (base / "records.json").write_text("[]")
+        svg_path = tmp_path / "curve.svg"
+        capsys.readouterr()
+        code = main(["report", str(ours), "--baseline", str(base), "--svg", str(svg_path)])
+        assert code == EXIT_OK
+        lacks = "curve 'baseline' lacks Acc at K="
+        errors = [f"{lacks}[1, 2, 3, ...] (10 Ks) inside [1,10]",
+                  f"{lacks}[6, 7, 8, ...] (5 Ks) inside [6,10]"]
+        rows = json.loads((ours / "report.json").read_text())["intg"]
+        assert [row.get("error") for row in rows] == errors
+        assert f"\nnormal\tERROR: {errors[0]}\t\n" in capsys.readouterr().out
+        assert "baseline</text>" in svg_path.read_text()
+
     def test_latency_rows_keep_the_two_runs_apart(
         self, tmp_path, fixture_dataset_path, stub_backend_file, capsys
     ):

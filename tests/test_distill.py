@@ -35,7 +35,7 @@ def name_node(*ops, roles=None):
     parts = " ".join(
         f'{roles[i] if roles else f":op{i + 1}"} "{op}"' for i, op in enumerate(ops)
     )
-    return parse_amr(f"(n / name {parts})").nodes["n"]
+    return "n", parse_amr(f"(n / name {parts})").children["n"]
 
 
 def instance_concepts(labels):
@@ -44,29 +44,29 @@ def instance_concepts(labels):
 
 class TestHandleName:
     def test_three_part_name(self):
-        concept = handle_name(name_node("Alexander", "Rinnooy", "Kan"))
+        concept = handle_name(*name_node("Alexander", "Rinnooy", "Kan"))
         assert concept.text == "Alexander Rinnooy Kan"
         assert concept.provenance == "name"
 
     def test_single_part_name(self):
-        assert handle_name(name_node("Amsterdam")).text == "Amsterdam"
+        assert handle_name(*name_node("Amsterdam")).text == "Amsterdam"
 
     def test_join_semantics(self):
-        assert handle_name(name_node("a", "b", "c", "d")).text == "a b c d"
+        assert handle_name(*name_node("a", "b", "c", "d")).text == "a b c d"
 
     def test_missing_op1(self):
         node = name_node("x", roles=[":op2"])
         with pytest.raises(DistillError, match="op1"):
-            handle_name(node)
+            handle_name(*node)
 
     def test_non_contiguous_ops(self):
         node = name_node("x", "y", roles=[":op1", ":op3"])
         with pytest.raises(DistillError, match="non-contiguous"):
-            handle_name(node)
+            handle_name(*node)
 
     @given(st.lists(st.text(alphabet="abcXYZ", min_size=1, max_size=6), min_size=1, max_size=5))
     def test_join_is_space_separated(self, words):
-        assert handle_name(name_node(*words)).text == " ".join(words)
+        assert handle_name(*name_node(*words)).text == " ".join(words)
 
     def test_an_op_that_defines_a_node_is_no_op(self):
         graph = parse_amr("(n / name :op1 (x / foo))")
@@ -114,53 +114,57 @@ class TestHandleWiki:
         graph = parse_amr('(p / person :name (n / name :op1 "Kan"))')
         assert distill_concepts(graph, "Kan").texts() == ["Kan"]
 
-    def test_wiki_linked_multi_sentence_root_drops_its_sentence_name(self):
-        # the root is in no sentence, so its wiki string is not emitted; the
-        # name it defines as :snt1 is dropped all the same, and a name defined
-        # under a plain node of :snt2 is kept
+    def test_wiki_on_a_multi_sentence_root_links_nothing(self):
+        # the root is in no sentence, so its wiki string could never be
+        # emitted: the name it defines as :snt1 is kept, as is a name defined
+        # under a plain node of :snt2
         graph = parse_amr(
             '(m / multi-sentence :wiki "Paris" :snt1 (n / name :op1 "Paris")'
             ' :snt2 (w / want-01 :ARG1 (c / city :name (n2 / name :op1 "Paris"))))'
         )
         concepts = distill_concepts(graph, "Paris. They want Paris.").concepts
-        assert concepts == (("want", "instance", 2, (12, 16)), ("Paris", "name", 2, (0, 5)))
+        assert concepts == (
+            ("Paris", "name", 1, (0, 5)),
+            ("want", "instance", 2, (12, 16)),
+            ("Paris", "name", 2, (0, 5)),
+        )
 
 
 class TestHandleDate:
     def test_full_date(self):
-        node = parse_amr("(d / date-entity :day 19 :month 4 :year 2024)").nodes["d"]
-        assert handle_date(node).text == "19 April 2024"
+        edges = parse_amr("(d / date-entity :day 19 :month 4 :year 2024)").children["d"]
+        assert handle_date("d", edges).text == "19 April 2024"
 
     def test_year_only(self):
-        node = parse_amr("(d / date-entity :year 1972)").nodes["d"]
-        assert handle_date(node).text == "1972"
+        edges = parse_amr("(d / date-entity :year 1972)").children["d"]
+        assert handle_date("d", edges).text == "1972"
 
     def test_month_only(self):
-        node = parse_amr("(d / date-entity :month 12)").nodes["d"]
-        assert handle_date(node).text == "December"
+        edges = parse_amr("(d / date-entity :month 12)").children["d"]
+        assert handle_date("d", edges).text == "December"
 
     def test_month_out_of_range(self):
-        node = parse_amr("(d / date-entity :month 13)").nodes["d"]
+        edges = parse_amr("(d / date-entity :month 13)").children["d"]
         with pytest.raises(DistillError, match="month"):
-            handle_date(node)
+            handle_date("d", edges)
 
     def test_day_out_of_range(self):
-        node = parse_amr("(d / date-entity :day 32)").nodes["d"]
+        edges = parse_amr("(d / date-entity :day 32)").children["d"]
         with pytest.raises(DistillError, match="day"):
-            handle_date(node)
+            handle_date("d", edges)
 
     # int() read these as 1999, 3, 5 and 4
     @pytest.mark.parametrize(
         "role, value", [(":year", '"1_999"'), (":day", '"٣"'), (":day", "+5"), (":month", '" 4"')]
     )
     def test_date_parts_must_be_ascii_digits(self, role, value):
-        node = parse_amr(f"(d / date-entity {role} {value})").nodes["d"]
+        edges = parse_amr(f"(d / date-entity {role} {value})").children["d"]
         with pytest.raises(DistillError, match=f"non-numeric {role} value"):
-            handle_date(node)
+            handle_date("d", edges)
 
     def test_only_a_year_takes_a_sign(self):
-        node = parse_amr("(d / date-entity :month 4 :year -44)").nodes["d"]
-        assert handle_date(node).text == "April -44"
+        edges = parse_amr("(d / date-entity :month 4 :year -44)").children["d"]
+        assert handle_date("d", edges).text == "April -44"
 
     def test_only_a_literal_date_part_counts(self):
         graph = parse_amr("(d / date-entity :year (y / foo) :year 1999)")
@@ -168,8 +172,8 @@ class TestHandleDate:
         assert [(c.text, c.provenance) for c in concepts] == [("1999", "date"), ("foo", "instance")]
 
     def test_empty_date_entity_yields_nothing(self):
-        node = parse_amr("(d / date-entity)").nodes["d"]
-        assert handle_date(node) is None
+        edges = parse_amr("(d / date-entity)").children["d"]
+        assert handle_date("d", edges) is None
 
     def test_month_names_are_english_whatever_the_locale(self, monkeypatch):
         # calendar.month_name follows LC_TIME, which an embedding caller may set
@@ -177,7 +181,7 @@ class TestHandleDate:
 
         monkeypatch.setattr(calendar, "month_name", [""] + [f"Monat{i}" for i in range(1, 13)])
         names = [
-            handle_date(parse_amr(f"(d / date-entity :month {m})").nodes["d"]).text
+            handle_date("d", parse_amr(f"(d / date-entity :month {m})").children["d"]).text
             for m in range(1, 13)
         ]
         assert names == ["January", "February", "March", "April", "May", "June", "July",
@@ -556,6 +560,14 @@ class TestDistillConfig:
     @pytest.mark.parametrize("threshold", [0.0, 1.0])
     def test_idf_threshold_takes_both_bounds(self, threshold):
         assert DistillConfig(idf_threshold=threshold).idf_threshold == threshold
+
+    def test_a_replaced_config_distills(self):
+        config = DistillConfig(stoplist_add=("alpha",))._replace(
+            min_backtrace_overlap=1, stoplist_remove=["he"]
+        )
+        assert config.stoplist() == (DEFAULT_STOPLIST | {"alpha"}) - {"he"}
+        graph = parse_amr("(a / alpha :ARG0 (h / he) :ARG1 (w / work-01))")
+        assert distill_concepts(graph, "he wrote", config).texts() == ["he", "wrote"]
 
     def test_strip_sense(self):
         assert strip_sense("work-01") == "work"

@@ -276,9 +276,9 @@ class TestBacktrace:
         assert out.text == "xyz" and out.source_span is None
 
 
-def handled(handler, node):
+def handled(handler, variable, edges):
     try:
-        return "ok", handler(node, 3)
+        return "ok", handler(variable, edges, 3)
     except ValueError as exc:
         return "error", type(exc), str(exc)
 
@@ -313,29 +313,30 @@ class TestHandlers:
             roles = name_roles(rng)
             words = [Literal(rng.choice(WORD_POOL), True).penman() for _ in roles]
             body = " ".join(f"{role} {word}" for role, word in zip(roles, words))
-            node = parse_amr(f"(n / name {body})").nodes["n"]
-            want = handled(bruteforce.handle_name, node)
-            assert handled(handle_name, node) == want, body
+            edges = parse_amr(f"(n / name {body})").children["n"]
+            want = handled(bruteforce.handle_name, "n", edges)
+            assert handled(handle_name, "n", edges) == want, body
 
     def test_date_entities_match_reference(self):
         rng = random.Random(37)
         for _ in range(3000):
             roles = rng.choices([":day", ":month", ":year", ":era"], k=rng.randint(0, 5))
             body = " ".join(f"{role} {rng.choice(DATE_VALUES)}" for role in roles)
-            node = parse_amr(f"(d / date-entity {body})").nodes["d"]
-            want = handled(bruteforce.handle_date, node)
-            assert handled(handle_date, node) == want, body
+            edges = parse_amr(f"(d / date-entity {body})").children["d"]
+            want = handled(bruteforce.handle_date, "d", edges)
+            assert handled(handle_date, "d", edges) == want, body
 
 
 def mentions(graph, rng):
     """A source document for ``graph``: its labels, literals and dates, each
     kept, inflected, cut short, recased or put inside a longer word."""
     words = []
-    for node in graph.nodes.values():
-        words.append(re.sub(r"(-[0-9]{2})+\Z", "", node.instance))
-        words += [literal.text.replace("_", " ") for _, literal in node.attributes]
-        if node.instance == "date-entity" and node.attributes:
-            words.append(handle_date(node).text)
+    for variable, instance in graph.nodes.items():
+        literals = bruteforce.literals(graph.children[variable])
+        words.append(re.sub(r"(-[0-9]{2})+\Z", "", instance))
+        words += [literal.text.replace("_", " ") for _, literal in literals]
+        if instance == "date-entity" and literals:
+            words.append(handle_date(variable, graph.children[variable]).text)
     words += rng.sample(WORD_POOL, 3)
     rng.shuffle(words)
     out = []
@@ -361,7 +362,7 @@ class TestDistill:
         for seed in range(400):
             graph = parse_amr(random_penman(seed))
             doc = mentions(graph, rng)
-            labels = sorted({node.instance for node in graph.nodes.values()})
+            labels = sorted(set(graph.nodes.values()))
             stoplist_add = rng.sample(labels, min(len(labels), rng.randint(0, 2)))
             stoplist_add += rng.sample(["see", "run", "paper", "tree"], rng.randint(0, 2))
             stoplist_remove = rng.sample(ENTITY_POOL, rng.randint(0, 3))

@@ -23,25 +23,29 @@ from graphgen import random_penman
 
 
 def instances(graph, variables):
-    return [graph.nodes[v].instance for v in variables]
+    return [graph.nodes[v] for v in variables]
+
+
+def literals(graph, variable):
+    """The (role, literal) pairs of the variable's literal edges, in textual order."""
+    return tuple((e.role, e.target) for e in graph.children[variable] if isinstance(e.target, Literal))
 
 
 class TestParse:
     def test_minimal_graph(self):
         graph = parse_amr("(w / work-01)")
         assert graph.root == "w"
-        assert graph.nodes["w"].instance == "work-01"
+        assert graph.nodes["w"] == "work-01"
         assert graph.to_dict()["edges"] == []
 
     def test_table_a1_structure(self, table_a1_penman):
         graph = parse_amr(table_a1_penman)
-        assert graph.nodes[graph.root].instance == "multi-sentence"
+        assert graph.nodes[graph.root] == "multi-sentence"
         roles = [e.role for e in graph.children[graph.root]]
         assert roles == [":snt1", ":snt2"]
-        assert graph.nodes["p"].instance == "person"
-        name = graph.nodes["n"]
-        assert name.instance == "name"
-        assert [(r, lit.text) for r, lit in name.attributes] == [
+        assert graph.nodes["p"] == "person"
+        assert graph.nodes["n"] == "name"
+        assert [(r, lit.text) for r, lit in literals(graph, "n")] == [
             (":op1", "Alexander"),
             (":op2", "Rinnooy"),
             (":op3", "Kan"),
@@ -69,12 +73,12 @@ class TestParse:
 
     def test_string_escapes(self):
         graph = parse_amr(r'(x / thing :mod "say \"hi\"" :part "back\\slash")')
-        values = [lit.text for _, lit in graph.nodes["x"].attributes]
+        values = [lit.text for _, lit in literals(graph, "x")]
         assert values == ['say "hi"', "back\\slash"]
 
     def test_polarity_and_numbers_are_literals(self):
         graph = parse_amr("(p / possible-01 :polarity - :quant 3 :value 2.5)")
-        assert graph.nodes["p"].attributes == (
+        assert literals(graph, "p") == (
             (":polarity", Literal("-")),
             (":quant", Literal("3")),
             (":value", Literal("2.5")),
@@ -84,7 +88,7 @@ class TestParse:
         graph = parse_amr(table_a1_penman)
         quoted = len(re.findall(r'"(?:[^"\\]|\\.)*"', table_a1_penman))
         years = table_a1_penman.count(":year")
-        total_attrs = sum(len(n.attributes) for n in graph.nodes.values())
+        total_attrs = sum(len(literals(graph, v)) for v in graph.nodes)
         assert total_attrs == quoted + years
 
     def test_edge_list_in_textual_role_order(self):
@@ -205,7 +209,7 @@ class TestSplitSentences:
         owned = [v for root in split_sentences(graph) for v in dfs_nodes(graph, root)]
         assert len(owned) == len(set(owned))
         non_root = set(graph.nodes) - {graph.root}
-        if graph.nodes[graph.root].instance == "multi-sentence":
+        if graph.nodes[graph.root] == "multi-sentence":
             assert set(owned) == non_root
         else:
             assert set(owned) == set(graph.nodes)
@@ -272,7 +276,7 @@ class TestCorpusBlocks:
     def test_blank_line_separated_blocks(self):
         text = "(a / one)\n\n(b / two)\n\n\n(c / three)\n"
         graphs = parse_corpus(text)
-        assert [g.nodes[g.root].instance for g in graphs] == ["one", "two", "three"]
+        assert [g.nodes[g.root] for g in graphs] == ["one", "two", "three"]
 
     def test_multiline_block(self):
         text = "(a / one\n    :mod (b / two))\n\n(c / three)"
@@ -281,7 +285,7 @@ class TestCorpusBlocks:
     def test_comment_only_blocks_skipped(self):
         text = "# ::id 1\n# ::snt intro\n\n# ::id 2\n(a / one)\n\n# stray note\n"
         graphs = parse_corpus(text)
-        assert [g.nodes[g.root].instance for g in graphs] == ["one"]
+        assert [g.nodes[g.root] for g in graphs] == ["one"]
 
     # str.splitlines also ends a line at U+2028, U+0085, \v, \f and \x1c-\x1e: a
     # literal holding one came back with \n in its place
@@ -289,7 +293,7 @@ class TestCorpusBlocks:
     def test_literal_keeps_a_line_separator(self, separator):
         text = f'(a / say-01 :ARG1 "x{separator}y")'
         assert parse_corpus(text) == [parse_amr(text)]
-        assert parse_amr(text).nodes["a"].attributes == ((":ARG1", Literal(f"x{separator}y", True)),)
+        assert literals(parse_amr(text), "a") == ((":ARG1", Literal(f"x{separator}y", True)),)
 
     # a line holding only U+2028 cut the literal into two blocks, and the first
     # was an unterminated string literal
