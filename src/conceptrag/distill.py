@@ -228,7 +228,8 @@ def handle_date(variable: str, edges: list[AmrEdge], sentence_index: int = 1) ->
     """Render a date-entity's first literal :day, :month and :year as e.g.
     '19 April 2024'; bare years stay numeric. None when no part is present."""
     parts: list[str] = []
-    first = {r: t for _, r, t, _ in reversed(edges) if isinstance(t, Literal)}  # per role
+    # each role's first literal
+    first = {r: t for _, r, t, _ in reversed(edges) if isinstance(t, Literal)}
     day = _int_value(variable, ":day", first.get(":day"))
     month = _int_value(variable, ":month", first.get(":month"))
     year = _int_value(variable, ":year", first.get(":year"))

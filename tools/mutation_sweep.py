@@ -91,7 +91,9 @@ def apply(source: bytes, mutant: Mutant) -> bytes:
 def run_tests(copy: Path, pytest_args: list[str], timeout: float) -> str:
     """'pass', 'fail' or 'timeout' for pytest in ``copy``. A run over time is
     killed with its whole process group, so forked workers go too."""
-    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+    # the copy's package comes first; the rest of the path may hold pytest
+    path = os.pathsep.join(filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1",
            "HYPOTHESIS_PROFILE": "ci"}
     proc = subprocess.Popen(
         [sys.executable, "-m", "pytest", *pytest_args], cwd=copy, env=env,
