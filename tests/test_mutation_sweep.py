@@ -30,8 +30,8 @@ def test_list_finds_every_raise_in_schema():
 def test_a_run_mutates_a_copy_and_leaves_src_unchanged():
     before = {path: path.read_bytes() for path in (ROOT / "src").rglob("*.py")}
     # the first mutant lets a non-object config through, which this test sees
-    out = sweep(SCHEMA, "--limit", "1", "--timeout", "120", "--pytest-args",
-                "tests/test_cli.py -q -x -p no:cacheprovider -k test_malformed_config_is_data_error")
+    pytest_args = "tests/test_cli.py -q -x -p no:cacheprovider -k malformed_config_is_data_error"
+    out = sweep(SCHEMA, "--limit", "1", "--timeout", "120", "--pytest-args", pytest_args)
     assert {path: path.read_bytes() for path in (ROOT / "src").rglob("*.py")} == before
     first, summary = out.splitlines()
     assert first.startswith(sweep("--list", SCHEMA).splitlines()[0] + ": fail (")

@@ -28,7 +28,8 @@ def instances(graph, variables):
 
 def literals(graph, variable):
     """The (role, literal) pairs of the variable's literal edges, in textual order."""
-    return tuple((e.role, e.target) for e in graph.children[variable] if isinstance(e.target, Literal))
+    edges = graph.children[variable]
+    return tuple((e.role, e.target) for e in edges if isinstance(e.target, Literal))
 
 
 class TestParse:
