@@ -182,10 +182,10 @@ def _wiki_links(graph: AmrGraph) -> tuple[dict[str, str], set[str]]:
     no link. A ``multi-sentence`` root, in no sentence, links nothing."""
     wikis: dict[str, str] = {}
     named: set[str] = set()
-    children = iter(graph.children.items())
-    if graph.nodes[graph.root] == "multi-sentence":
-        next(children)  # the root, defined first
-    for variable, edges in children:
+    skip = graph.root if graph.nodes[graph.root] == "multi-sentence" else None
+    for variable, edges in graph.children.items():
+        if variable == skip:
+            continue
         for _, role, target, _ in edges:
             if role == ":wiki" and isinstance(target, Literal):
                 if target.text != "-":

@@ -128,6 +128,9 @@ class TestHandleWiki:
             ("want", "instance", 2, (12, 16)),
             ("Paris", "name", 2, (0, 5)),
         )
+        # the root is found by name, wherever children lists it
+        graph = graph._replace(children=dict(reversed(graph.children.items())))
+        assert distill_concepts(graph, "Paris. They want Paris.").concepts == concepts
 
 
 class TestHandleDate:

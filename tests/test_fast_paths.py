@@ -97,7 +97,17 @@ class TestParser:
 
         for text in [random_penman(seed) for seed in range(300)] + FORWARD_REFERENCES:
             expected = [render(edge) for edge in bruteforce.textual_edges(text)]
-            assert parse_amr(text).to_dict()["edges"] == expected, text
+            rendered = parse_amr(text).to_dict()
+            assert rendered["edges"] == expected, text
+            # each node's attributes are its literal edges, in textual order
+            reference = bruteforce.parse_amr(text)
+            assert list(rendered["nodes"].items()) == [
+                (v, {"instance": instance, "attributes": [
+                    {"role": role, "value": value.text, "quoted": value.quoted}
+                    for role, value in bruteforce.literals(reference.children[v])
+                ]})
+                for v, instance in reference.nodes.items()
+            ], text
 
     def test_damaged_graphs_fail_alike(self):
         rng = random.Random(5)

@@ -1,5 +1,6 @@
 """tools/mutation_sweep.py: its sites, and a run that mutates only a copy."""
 
+import importlib.util
 import io
 import subprocess
 import sys
@@ -27,12 +28,16 @@ def test_list_finds_every_raise_in_schema():
     assert lines[-1] == f"{len(lines) - 1} sites"
 
 
-def test_a_run_mutates_a_copy_and_leaves_src_unchanged():
+def test_a_run_mutates_a_copy_and_leaves_src_unchanged(capsys):
+    spec = importlib.util.spec_from_file_location("mutation_sweep", SWEEP)
+    mutation_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutation_sweep)
     before = {path: path.read_bytes() for path in (ROOT / "src").rglob("*.py")}
     # the first mutant lets a non-object config through, which this test sees
-    pytest_args = "tests/test_cli.py -q -x -p no:cacheprovider -k malformed_config_is_data_error"
-    out = sweep(SCHEMA, "--limit", "1", "--timeout", "120", "--pytest-args", pytest_args)
+    pytest_args = ["tests/test_cli.py", "-q", "-x", "-p", "no:cacheprovider",
+                   "-k", "malformed_config_is_data_error"]
+    first = mutation_sweep.find_mutants(SCHEMA)[0]
+    assert mutation_sweep.sweep([first], pytest_args) == []
     assert {path: path.read_bytes() for path in (ROOT / "src").rglob("*.py")} == before
-    first, summary = out.splitlines()
-    assert first.startswith(sweep("--list", SCHEMA).splitlines()[0] + ": fail (")
-    assert summary == "1 mutants, 0 survived"
+    [line] = capsys.readouterr().out.splitlines()
+    assert line.startswith(sweep("--list", SCHEMA).splitlines()[0] + ": fail (")

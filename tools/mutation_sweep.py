@@ -4,8 +4,10 @@ Each mutant makes one change to one source file: a ``raise`` statement
 becomes ``pass``, or a boundary comparison flips (``<`` and ``<=``, ``>``
 and ``>=``, each into the other). The sweep copies the repository into a
 temporary directory, applies one mutant at a time there, and runs pytest on
-the copy under a time limit. A mutant the tests pass on has survived: no
-test sees that fault. The working tree is never written.
+the copy, for at most ``TIMEOUT`` seconds a mutant. A mutant the tests pass
+on has survived: no test sees that fault. The working tree is never written.
+The copy holds the files git tracks or would track, so nothing that
+``.gitignore`` excludes is copied.
 
     python tools/mutation_sweep.py src/conceptrag/penman.py src/conceptrag/distill.py
     python tools/mutation_sweep.py --list src/conceptrag/schema.py
@@ -35,8 +37,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 _FLIPS = {ast.Lt: (b"<", b"<="), ast.LtE: (b"<=", b"<"), ast.Gt: (b">", b">="),
           ast.GtE: (b">=", b">")}
-_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
-                                 ".benchmarks", ".bench_work", "*.egg-info")
+TIMEOUT = 120.0  # seconds each test run may take
 
 
 class Mutant(NamedTuple):
@@ -88,7 +89,18 @@ def apply(source: bytes, mutant: Mutant) -> bytes:
     return source[: mutant.start] + mutant.replacement + source[mutant.end :]
 
 
-def run_tests(copy: Path, pytest_args: list[str], timeout: float) -> str:
+def copy_checkout(dest: Path) -> None:
+    """Copy the tracked and the untracked, not ignored files into ``dest``."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=ROOT, capture_output=True, check=True).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        source = ROOT / name
+        if source.is_file():  # a tracked file may be deleted in the working tree
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
+
+
+def run_tests(copy: Path, pytest_args: list[str]) -> str:
     """'pass', 'fail' or 'timeout' for pytest in ``copy``. A run over time is
     killed with its whole process group, so forked workers go too."""
     # the copy's package comes first; the rest of the path may hold pytest
@@ -100,7 +112,7 @@ def run_tests(copy: Path, pytest_args: list[str], timeout: float) -> str:
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
     )
     try:
-        code = proc.wait(timeout=timeout)
+        code = proc.wait(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
@@ -108,13 +120,35 @@ def run_tests(copy: Path, pytest_args: list[str], timeout: float) -> str:
     return "pass" if code == 0 else "fail"
 
 
+def sweep(mutants: list[Mutant], pytest_args: list[str]) -> list[Mutant] | None:
+    """Run the tests on a copy once per mutant; the survivors, or None when the
+    unmutated copy already fails."""
+    with tempfile.TemporaryDirectory(prefix="mutation-sweep-") as tmp:
+        copy = Path(tmp) / "repo"
+        copy_checkout(copy)
+        if run_tests(copy, pytest_args) != "pass":
+            return None
+        survivors = []
+        for m in mutants:
+            target = copy / m.path
+            original = target.read_bytes()
+            target.write_bytes(apply(original, m))
+            began = time.monotonic()
+            try:
+                outcome = run_tests(copy, pytest_args)
+            finally:
+                target.write_bytes(original)
+            print(f"{m.path}:{m.line}:{m.col}: {m.kind}: {outcome}"
+                  f" ({time.monotonic() - began:.1f} s)", flush=True)
+            if outcome == "pass":
+                survivors.append(m)
+    return survivors
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("files", nargs="+", help="source files, relative to the repository root")
     parser.add_argument("--list", action="store_true", help="only print the sites and count them")
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="seconds each mutant's test run may take (default 120)")
-    parser.add_argument("--limit", type=int, help="run only the first N mutants")
     parser.add_argument("--pytest-args", default="tests -q -x -p no:cacheprovider",
                         help="arguments for pytest, run in the copy (default: %(default)s)")
     args = parser.parse_args(argv)
@@ -124,33 +158,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{m.path}:{m.line}:{m.col}: {m.kind}")
         print(f"{len(mutants)} sites")
         return 0
-    mutants = mutants[: args.limit]
-    pytest_args = shlex.split(args.pytest_args)
-    with tempfile.TemporaryDirectory(prefix="mutation-sweep-") as tmp:
-        copy = Path(tmp) / "repo"
-        shutil.copytree(ROOT, copy, ignore=_IGNORE)
-        if run_tests(copy, pytest_args, args.timeout) != "pass":
-            print("the unmutated copy does not pass its tests", file=sys.stderr)
-            return 1
-        survivors = []
-        for m in mutants:
-            target = copy / m.path
-            original = target.read_bytes()
-            target.write_bytes(apply(original, m))
-            began = time.monotonic()
-            try:
-                outcome = run_tests(copy, pytest_args, args.timeout)
-            finally:
-                target.write_bytes(original)
-            print(f"{m.path}:{m.line}:{m.col}: {m.kind}: {outcome}"
-                  f" ({time.monotonic() - began:.1f} s)", flush=True)
-            if outcome == "pass":
-                survivors.append(m)
+    survivors = sweep(mutants, shlex.split(args.pytest_args))
+    if survivors is None:
+        print("the unmutated copy does not pass its tests", file=sys.stderr)
+        return 1
     print(f"{len(mutants)} mutants, {len(survivors)} survived")
     for m in survivors:
         print(f"survived: {m.path}:{m.line}:{m.col}: {m.kind}")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
