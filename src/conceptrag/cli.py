@@ -39,7 +39,7 @@ from .ragpipe import (
     run_pipeline,
     usable_cpus,
 )
-from .schema import from_json, to_json
+from .schema import from_json, from_json_block, to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -245,27 +245,40 @@ def cmd_eval(args) -> int:
 _SEPARATOR_RE = re.compile(r"[ \t\n\r]*([\[,\]])[ \t\n\r]*")
 
 
+_BLOCK_ITEMS = 1024  # list items parsed before they are checked and built together
+
+
 def _load_records(results_dir: str) -> Iterator[PipelineRecord]:
-    """The records of ``results_dir``, read when iteration starts and built one list
-    item at a time by ``json``'s own scanner: the first fault in file order is raised,
-    and at a fault in the list itself the text is decoded whole, for json's message."""
+    """The records of ``results_dir``, read when iteration starts. ``json``'s own
+    scanner parses one list item at a time, and each block of ``_BLOCK_ITEMS`` items is
+    checked and built at once. A block is built before a fault in the list itself is
+    raised, so the first fault in file order is raised; at a fault in the list the text
+    is decoded whole, for json's message."""
     path = Path(results_dir) / "records.json"
     if not path.exists():
         raise DatasetError(f"no records.json in {results_dir}")
     decoder, text = _json_text(path, "records file")
     match = _SEPARATOR_RE.match(text)
     listed = match is not None and match[1] == "["
+    block, too_deep = [], False
     while listed:
         try:
             data, end = decoder.scan_once(text, match.end())
         except (StopIteration, json.JSONDecodeError):  # no value or a bad one, or []
             break
         except RecursionError:
-            raise DatasetError(f"records file {path} is nested too deeply") from None
-        yield from_json(PipelineRecord, data, "record")
+            too_deep = True
+            break
+        block.append(data)
+        if len(block) == _BLOCK_ITEMS:
+            yield from from_json_block(PipelineRecord, block, "record")
+            block = []
         match = _SEPARATOR_RE.match(text, end)
         if not match or match[1] != ",":
             break
+    yield from from_json_block(PipelineRecord, block, "record")
+    if too_deep:
+        raise DatasetError(f"records file {path} is nested too deeply")
     if not listed or not match or match[1] != "]" or match.end() != len(text):
         if _read_json(path, "records file") != []:  # read again, for json's message
             raise DatasetError(f"{path} must hold a JSON list of records")

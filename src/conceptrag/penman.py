@@ -329,7 +329,8 @@ def split_sentences(graph: AmrGraph) -> list[str]:
 
     A ``multi-sentence`` root yields the node each ``:sntN`` edge defines,
     ordered by N; any other root is the only sentence. A sentence owns the
-    nodes its root reaches over defining edges.
+    nodes its root reaches over defining edges. A node that the root defines
+    under another role would be in no sentence, and is an error.
     """
     if graph.nodes[graph.root] != "multi-sentence":
         return [graph.root]
@@ -337,6 +338,9 @@ def split_sentences(graph: AmrGraph) -> list[str]:
     roots: dict[int, str] = {}  # N -> the root variable of sentence :sntN
     for edge in graph.children[graph.root]:
         if not edge.role.startswith(":snt"):
+            if edge.defines:
+                raise GraphError(f"multi-sentence root defines {edge.target!r} under "
+                                 f"{edge.role}, which is no :sntN role: it is in no sentence")
             continue
         digits = edge.role[4:]
         if not (digits.isascii() and digits.isdigit()):

@@ -27,7 +27,7 @@ from conceptrag.cli import (
 )
 from conceptrag.metrics import LONG_INTERVAL, NORMAL_INTERVAL, EvalCurve, integrate
 from conceptrag.ragpipe import BackendError
-from conceptrag.schema import from_json
+from conceptrag.schema import from_json_block
 
 
 # nesting that json's decoder refuses on every Python (3.13 decodes 5,000)
@@ -906,13 +906,13 @@ class TestEvalAndReport:
         bad = tmp_path / "bad"
         bad.mkdir()
         (bad / "records.json").write_text('[{"k": "x", "correct": true}]')
-        collecting = []  # gc.isenabled() as each record is built
+        collecting = []  # gc.isenabled() as each block of records is built
 
-        def spy(cls, data, kind):
+        def spy(cls, items, kind):
             collecting.append(gc.isenabled())
-            return from_json(cls, data, kind)
+            return from_json_block(cls, items, kind)
 
-        monkeypatch.setattr(cli, "from_json", spy)
+        monkeypatch.setattr(cli, "from_json_block", spy)
         was_on = gc.isenabled()
         (gc.enable if collector_on else gc.disable)()
         try:
@@ -922,7 +922,7 @@ class TestEvalAndReport:
             assert gc.isenabled() is collector_on
         finally:
             (gc.enable if was_on else gc.disable)()
-        assert len(collecting) == 21 and not any(collecting)
+        assert len(collecting) == 2 and not any(collecting)
 
     def test_manifest_reproducibility(self, tmp_path, fixture_dataset_path, stub_backend_file):
         extra = ["--traversal", "local-random", "--seed", "11"]

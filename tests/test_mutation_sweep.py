@@ -28,10 +28,28 @@ def test_list_finds_every_raise_in_schema():
     assert lines[-1] == f"{len(lines) - 1} sites"
 
 
-def test_a_run_mutates_a_copy_and_leaves_src_unchanged(capsys):
+def load_sweep():
     spec = importlib.util.spec_from_file_location("mutation_sweep", SWEEP)
     mutation_sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutation_sweep)
+    return mutation_sweep
+
+
+def test_outside_a_checkout_the_tree_is_copied_but_git_and_caches(tmp_path, monkeypatch):
+    mutation_sweep = load_sweep()
+
+    def no_checkout(args, **kwargs):
+        raise subprocess.CalledProcessError(128, args)
+
+    monkeypatch.setattr(mutation_sweep.subprocess, "run", no_checkout)
+    mutation_sweep.copy_checkout(tmp_path / "copy")
+    copied = {path.relative_to(tmp_path / "copy") for path in (tmp_path / "copy").rglob("*")}
+    assert Path(SCHEMA) in copied and Path("tests/test_mutation_sweep.py") in copied
+    assert not {part for path in copied for part in path.parts} & set(mutation_sweep._IGNORE)
+
+
+def test_a_run_mutates_a_copy_and_leaves_src_unchanged(capsys):
+    mutation_sweep = load_sweep()
     before = {path: path.read_bytes() for path in (ROOT / "src").rglob("*.py")}
     # the first mutant lets a non-object config through, which this test sees
     pytest_args = ["tests/test_cli.py", "-q", "-x", "-p", "no:cacheprovider",

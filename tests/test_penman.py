@@ -200,6 +200,21 @@ class TestSplitSentences:
         assert split_sentences(graph) == ["w"]
         assert [c.text for c in distill_concepts(graph, "They work.").concepts] == ["work"]
 
+    @pytest.mark.parametrize(
+        "text, target, role",
+        [
+            ("(m / multi-sentence :mod (z / zebra) :snt1 (w / want-01))", "z", ":mod"),
+            ("(m / multi-sentence :snt1 (w / want-01) :li (z / zebra :mod (s / small)))",
+             "z", ":li"),
+        ],
+    )
+    def test_a_node_defined_under_another_role_is_rejected(self, text, target, role):
+        # its nodes would be in no sentence, and distill would drop them unsaid
+        with pytest.raises(GraphError, match=f"defines {target!r} under {role}, "):
+            split_sentences(parse_amr(text))
+        with pytest.raises(GraphError, match=f"defines {target!r} under {role}, "):
+            distill_concepts(parse_amr(text), "zebra wanted")
+
     def test_empty_multi_sentence(self):
         assert split_sentences(parse_amr("(m / multi-sentence)")) == []
 

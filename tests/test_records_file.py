@@ -1,21 +1,24 @@
 """``records.json`` as ``eval`` writes it and as ``report`` reads it: the
-layout, the record-by-record reader against ``json.loads``, its messages for
-faulty files, its memory, and the report output pinned byte for byte."""
+layout, the reader against ``json.loads``, its block check against the
+per-record check, its messages for faulty files, its memory, and the report
+output pinned byte for byte."""
 
 import json
 import os
 import random
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conceptrag.cli import EXIT_DATA, EXIT_OK, _load_records, main
+from conceptrag import cli
+from conceptrag.cli import _BLOCK_ITEMS, EXIT_DATA, EXIT_OK, _load_records, main
 from conceptrag.corpus import DatasetError
 from conceptrag.ragpipe import PipelineRecord
-from conceptrag.schema import from_json
+from conceptrag.schema import _raise_fault, from_json
 
 PINNED = Path(__file__).parent / "data" / "report"
 
@@ -27,14 +30,15 @@ OPTIONAL_VALUES = {
     "prompt": st.text(max_size=30),
     "latency_ms": st.integers(0, 10**6) | st.floats(0, 1e6, allow_nan=False),
     "original_words": st.integers(0, 500),
+    "raw_answer": st.text(max_size=6),
+    "compressed_words": st.integers(0, 500),
     "error": st.none() | st.text(max_size=10),
+    "error_kind": st.none() | st.sampled_from(["backend", "data"]),
 }
-RECORDS = st.lists(
-    st.fixed_dictionaries(
-        {"k": st.integers(1, 10), "correct": st.booleans()}, optional=OPTIONAL_VALUES
-    ),
-    max_size=6,
+RECORD = st.fixed_dictionaries(
+    {"k": st.integers(1, 10), "correct": st.booleans()}, optional=OPTIONAL_VALUES
 )
+RECORDS = st.lists(RECORD, max_size=6)
 
 
 def write_records(run: Path, text: str, encoding="utf-8", errors="strict") -> bytes:
@@ -210,3 +214,151 @@ def test_report_output_is_pinned(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == (PINNED / "report.tsv").read_text(encoding="utf-8")
     for name in ("report.json", "report.tsv", "curve.svg"):
         assert (out / name).read_bytes() == (PINNED / name).read_bytes(), name
+
+
+# --- the block check: each block of list items is checked and built at once,
+# and a block with a fault is read again record by record, for the message
+
+
+def per_record(items: list) -> list | str:
+    """What the per-key check makes of ``items``: their records, or the message
+    of the first fault."""
+    records = []
+    for item in items:
+        try:
+            _raise_fault(PipelineRecord, item, "record")
+        except DatasetError as exc:
+            return str(exc)
+        values = {key: tuple(v) if type(v) is list else v for key, v in item.items()}
+        records.append(PipelineRecord(**values))
+    return records
+
+
+def loaded(run: Path) -> list | str:
+    """The records ``_load_records`` reads from ``run``, or the message of its fault."""
+    try:
+        return list(_load_records(str(run)))
+    except DatasetError as exc:
+        return str(exc)
+
+
+def assert_reported(run: Path, expected: list | str, capsys) -> None:
+    """``run`` loads as ``expected``; a message is also report's, with exit code 2."""
+    assert loaded(run) == expected
+    if type(expected) is str:
+        assert main(["report", str(run)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+def full_record(i: int) -> dict:
+    return {"question": f"q{i}", "gold_answers": [f"a{i}"], "k": 1 + i % 10, "mode": "concepts",
+            "backend": "stub:oracle-substring", "prompt": "p", "raw_answer": "a",
+            "latency_ms": 1.5, "correct": i % 3 > 0, "original_words": 9,
+            "compressed_words": 4, "error": None, "error_kind": None}
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({1023: ("k", "x")}, "record key 'k' must be an integer, not \"x\""),
+        ({1024: ("gold_answers", ["a", 1])},
+         "record key 'gold_answers' must be a list of strings, not [\"a\", 1]"),
+        ({1023: ("unknown", 1), 1024: ("k", "x")}, "record has unknown keys: unknown"),
+        ({1024: ("unknown", 1), 2047: ("k", "x")}, "record has unknown keys: unknown"),
+        ({2047: ("correct", 1)}, "record key 'correct' must be a boolean, not 1"),
+    ],
+)
+def test_a_fault_at_a_block_edge_is_found_as_record_by_record(
+    faults, message, tmp_path, capsys
+):
+    assert _BLOCK_ITEMS == 1024  # record 1,024 ends the first block, 1,025 starts the next
+    items = [full_record(i) for i in range(2100)]
+    for at, (key, value) in faults.items():
+        items[at][key] = value
+    write_records(tmp_path, json.dumps(items))
+    assert per_record(items) == message
+    assert_reported(tmp_path, message, capsys)
+
+
+def test_a_good_file_across_blocks_gives_the_records_record_by_record(tmp_path):
+    items = [full_record(i) for i in range(2 * 1024 + 1)]
+    write_records(tmp_path, json.dumps(items, indent=1))
+    assert loaded(tmp_path) == per_record(items)
+
+
+@pytest.mark.parametrize("after", ['{"k": 1 "correct": true}', "[" * 20_000 + "]" * 20_000])
+def test_a_mistyped_record_ahead_of_a_list_fault_in_its_block_comes_first(
+    after, tmp_path, capsys
+):
+    write_records(tmp_path, f'[{GOOD},\n{{"k": "x", "correct": true}},\n{GOOD},\n{after}]')
+    assert_reported(tmp_path, "record key 'k' must be an integer, not \"x\"", capsys)
+
+
+def test_a_too_deep_item_after_good_records_is_named(tmp_path, capsys):
+    write_records(tmp_path, f'[{GOOD},\n{"[" * 20_000 + "]" * 20_000}]')
+    path = tmp_path / "records.json"
+    assert_reported(tmp_path, f"records file {path} is nested too deeply", capsys)
+
+
+@pytest.mark.parametrize(
+    "items, expected",
+    [
+        # the optional error_kind given in some records of a block and not in others
+        ([{"k": 1, "correct": True, "error_kind": "data"}, {"k": 2, "correct": False},
+          {"k": 3, "correct": True, "error_kind": None}],
+         [PipelineRecord(k=1, correct=True, error_kind="data"),
+          PipelineRecord(k=2, correct=False), PipelineRecord(k=3, correct=True)]),
+        ([{"k": 1, "correct": True, "latency_ms": 7, "gold_answers": ["a"]}],
+         [PipelineRecord(k=1, correct=True, latency_ms=7, gold_answers=("a",))]),
+        ([{"k": 1, "correct": True}, {"k": True, "correct": True}],
+         "record key 'k' must be an integer, not true"),
+        ([{"k": 1, "correct": True, "gold_answers": ["a", None]}],
+         "record key 'gold_answers' must be a list of strings, not [\"a\", null]"),
+        ([{"k": 1, "correct": True}, [1]], "record must be a JSON object, not [1]"),
+        ([{"k": 1, "correct": True, "kk": 1, "extra": 2}], "record has unknown keys: extra, kk"),
+        ([{"k": 1}], "record is missing required keys: correct"),
+    ],
+)
+def test_the_block_check_gives_what_the_per_record_check_gives(
+    items, expected, tmp_path, capsys
+):
+    assert per_record(items) == expected
+    write_records(tmp_path, json.dumps(items))
+    assert_reported(tmp_path, expected, capsys)
+    if type(expected) is list:  # a list of strings is a tuple in the record
+        assert loaded(tmp_path)[-1].gold_answers == expected[-1].gold_answers
+
+
+FAULTS = st.sampled_from(["object", "mistype", "unknown", "drop", "list item"])
+WRONG = st.sampled_from([True, 1, 1.5, "s", None, [], ["s"], {}])
+
+
+@st.composite
+def faulty_records(draw):
+    """A list of records with a few random faults."""
+    items = draw(st.lists(RECORD, max_size=9))
+    for _ in range(draw(st.integers(0, 2))):
+        if not items:
+            break
+        at = draw(st.integers(0, len(items) - 1))
+        fault, item = draw(FAULTS), items[at]
+        if fault == "object":
+            items[at] = draw(WRONG)
+        elif type(item) is dict and fault == "mistype":
+            item[draw(st.sampled_from(PipelineRecord._fields))] = draw(WRONG)
+        elif type(item) is dict and fault == "unknown":
+            item[draw(st.sampled_from(["x", "K", "errors"]))] = 1
+        elif type(item) is dict and fault == "drop":
+            item.pop(draw(st.sampled_from(["k", "correct", "error"])), None)
+        elif type(item) is dict:
+            item["gold_answers"] = [*item.get("gold_answers", []), draw(WRONG)]
+    return items
+
+
+@settings(max_examples=150, deadline=None)
+@given(items=faulty_records(), block=st.integers(1, 4))
+def test_blocks_give_what_the_per_record_check_gives(items, block, tmp_path_factory):
+    run = tmp_path_factory.mktemp("run")
+    write_records(run, json.dumps(items))
+    with mock.patch.object(cli, "_BLOCK_ITEMS", block):
+        assert loaded(run) == per_record(items)

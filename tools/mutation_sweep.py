@@ -7,7 +7,8 @@ temporary directory, applies one mutant at a time there, and runs pytest on
 the copy, for at most ``TIMEOUT`` seconds a mutant. A mutant the tests pass
 on has survived: no test sees that fault. The working tree is never written.
 The copy holds the files git tracks or would track, so nothing that
-``.gitignore`` excludes is copied.
+``.gitignore`` excludes is copied; outside a git checkout it holds the whole
+tree but for ``_IGNORE``: ``.git``, the bench's work and caches.
 
     python tools/mutation_sweep.py src/conceptrag/penman.py src/conceptrag/distill.py
     python tools/mutation_sweep.py --list src/conceptrag/schema.py
@@ -38,6 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 _FLIPS = {ast.Lt: (b"<", b"<="), ast.LtE: (b"<=", b"<"), ast.Gt: (b">", b">="),
           ast.GtE: (b">=", b">")}
 TIMEOUT = 120.0  # seconds each test run may take
+_IGNORE = (".git", ".bench_work", "__pycache__", ".hypothesis", ".pytest_cache")
 
 
 class Mutant(NamedTuple):
@@ -90,9 +92,15 @@ def apply(source: bytes, mutant: Mutant) -> bytes:
 
 
 def copy_checkout(dest: Path) -> None:
-    """Copy the tracked and the untracked, not ignored files into ``dest``."""
-    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-                            cwd=ROOT, capture_output=True, check=True).stdout
+    """Copy the tracked and the untracked, not ignored files into ``dest``; outside
+    a git checkout (say, a ``git archive`` export), the whole tree but for ``_IGNORE``."""
+    try:
+        listed = subprocess.run(
+            ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+            cwd=ROOT, capture_output=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):  # no git, or no checkout here
+        shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(*_IGNORE))
+        return
     for name in filter(None, listed.decode().split("\0")):
         source = ROOT / name
         if source.is_file():  # a tracked file may be deleted in the working tree
