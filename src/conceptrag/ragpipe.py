@@ -213,6 +213,9 @@ def _query_stub(backend: LlmBackendSpec, prompt: str, gold_answers: tuple[str, .
 
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
+_MAX_LINE = 65536  # http.client's bounds on a reply head: bytes a line, lines a head
+_MAX_HEADERS = 100
+_CONTROL_RE = re.compile("[\x00-\x20\x7f]")  # what http.client refuses in a request target
 _local = threading.local()
 
 
@@ -235,7 +238,9 @@ def _post_json(
 
     Each thread keeps one connection per (scheme, host, port) alive between
     calls. A kept connection that the server has closed in the meantime gets
-    one reconnect and resend; any other failure drops the connection."""
+    one reconnect and resend; any other failure drops the connection.
+    ``http.client`` only opens the connection (:func:`_open_route`); the
+    request goes out in one write, and :func:`_read_reply` reads the reply."""
     import http.client
 
     try:
@@ -245,11 +250,14 @@ def _post_json(
             shown = parts._replace(netloc=authority).geturl()
             raise ValueError(f"{shown!r} is not an http or https URL with a host")
         key = (parts.scheme, parts.hostname, parts.port or _DEFAULT_PORTS[parts.scheme])
+        host = authority if authority.isascii() else authority.encode("idna").decode("ascii")
     except ValueError as exc:  # .port raises it too, for a port that is not a number
         raise BackendError(f"{what} request failed: {exc}") from exc
     target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
     body = json.dumps(payload).encode("utf-8")
-    headers = {"Content-Type": "application/json", **(headers or {})}
+    # the header set and order http.client sends
+    headers = {"Host": host, "Accept-Encoding": "identity", "Content-Length": len(body),
+               "Content-Type": "application/json", **(headers or {})}
 
     connections = getattr(_local, "connections", None)
     if connections is None:
@@ -261,11 +269,22 @@ def _post_json(
             if route is None:
                 route = _open_route(*key, authority, timeout_s)
             conn, prefix, proxy_headers = route
-            if reused:
+            request_target = prefix + target
+            control = _CONTROL_RE.search(request_target)
+            if control:  # http.client's check and message
+                raise http.client.InvalidURL(
+                    f"URL can't contain control characters. {request_target!r} "
+                    f"(found at least {control.group()!r})")
+            head = "".join(f"{name}: {value}\r\n"
+                           for name, value in {**headers, **proxy_headers}.items())
+            request = (f"POST {request_target} HTTP/1.1\r\n".encode("ascii")
+                       + f"{head}\r\n".encode("latin-1") + body)
+            if conn.sock is None:
+                conn.connect()
+            else:  # a kept connection, given this call's timeout
                 conn.sock.settimeout(timeout_s)
-            conn.request("POST", prefix + target, body, {**headers, **proxy_headers})
-            response = conn.getresponse()
-            data = response.read()
+            conn.sock.sendall(request)
+            status, data, will_close = _read_reply(conn.sock)
             break
         except (OSError, ValueError, http.client.HTTPException) as exc:
             if route is not None:
@@ -281,19 +300,111 @@ def _post_json(
                 raise BackendError(f"{what} request failed: {exc}") from exc
             raise BackendTimeout(f"{what} unreachable: {exc}") from exc
 
-    if not 200 <= response.status < 300:
+    if not 200 <= status < 300:
         conn.close()
-        raise BackendHttpError(response.status, data.decode("utf-8", "replace"))
+        raise BackendHttpError(status, data.decode("utf-8", "replace"))
     try:
         reply = json.loads(data)
     except ValueError as exc:
         conn.close()
         raise BackendProtocolError(f"malformed {what} response: {exc}") from exc
-    if response.will_close:
+    if will_close:
         conn.close()
     else:
         connections[key] = route
     return reply
+
+
+def _read_reply(sock) -> tuple[int, bytes, bool]:
+    """The status, body and whether the server will close the connection, of
+    the reply on ``sock``. Interim 1xx heads are skipped. The body is framed
+    by chunked transfer coding (its trailer discarded), else by
+    Content-Length, else by the end of the stream. The head's bounds, the
+    close rule and the errors are ``http.client``'s."""
+    import http.client
+
+    with sock.makefile("rb") as fp:
+        status = 100
+        while status < 200:  # until the head after any interim 1xx heads
+            line = fp.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                raise http.client.LineTooLong("status line")
+            if not line:
+                raise http.client.RemoteDisconnected(
+                    "Remote end closed connection without response")
+            try:
+                version, status = line.split(None, 2)[:2]
+                status = int(status)
+            except ValueError:
+                version = b""
+            if not version.startswith(b"HTTP/") or not 100 <= status <= 999:
+                raise http.client.BadStatusLine(str(line, "iso-8859-1"))
+            fields = _read_fields(fp)
+        http_1_0 = version in (b"HTTP/1.0", b"HTTP/0.9")
+        if not http_1_0 and not version.startswith(b"HTTP/1."):
+            raise http.client.UnknownProtocol(str(version, "iso-8859-1"))
+        connection = fields.get(b"connection", b"").lower()
+        if http_1_0:  # persistent only when the reply says so
+            will_close = not (fields.get(b"keep-alive") or b"keep-alive" in connection
+                              or b"keep-alive" in fields.get(b"proxy-connection", b"").lower())
+        else:
+            will_close = b"close" in connection
+        length = fields.get(b"content-length", b"")
+        if status in (204, 304):
+            body = b""
+        elif fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+            body = _read_chunked(fp)
+        elif length.isdigit():
+            body = _read_exact(fp, int(length))
+        else:
+            body, will_close = fp.read(), True
+    return status, body, will_close
+
+
+def _read_fields(fp) -> dict:
+    """A head's header fields up to its blank line, by lowercased name; the
+    first of a repeated name wins."""
+    import http.client
+
+    fields = {}
+    for _ in range(_MAX_HEADERS):
+        line = fp.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise http.client.LineTooLong("header line")
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        name, _, value = line.partition(b":")
+        fields.setdefault(name.lower(), value.strip())
+    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+
+def _read_chunked(fp) -> bytes:
+    """A chunked body; chunk extensions and the trailer are discarded."""
+    import http.client
+
+    chunks = []
+    while True:
+        line = fp.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise http.client.LineTooLong("chunk size")
+        try:
+            size = int(line.partition(b";")[0], 16)
+        except ValueError:
+            raise http.client.IncompleteRead(b"".join(chunks)) from None
+        if not size:
+            _read_fields(fp)  # the trailer
+            return b"".join(chunks)
+        chunks.append(_read_exact(fp, size))
+        fp.read(2)  # the chunk's line break; a cut stream fails at the next size
+
+
+def _read_exact(fp, size: int) -> bytes:
+    import http.client
+
+    data = fp.read(size)
+    if len(data) < size:
+        raise http.client.IncompleteRead(data, size - len(data))
+    return data
 
 
 def _open_route(scheme: str, host: str, port: int, authority: str, timeout_s: float):

@@ -12,6 +12,8 @@ import time
 import tracemalloc
 import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,6 +38,8 @@ from conceptrag.ragpipe import (
 )
 from conceptrag.schema import from_json, to_json
 
+# a self-signed certificate for localhost (its key beside it), valid to 2126
+TLS_CERT = Path(__file__).parent / "data" / "localhost.pem"
 ORACLE = LlmBackendSpec(kind="stub", policy="oracle-substring")
 ECHO = LlmBackendSpec(kind="stub", policy="echo-facts")
 # 2xx reply bodies that break the wire format, by mock server path
@@ -348,17 +352,48 @@ class ProxyHandler(ChatHandler):
         self.close_connection = True
 
 
+def relay(source, sink):
+    """Copies ``source`` to ``sink`` until either end closes."""
+    try:
+        while data := source.recv(65536):
+            sink.sendall(data)
+        sink.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass
+
+
+class TunnelProxyHandler(ChatHandler):
+    """Forward proxy stub that opens each CONNECT tunnel to the loopback port
+    it names."""
+
+    def do_CONNECT(self):
+        self.record(f"CONNECT {self.path}")
+        with socket.create_connection(("127.0.0.1", int(self.path.rpartition(":")[2]))) as upstream:
+            self.send_response(200)
+            self.end_headers()
+            back = threading.Thread(target=relay, args=(upstream, self.connection), daemon=True)
+            back.start()
+            relay(self.connection, upstream)
+            back.join(timeout=5)
+        self.close_connection = True
+
+
 @pytest.fixture
 def chat_server():
-    """Starts loopback servers; ``chat_server(handler=ChatHandler)`` returns
-    one with ``url``, ``connections``, ``requests`` and ``headers``."""
+    """Starts loopback servers; ``chat_server(handler=ChatHandler, tls=False)``
+    returns one with ``url``, ``connections``, ``requests`` and ``headers``."""
     servers = []
 
-    def start(handler=ChatHandler):
+    def start(handler=ChatHandler, tls=False):
         server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         server.lock = threading.Lock()
         server.connections, server.requests, server.headers = 0, [], []
         server.url = f"http://127.0.0.1:{server.server_port}"
+        if tls:  # with the test certificate, which names localhost
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(TLS_CERT, TLS_CERT.with_suffix(".key"))
+            server.socket = context.wrap_socket(server.socket, server_side=True)
+            server.url = f"https://localhost:{server.server_port}"
         threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
         servers.append(server)
         return server
@@ -526,7 +561,8 @@ class TestConnections:
         assert exc.value.status == 300
 
     def test_url_that_cannot_be_sent_is_not_retried(self):
-        # http.client rejects the space while it sends, before any connection
+        # the space is refused in the request target, as http.client refuses it,
+        # before any connection is opened
         with pytest.raises(BackendError) as exc:
             query_llm(http_backend("http://127.0.0.1:9/a b", retries=2), "x")
         assert type(exc.value) is BackendError
@@ -544,6 +580,312 @@ class TestConnections:
         with pytest.raises(BackendError, match="parse endpoint request failed: ") as exc:
             parse_remote(url, "x")
         assert type(exc.value) is BackendError
+
+
+def chat_reply(content, version="HTTP/1.1", head=""):
+    """A raw 200 reply with a Content-Length body answering ``content``;
+    ``head`` adds header lines."""
+    body = json.dumps({"choices": [{"message": {"content": content}}]}).encode("utf-8")
+    return (f"{version} 200 OK\r\n{head}Content-Length: {len(body)}\r\n\r\n").encode() + body
+
+
+def chunked_reply(content, trailer=""):
+    """A raw chunked 200 reply answering ``content`` in three chunks, one with
+    an extension, then ``trailer`` lines."""
+    body = json.dumps({"choices": [{"message": {"content": content}}]}).encode("utf-8")
+    chunks = [body[:7], body[7:20], body[20:]]
+    return (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x;ext=1\r\n%s\r\n" % (len(chunks[0]), chunks[0])
+            + b"".join(b"%x\r\n%s\r\n" % (len(c), c) for c in chunks[1:])
+            + b"0\r\n" + trailer.encode() + b"\r\n")
+
+
+@pytest.fixture
+def scripted_server():
+    """``scripted_server(replies)`` starts a loopback server thread that
+    answers the requests it reads, in order, with ``replies``: (raw bytes,
+    close) pairs, where ``close`` ends the connection after that reply. It
+    stops once every reply is sent. Returns an object with ``url``,
+    ``connections``, ``requests`` (each request line) and ``thread``."""
+    started = []
+
+    def start(replies):
+        listener = socket.create_server(("127.0.0.1", 0))
+        server = SimpleNamespace(connections=0, requests=[],
+                                 url=f"http://127.0.0.1:{listener.getsockname()[1]}")
+        pending = list(replies)
+
+        def serve():
+            with listener:
+                while pending:
+                    conn, _ = listener.accept()
+                    server.connections += 1
+                    with conn, conn.makefile("rb") as rfile:
+                        while pending:
+                            head = [rfile.readline()]
+                            while head[-1] not in (b"\r\n", b""):
+                                head.append(rfile.readline())
+                            if not head[-1]:  # the client closed
+                                break
+                            length = next(int(line.split(b":")[1]) for line in head
+                                          if line.lower().startswith(b"content-length:"))
+                            rfile.read(length)
+                            server.requests.append(head[0].decode().strip())
+                            reply, close = pending.pop(0)
+                            try:
+                                conn.sendall(reply)
+                            except OSError:  # the client gave up first
+                                break
+                            if close:
+                                break
+
+        server.thread = threading.Thread(target=serve, daemon=True)
+        server.thread.start()
+        started.append(server)
+        return server
+
+    yield start
+    vars(ragpipe._local).pop("connections", None)  # this thread's kept connections
+    for server in started:
+        server.thread.join(timeout=5)
+        assert not server.thread.is_alive()
+
+
+class TestReplyFraming:
+    """Each way a reply can be framed, read as http.client reads it."""
+
+    def ask(self, server, prompt="hi", **kwargs):
+        return query_llm(http_backend(f"{server.url}/v1/chat", timeout_s=5, **kwargs), prompt)[0]
+
+    def test_chunked_reply_with_a_trailer_keeps_the_connection(self, scripted_server):
+        server = scripted_server([(chunked_reply("one", "X-Checksum: 1\r\nX-More: 2\r\n"), False),
+                                  (chunked_reply("two"), False)])
+        assert [self.ask(server), self.ask(server)] == ["one", "two"]
+        assert server.connections == 1
+
+    @pytest.mark.parametrize("head", ["Connection: keep-alive\r\n", "Keep-Alive: timeout=5\r\n",
+                                      "Proxy-Connection: keep-alive\r\n"])
+    def test_http_1_0_keep_alive_reuses_the_connection(self, head, scripted_server):
+        server = scripted_server([(chat_reply("kept", "HTTP/1.0", head), False)] * 2)
+        assert [self.ask(server), self.ask(server)] == ["kept", "kept"]
+        assert server.connections == 1
+
+    @pytest.mark.parametrize("version, head", [("HTTP/1.0", ""), ("HTTP/0.9", ""),
+                                               ("HTTP/1.1", "Connection: close\r\n"),
+                                               ("HTTP/1.1", "Connection: Keep-Alive, Close\r\n")])
+    def test_reply_that_will_close_is_not_reused(self, version, head, scripted_server):
+        # the server keeps the connection open: only the client's rule closes it
+        server = scripted_server([(chat_reply("once", version, head), False)] * 2)
+        assert [self.ask(server), self.ask(server)] == ["once", "once"]
+        assert server.connections == 2
+
+    def test_reply_without_a_length_is_read_to_the_end_of_stream(self, scripted_server):
+        body = json.dumps({"choices": [{"message": {"content": "all of it"}}]}).encode()
+        reply = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + body
+        server = scripted_server([(reply, True), (chat_reply("next"), False)])
+        assert self.ask(server) == "all of it"
+        assert not ragpipe._local.connections  # the stream has ended: nothing to keep
+        assert self.ask(server) == "next"
+        assert server.connections == 2
+
+    @pytest.mark.parametrize("length", ["-5", "five"])
+    def test_length_that_is_not_a_number_is_ignored(self, length, scripted_server):
+        body = json.dumps({"choices": [{"message": {"content": "to the end"}}]}).encode()
+        reply = f"HTTP/1.1 200 OK\r\nContent-Length: {length}\r\n\r\n".encode() + body
+        server = scripted_server([(reply, True)])
+        assert self.ask(server) == "to the end"
+
+    def test_interim_continue_is_skipped(self, scripted_server):
+        interim = b"HTTP/1.1 100 Continue\r\nX-Interim: 1\r\n\r\n"
+        server = scripted_server([(interim + chat_reply("after"), False)] * 2)
+        assert [self.ask(server), self.ask(server)] == ["after", "after"]
+        assert server.connections == 1
+
+    @pytest.mark.parametrize("status", [204, 304])
+    def test_reply_with_no_body_by_its_status_is_not_waited_for(self, status, scripted_server):
+        # the server keeps the connection open for a next request: a client that
+        # waited for a body would time out
+        reply = f"HTTP/1.1 {status} Nothing\r\n\r\n".encode()
+        server = scripted_server([(reply, False), (chat_reply("next"), False)])
+        error = BackendProtocolError if status == 204 else BackendHttpError
+        with pytest.raises(error):
+            self.ask(server)
+        assert self.ask(server) == "next"
+
+    def test_empty_body_is_a_protocol_error(self, scripted_server):
+        server = scripted_server([(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n", False)])
+        with pytest.raises(BackendProtocolError, match="malformed backend response: "):
+            self.ask(server)
+
+    def test_status_999_is_an_http_error(self, scripted_server):
+        server = scripted_server([(b"HTTP/1.1 999 Odd\r\nContent-Length: 2\r\n\r\nno", False)])
+        with pytest.raises(BackendHttpError) as exc:
+            self.ask(server)
+        assert exc.value.status == 999
+
+    def test_end_of_stream_mid_body_is_not_resent(self, scripted_server):
+        reply = chat_reply("cut")
+        server = scripted_server([(chat_reply("whole"), False), (reply[:-10], True)])
+        assert self.ask(server) == "whole"
+        with pytest.raises(BackendTimeout) as exc:
+            self.ask(server)
+        read = len(reply.partition(b"\r\n\r\n")[2]) - 10
+        assert str(exc.value) == (
+            f"backend unreachable: IncompleteRead({read} bytes read, 10 more expected)")
+        assert server.requests == ["POST /v1/chat HTTP/1.1"] * 2
+
+    def test_end_of_stream_mid_chunk_is_an_incomplete_read(self, scripted_server):
+        server = scripted_server([(chunked_reply("cut")[:-20], True)])
+        with pytest.raises(BackendTimeout, match=r"backend unreachable: IncompleteRead\("):
+            self.ask(server)
+
+    def test_bad_chunk_size_is_an_incomplete_read(self, scripted_server):
+        reply = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n"
+        server = scripted_server([(reply, True)])
+        with pytest.raises(BackendTimeout, match=r"backend unreachable: IncompleteRead\(0 bytes"):
+            self.ask(server)
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            (b"", "Remote end closed connection without response"),
+            (b"HTTP/1.1 100 Continue\r\n\r\n", "Remote end closed connection without response"),
+            (b"ICY 200 OK\r\n\r\n", "ICY 200 OK\r\n"),
+            (b"HTTP/1.1 abc OK\r\n\r\n", "HTTP/1.1 abc OK\r\n"),
+            (b"HTTP/1.1 99 Low\r\n\r\n", "HTTP/1.1 99 Low\r\n"),
+            (b"HTTP/1.1 1000 High\r\n\r\n", "HTTP/1.1 1000 High\r\n"),
+            (b"HTTP/1.1\r\n\r\n", "HTTP/1.1\r\n"),
+            (b"HTTP/2.0 200 OK\r\n\r\n", "HTTP/2.0"),
+            (b"HTTP/1.1 200 " + b"x" * 70_000 + b"\r\n\r\n",
+             "got more than 65536 bytes when reading status line"),
+            (b"HTTP/1.1 200 OK\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+             "got more than 65536 bytes when reading header line"),
+            (b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n",
+             "got more than 100 headers"),
+            (b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 100 + b"\r\n",
+             "got more than 100 headers"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + b"0" * 70_000 + b"\r\n",
+             "got more than 65536 bytes when reading chunk size"),
+        ],
+    )
+    def test_broken_reply_is_a_transport_failure(self, reply, message, scripted_server):
+        server = scripted_server([(reply, True)])
+        with pytest.raises(BackendTimeout) as exc:
+            self.ask(server)
+        assert str(exc.value).startswith(f"backend unreachable: {message}")
+        assert exc.value.retryable
+
+    @pytest.mark.parametrize("where", ["status line", "header line", "chunk size"])
+    def test_line_of_65536_bytes_is_read(self, where, scripted_server):
+        body = json.dumps({"choices": [{"message": {"content": "long"}}]}).encode()
+        status = "HTTP/1.1 200 OK"
+        if where == "status line":
+            status += " " * (65_536 - 2 - len(status))
+        head = "X-Long: " + "a" * (65_536 - 10) + "\r\n" if where == "header line" else ""
+        if where == "chunk size":  # the size padded with zeros
+            reply = (f"{status}\r\nTransfer-Encoding: chunked\r\n\r\n"
+                     f"{len(body):0{65_536 - 2}x}\r\n").encode() + body + b"\r\n0\r\n\r\n"
+        else:
+            reply = f"{status}\r\n{head}Content-Length: {len(body)}\r\n\r\n".encode() + body
+        assert max(map(len, reply.splitlines(keepends=True))) == 65_536
+        server = scripted_server([(reply, False)])
+        assert self.ask(server) == "long"
+
+    def test_99_header_lines_are_read(self, scripted_server):
+        # the most http.client reads; chat_reply adds Content-Length
+        server = scripted_server([(chat_reply("many", head="X-Many: 1\r\n" * 98), False)])
+        assert self.ask(server) == "many"
+
+
+class CountingSocket:
+    """A socket that counts the calls that write to it."""
+
+    def __init__(self, sock):
+        self.sock, self.writes = sock, 0
+
+    def sendall(self, data, *args):
+        self.writes += 1
+        return self.sock.sendall(data, *args)
+
+    def send(self, data, *args):
+        self.writes += 1
+        return self.sock.send(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+class TestRequest:
+    def test_request_is_one_write(self, chat_server):
+        server = chat_server()
+        backend = http_backend(f"{server.url}/v1/chat")
+        query_llm(backend, "warm up")
+        [route] = ragpipe._local.connections.values()
+        route[0].sock = counting = CountingSocket(route[0].sock)
+        assert query_llm(backend, "x" * 5000)[0] == "x" * 5000
+        assert counting.writes == 1
+        assert server.connections == 1
+
+    def test_request_head(self, chat_server, monkeypatch):
+        monkeypatch.setenv("TEST_LLM_TOKEN", "sekrit")
+        server = chat_server()
+        backend = http_backend(f"{server.url}/v1/chat?x=1", auth_env="TEST_LLM_TOKEN")
+        query_llm(backend, "hi")
+        body = json.dumps({"model": "m", "messages": [{"role": "user", "content": "hi"}],
+                           "temperature": 0.0, "max_tokens": 64})
+        assert server.requests == ["/v1/chat?x=1"]
+        assert list(server.headers[0].items()) == [
+            ("Host", f"127.0.0.1:{server.server_port}"),
+            ("Accept-Encoding", "identity"),
+            ("Content-Length", str(len(body))),
+            ("Content-Type", "application/json"),
+            ("Authorization", "Bearer sekrit"),
+        ]
+
+    def test_non_ascii_host_is_sent_in_its_ascii_form(self, chat_server, monkeypatch):
+        server = chat_server()
+        # the route leads to the loopback server, so the name needs no DNS lookup
+        monkeypatch.setattr(ragpipe, "_open_route", lambda *args: (
+            http.client.HTTPConnection("127.0.0.1", server.server_port, timeout=5), "", {}))
+        query_llm(http_backend(f"http://bücher.invalid:{server.server_port}/v1/chat"), "hi")
+        assert server.headers[0]["Host"] == f"xn--bcher-kva.invalid:{server.server_port}"
+
+
+class TestTls:
+    """HTTPS, verified against the test certificate, directly and through a
+    CONNECT tunnel: the same exchange as plain HTTP, over TLS."""
+
+    @pytest.fixture(autouse=True)
+    def trust_the_test_certificate(self, monkeypatch):
+        for name in ("http_proxy", "https_proxy", "HTTP_PROXY", "HTTPS_PROXY", "no_proxy",
+                     "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+
+    def test_https_exchange_keeps_its_connection(self, chat_server):
+        server = chat_server(tls=True)
+        backend = http_backend(f"{server.url}/v1/chat")
+        assert [query_llm(backend, f"p{i}")[0] for i in range(3)] == ["p0", "p1", "p2"]
+        assert server.connections == 1
+        assert server.headers[0]["Host"] == f"localhost:{server.server_port}"
+
+    def test_https_through_a_connect_tunnel(self, chat_server, monkeypatch):
+        server = chat_server(tls=True)
+        proxy = chat_server(TunnelProxyHandler)
+        monkeypatch.setenv("HTTPS_PROXY", proxy.url)
+        backend = http_backend(f"{server.url}/v1/chat")
+        assert [query_llm(backend, f"p{i}")[0] for i in range(3)] == ["p0", "p1", "p2"]
+        assert proxy.requests == [f"CONNECT localhost:{server.server_port}"]
+        assert server.connections == 1 and server.requests == ["/v1/chat"] * 3
+
+    def test_certificate_for_another_name_is_refused(self, chat_server):
+        server = chat_server(tls=True)
+        backend = http_backend(f"https://127.0.0.1:{server.server_port}/v1/chat")
+        # ssl's verification error is also a ValueError: a failure no retry mends
+        with pytest.raises(BackendError, match="request failed: .*CERTIFICATE_VERIFY_FAILED") as exc:
+            query_llm(backend, "x")
+        assert not exc.value.retryable
+        assert server.requests == []
 
 
 class TestParseClient:

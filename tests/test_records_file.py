@@ -3,6 +3,7 @@ layout, the reader against ``json.loads``, its block check against the
 per-record check, its messages for faulty files, its memory, and the report
 output pinned byte for byte."""
 
+import copy
 import json
 import os
 import random
@@ -330,7 +331,8 @@ def test_the_block_check_gives_what_the_per_record_check_gives(
 
 
 FAULTS = st.sampled_from(["object", "mistype", "unknown", "drop", "list item"])
-WRONG = st.sampled_from([True, 1, 1.5, "s", None, [], ["s"], {}])
+# each draw a fresh copy, so that no fault puts one list or dict inside itself
+WRONG = st.sampled_from([True, 1, 1.5, "s", None, [], ["s"], {}]).map(copy.deepcopy)
 
 
 @st.composite
@@ -350,8 +352,9 @@ def faulty_records(draw):
             item[draw(st.sampled_from(["x", "K", "errors"]))] = 1
         elif type(item) is dict and fault == "drop":
             item.pop(draw(st.sampled_from(["k", "correct", "error"])), None)
-        elif type(item) is dict:
-            item["gold_answers"] = [*item.get("gold_answers", []), draw(WRONG)]
+        elif type(item) is dict:  # an earlier fault may have made the list a scalar
+            gold = item.get("gold_answers", [])
+            item["gold_answers"] = [*(gold if type(gold) is list else [gold]), draw(WRONG)]
     return items
 
 
