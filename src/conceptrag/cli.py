@@ -7,13 +7,13 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import json
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator
 
 from . import __version__
@@ -50,11 +50,6 @@ EXIT_INTERRUPTED = 130  # 128 + SIGINT
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); we map usage errors to 1
-        raise _UsageError(message)
 
 
 def _read_input(path: str) -> str:
@@ -98,53 +93,114 @@ def _load_distill_config(args) -> DistillConfig:
     return from_json(DistillConfig, data, "distill config")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command's help, positionals (name, help) and options (flag, kind, required,
+# help). A kind is str (a value), int, a tuple of choices, bool (a store-true flag) or
+# list (a repeatable value). Each option's destination is argparse's: the flag without
+# its dashes, with - as _. build_parser makes the argparse parser of these, and
+# _read_args reads a well-formed command line from them without it.
+_DISTILL_OPTIONS = (
+    ("--config", str, False, "distill config JSON file"),
+    ("--seed", int, False, "seed for random traversal modes"),
+    ("--traversal", TRAVERSAL_KINDS, False, "concept traversal order"),
+)
+_SCREEN_OPTIONS = (
+    ("--no-screen", bool, False, "skip hasanswer screening"),
+    ("--s-pop-max", int, False, "drop pairs with s_pop >= N"),
+)
+_DATASET = ("dataset", "JSONL dataset file")
+_ARGUMENTS = {
+    "parse": ("parse PENMAN to a JSON graph", [("input", "PENMAN file, or - for stdin")], [
+        ("--out", str, False, "write graph.json into this directory"),
+    ]),
+    "distill": ("distill concepts", [
+        ("penman_file", "PENMAN graph file, or - for stdin"),
+        ("source_file", "source document text file, or - for stdin (not both)"),
+    ], [*_DISTILL_OPTIONS, ("--json", bool, False, "emit JSON with spans")]),
+    "stats": ("dataset counts per K", [_DATASET], _SCREEN_OPTIONS),
+    "eval": ("run the QA pipeline", [_DATASET], [
+        *_DISTILL_OPTIONS,
+        *_SCREEN_OPTIONS,
+        ("--backend", str, True, "backend spec JSON file"),
+        ("--mode", MODES, True, "compression mode"),
+        ("--out", str, True, "output directory"),
+        ("--parse-endpoint", str, False, "text-to-AMR parse endpoint URL"),
+    ]),
+    "report": ("render metrics for a run", [("results_dir", "directory written by eval")], [
+        ("--out", str, False, "output directory (default: results_dir)"),
+        ("--interval", list, False, "evaluation interval: normal, long, or a,b (repeatable)"),
+        ("--baseline", str, False, "baseline results directory (for delta)"),
+        ("--svg", str, False, "also write an accuracy-curve SVG to this path"),
+    ]),
+}
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """What argparse makes of ``argv``, read without it, or None where argparse has to
+    read it: help, --version, an abbreviation, ``--``, a value that starts with -, a
+    mistyped value, a missing or an extra argument. A command comes first, and each of
+    its options is an exact flag, as ``--flag value`` or ``--flag=value``."""
+    if not argv or argv[0] not in _ARGUMENTS:
+        return None
+    _, positionals, options = _ARGUMENTS[argv[0]]
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    values = {flag: False if kind is bool else None for flag, kind in kinds.items()}
+    words, found = iter(argv[1:]), []
+    for word in words:
+        if word[:1] != "-" or word == "-":
+            found.append(word)
+            continue
+        flag, joined, value = word.partition("=")
+        kind = kinds.get(flag)
+        if kind is None or (kind is bool and joined):
+            return None
+        if kind is bool:
+            values[flag] = True
+            continue
+        if not joined:
+            value = next(words, "-")
+        if value[:1] == "-":
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is list:
+            value = [*(values[flag] or ()), value]
+        elif kind is not str and value not in kind:
+            return None
+        values[flag] = value
+    if len(found) != len(positionals) or any(
+        required and values[flag] is None for flag, _, required, _ in options
+    ):
+        return None
+    args = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    args.update((name, word) for (name, _), word in zip(positionals, found))
+    return SimpleNamespace(command=argv[0], **args)
+
+
+def build_parser():
+    """The argparse parser of ``_ARGUMENTS``, for what ``_read_args`` leaves to it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse would exit(2); we map usage errors to 1
+            raise _UsageError(message)
+
     parser = _Parser(prog="conceptrag", description=__doc__)
     parser.add_argument("--version", action="version", version=f"conceptrag {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
+    kinds = {str: {}, int: {"type": int}, bool: {"action": "store_true"},
+             list: {"action": "append"}}
     # each subcommand takes only the flags it reads; any other is a usage error
-    distill_opts = _Parser(add_help=False)
-    distill_opts.add_argument("--config", help="distill config JSON file")
-    distill_opts.add_argument("--seed", type=int, help="seed for random traversal modes")
-    distill_opts.add_argument(
-        "--traversal", choices=TRAVERSAL_KINDS, help="concept traversal order"
-    )
-    screen_opts = _Parser(add_help=False)
-    screen_opts.add_argument("--no-screen", action="store_true", help="skip hasanswer screening")
-    screen_opts.add_argument("--s-pop-max", type=int, help="drop pairs with s_pop >= N")
-
-    p_parse = sub.add_parser("parse", help="parse PENMAN to a JSON graph")
-    p_parse.add_argument("input", help="PENMAN file, or - for stdin")
-    p_parse.add_argument("--out", help="write graph.json into this directory")
-
-    p_distill = sub.add_parser("distill", parents=[distill_opts], help="distill concepts")
-    p_distill.add_argument("penman_file", help="PENMAN graph file, or - for stdin")
-    p_distill.add_argument(
-        "source_file", help="source document text file, or - for stdin (not both)"
-    )
-    p_distill.add_argument("--json", action="store_true", help="emit JSON with spans")
-
-    p_stats = sub.add_parser("stats", parents=[screen_opts], help="dataset counts per K")
-    p_stats.add_argument("dataset", help="JSONL dataset file")
-
-    p_eval = sub.add_parser(
-        "eval", parents=[distill_opts, screen_opts], help="run the QA pipeline"
-    )
-    p_eval.add_argument("dataset", help="JSONL dataset file")
-    p_eval.add_argument("--backend", required=True, help="backend spec JSON file")
-    p_eval.add_argument("--mode", required=True, choices=MODES, help="compression mode")
-    p_eval.add_argument("--out", required=True, help="output directory")
-    p_eval.add_argument("--parse-endpoint", help="text-to-AMR parse endpoint URL")
-
-    p_report = sub.add_parser("report", help="render metrics for a run")
-    p_report.add_argument("results_dir", help="directory written by eval")
-    p_report.add_argument("--out", help="output directory (default: results_dir)")
-    p_report.add_argument(
-        "--interval", action="append", help="evaluation interval: normal, long, or a,b (repeatable)"
-    )
-    p_report.add_argument("--baseline", help="baseline results directory (for delta)")
-    p_report.add_argument("--svg", help="also write an accuracy-curve SVG to this path")
+    for name, (text, positionals, options) in _ARGUMENTS.items():
+        command = sub.add_parser(name, help=text)
+        # positionals first: argparse names missing arguments in the order they were added
+        for positional, text in positionals:
+            command.add_argument(positional, help=text)
+        for flag, kind, required, text in options:
+            how = kinds[kind] if kind in kinds else {"choices": kind}
+            command.add_argument(flag, required=required, help=text, **how)
     return parser
 
 
@@ -260,14 +316,11 @@ def _load_records(results_dir: str) -> Iterator[PipelineRecord]:
     decoder, text = _json_text(path, "records file")
     match = _SEPARATOR_RE.match(text)
     listed = match is not None and match[1] == "["
-    block, too_deep = [], False
+    block = []
     while listed:
         try:
             data, end = decoder.scan_once(text, match.end())
-        except (StopIteration, json.JSONDecodeError):  # no value or a bad one, or []
-            break
-        except RecursionError:
-            too_deep = True
+        except (StopIteration, json.JSONDecodeError, RecursionError):  # none, bad or deep; []
             break
         block.append(data)
         if len(block) == _BLOCK_ITEMS:
@@ -277,8 +330,6 @@ def _load_records(results_dir: str) -> Iterator[PipelineRecord]:
         if not match or match[1] != ",":
             break
     yield from from_json_block(PipelineRecord, block, "record")
-    if too_deep:
-        raise DatasetError(f"records file {path} is nested too deeply")
     if not listed or not match or match[1] != "]" or match.end() != len(text):
         if _read_json(path, "records file") != []:  # read again, for json's message
             raise DatasetError(f"{path} must hold a JSON list of records")
@@ -340,7 +391,8 @@ def main(argv: list[str] | None = None) -> int:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _read_args(argv) or build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

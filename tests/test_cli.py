@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -14,7 +15,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cli_transcript
 from conceptrag import cli, ragpipe
 from conceptrag.cli import (
     EXIT_BACKEND,
@@ -1122,7 +1126,7 @@ class TestExitCodes:
         assert collecting == [False, False]
 
     # no cycle is built per pair: what a run leaves for the collector is the
-    # parser's, whatever the run's size
+    # manifest encoder's, whatever the run's size
     @pytest.mark.parametrize("max_parallel", [1, 2])
     def test_garbage_a_run_leaves_does_not_grow_with_its_size(
         self, max_parallel, tmp_path, fixture_dataset_path, capsys
@@ -1223,6 +1227,118 @@ class TestFlagsPerCommand:
         assert captured.out == ""
 
 
+FLAGS = sorted({flag for _, _, options in cli._ARGUMENTS.values() for flag, *_ in options})
+ABBREVIATIONS = ["--s", "--se", "--co", "--tr", "--no", "--b", "--m", "--o", "--int", "--p",
+                 "--j", "--sv", "--bas", "--v", "--he"]
+VALUES = ["x", "run", "", "3", "-3", "+4", " 5", "3.5", "1_0", "\u0663", "dfs", "local-random",
+          "bogus", "concepts", "vanilla", "long", "1,3", "-1,3", "a=b", "a b", "-x", "--json"]
+# any word of the CLI's: a flag, an abbreviation, help, --, -, a value, or a flag=value
+WORDS = st.one_of(
+    st.sampled_from([*FLAGS, *ABBREVIATIONS, "-h", "--help", "--version", "--", "-", "-s"]),
+    st.sampled_from([*cli._ARGUMENTS, "frobnicate", *VALUES]),
+    st.builds("{}={}".format, st.sampled_from([*FLAGS, *ABBREVIATIONS]), st.sampled_from(VALUES)),
+)
+# values each kind of option takes; none starts with -
+VALID = {str: ["run", "b.json", "", "a=b", "a b"], int: ["3", "+4", " 5", "1_0", "\u0663", "0"],
+         list: ["long", "normal", "1,3"]}
+ODD = ["-x", "-3", "-", "--json", "bogus", "3.5"]  # values some kinds take, or none
+
+
+@st.composite
+def command_lines(draw):
+    """A command line of well-typed values in any order: each option up to twice, and
+    one positional fewer than the command takes to one more; then, some of the time,
+    words inserted or removed. Returns the command line and whether it is well formed:
+    as many positionals as the command takes, each required option, and nothing
+    inserted or removed."""
+    command = draw(st.sampled_from(list(cli._ARGUMENTS)))
+    _, positionals, options = cli._ARGUMENTS[command]
+    count = draw(st.integers(max(len(positionals) - 1, 0), len(positionals) + 1))
+    units = [[draw(st.sampled_from(["g.amr", "-", "", "a=b", "run dir"]))] for _ in range(count)]
+    well_formed = count == len(positionals)
+    for flag, kind, required, _ in options:
+        repeats = draw(st.integers(0, 2))
+        well_formed &= repeats > 0 or not required
+        for _ in range(repeats):
+            if kind is bool:
+                units.append([flag])
+                continue
+            value = draw(st.sampled_from([*VALID.get(kind, kind), *ODD]))
+            well_formed &= value not in ODD
+            units.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    argv = [command, *(word for unit in draw(st.permutations(units)) for word in unit)]
+    changes = draw(st.integers(0, 3))
+    for _ in range(changes):
+        at = draw(st.integers(0, len(argv)))
+        if draw(st.booleans()):
+            argv.insert(at, draw(WORDS))
+        elif argv:
+            del argv[min(at, len(argv) - 1)]
+    return argv, well_formed and changes == 0
+
+
+class TestArgumentReader:
+    """``_read_args`` reads a command line as argparse does, or leaves it to argparse."""
+
+    @given(command_lines())
+    @settings(max_examples=500, deadline=None)
+    def test_reads_as_argparse_or_declines(self, case):
+        argv, well_formed = case
+        args = cli._read_args(argv)
+        if well_formed:
+            assert args is not None
+        if args is not None:
+            assert vars(args) == vars(build_parser().parse_args(argv))
+
+    def test_readme_and_benchmark_command_lines_are_read_directly(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        quick_start = re.search(r"## Quick start\n\n```sh\n(.*?)```", readme, re.S)[1]
+        lines = [shlex.split(line)[1:] for line in quick_start.splitlines()
+                 if line.startswith("conceptrag ")]
+        assert [argv[0] for argv in lines] == ["parse", "distill", "stats", "eval", "eval",
+                                               "report"]
+        work = {name: str(tmp_path / name) for name in (
+            "pairs.jsonl", "backend.json", "out", "long.amr", "long.txt", "run", "base")}
+        # as the argv methods of bench/run_bench.py's workloads write them
+        bench = [
+            *(["eval", work["pairs.jsonl"], "--backend", work["backend.json"], "--mode", mode,
+               "--out", work["out"]] for mode in ("concepts", "keywords")),
+            ["distill", work["long.amr"], work["long.txt"]],
+            ["report", work["run"], "--baseline", work["base"], "--svg",
+             str(tmp_path / "out" / "curve.svg")],
+        ]
+        for argv in [*lines, *bench]:
+            args = cli._read_args(argv)
+            assert args is not None, argv
+            assert vars(args) == vars(build_parser().parse_args(argv))
+
+    def test_a_well_formed_eval_leaves_no_parser_garbage(
+        self, tmp_path, fixture_dataset_path, stub_backend_file, capsys
+    ):
+        was_on, debug = gc.isenabled(), gc.get_debug()
+        gc.disable()
+        try:
+            gc.collect()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            run_eval(tmp_path, fixture_dataset_path, stub_backend_file)
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+            (gc.enable if was_on else gc.disable)()
+        parser_objects = [o for o in garbage if any(c.__module__ == "argparse"
+                                                    for c in type(o).__mro__)]
+        assert parser_objects == []
+
+
+def test_help_version_and_usage_errors_are_pinned():
+    pinned = cli_transcript.path()
+    if not pinned.exists():
+        pytest.skip(f"no CLI transcript for Python {sys.version_info[0]}.{sys.version_info[1]}")
+    assert cli_transcript.transcript() == pinned.read_text(encoding="utf-8")
+
+
 def test_cli_import_loads_no_http_client():
     # only HTTP backends need an HTTP client, so neither start-up nor an SVG
     # report may pay for one
@@ -1242,7 +1358,7 @@ def test_cli_import_loads_no_http_client():
 
 
 @pytest.mark.parametrize("command", [
-    "distill", "eval", "report",
+    "distill", "eval", "report", "help",
     pytest.param("eval-workers", marks=pytest.mark.skipif(
         len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
         reason="concepts mode compresses in workers only with two usable CPUs")),
@@ -1259,8 +1375,13 @@ def test_cli_start_up_loads_only_what_a_command_runs(
     src = str(Path(__file__).resolve().parents[1] / "src")
     data = Path(__file__).parent / "data"
     unused = {"calendar", "datetime", "string", "hashlib", "concurrent.futures", "logging",
-              "multiprocessing", "dataclasses", "inspect", "ast", "dis", "tokenize"}
-    if command == "distill":
+              "multiprocessing", "dataclasses", "inspect", "ast", "dis", "tokenize",
+              "argparse", "gettext", "locale"}
+    exit_code = EXIT_OK
+    if command == "help":  # argparse writes the help, so it is loaded for it alone
+        argv, exit_code = ["--help"], "SystemExit(0)"
+        unused -= {"argparse", "gettext", "locale"}
+    elif command == "distill":
         argv = ["distill", str(data / "table_a1.amr"), str(data / "table_a1.txt")]
     elif command.startswith("eval"):
         dataset = fixture_dataset_path
@@ -1274,13 +1395,16 @@ def test_cli_start_up_loads_only_what_a_command_runs(
         argv = ["report", str(run_eval(tmp_path, fixture_dataset_path, stub_backend_file))]
     code = (
         "import sys, json, os\n"
-        "import argparse, pathlib, re, typing, threading, urllib.parse\n"
+        "import pathlib, re, typing, threading, urllib.parse\n"
         "import random, collections, itertools, functools\n"
         "before = set(sys.modules)\n"
         "fork, forks = os.fork, []\n"
         "os.fork = lambda: forks.append(1) or fork()\n"
         "from conceptrag.cli import main\n"
-        "code = main(sys.argv[2:])\n"
+        "try:\n"
+        "    code = main(sys.argv[2:])\n"
+        "except SystemExit as exc:\n"
+        "    code = f'SystemExit({exc.code})'\n"
         "unused = set(json.loads(sys.argv[1]))\n"
         "print(json.dumps([code, sorted(unused & (set(sys.modules) - before)), len(forks)]))"
     )
@@ -1291,4 +1415,6 @@ def test_cli_start_up_loads_only_what_a_command_runs(
     )
     assert result.returncode == 0, result.stderr
     workers = len(os.sched_getaffinity(0)) if command == "eval-workers" else 0
-    assert json.loads(result.stdout.splitlines()[-1]) == [EXIT_OK, [], workers]
+    assert json.loads(result.stdout.splitlines()[-1]) == [exit_code, [], workers]
+    if command == "help":
+        assert result.stdout.startswith("usage: conceptrag [-h] [--version]")

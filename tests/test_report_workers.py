@@ -71,6 +71,14 @@ def test_pinned_runs_give_the_pinned_report_from_workers(
     assert_nothing_left_running()
 
 
+def test_a_run_without_a_baseline_is_tallied_in_process(
+    tmp_path, monkeypatch, capsys, pooled, forks
+):
+    monkeypatch.chdir(PINNED)
+    assert main(["report", "run", "--out", str(tmp_path)]) == EXIT_OK
+    assert forks == []
+
+
 def mistyped_k(text: str) -> str:
     """The last record's ``k`` made a string."""
     head, tail = text.rsplit('"k": ', 1)
