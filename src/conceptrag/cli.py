@@ -284,9 +284,11 @@ def cmd_eval(args) -> int:
         args.mode, backend, config, args.dataset,
         screen=not args.no_screen, s_pop_max=args.s_pop_max,
     )
+    # one key per line through the same encoder: with indent, json.dump's
+    # pure-Python encoder would leave a cycle of closures for the collector
+    items = (f"  {encode(key)}: {encode(value)}" for key, value in manifest.items())
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, ensure_ascii=False)
-        handle.write("\n")
+        handle.write("{\n" + ",\n".join(items) + "\n}\n")
     failures = [r for r in records if r.error_kind]
     print(f"evaluated {len(records)} pairs ({len(failures)} failed); results in {out_dir}")
     # partial failures are recorded and non-fatal; a run where every pair

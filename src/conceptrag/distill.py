@@ -1,7 +1,7 @@
 """Concept distillation over AMR graphs.
 
 Converts a document's AMR into an ordered list of concept strings:
-per-sentence traversal with buffered handling of ``:name``, ``:wiki`` and
+per-sentence traversal with handling of ``:name``, ``:wiki`` and
 ``date-entity`` constructs, stoplist formatting, a backtrace step
 that restores each concept to the surface form used in the source document,
 and an optional filter of words common across a run's documents.
@@ -176,22 +176,31 @@ def common_terms(docs: list[str], threshold: float) -> frozenset[str]:
 # --- role handlers
 
 
+def _wiki_link(edges: list[AmrEdge], named: set[str]) -> str | None:
+    """A node's wiki string, underscores as spaces, from its first literal
+    :wiki; '-' is no link. A linked node adds the variables it defines to
+    ``named``: their names give way to the wiki string."""
+    for _, role, target, _ in edges:
+        if role == ":wiki" and isinstance(target, Literal):
+            if target.text == "-":
+                return None
+            named.update(e.target for e in edges if e.defines)
+            return target.text.replace("_", " ")
+    return None
+
+
 def _wiki_links(graph: AmrGraph) -> tuple[dict[str, str], set[str]]:
-    """Each wiki-linked node's wiki string, underscores as spaces, and the
-    variables those nodes define. A node's first literal :wiki decides; '-' is
-    no link. A ``multi-sentence`` root, in no sentence, links nothing."""
+    """:func:`_wiki_link` of every node at once, for an order that can reach a
+    name before its wiki-linked parent. A ``multi-sentence`` root, in no
+    sentence, links nothing."""
     wikis: dict[str, str] = {}
     named: set[str] = set()
     skip = graph.root if graph.nodes[graph.root] == "multi-sentence" else None
     for variable, edges in graph.children.items():
-        if variable == skip:
-            continue
-        for _, role, target, _ in edges:
-            if role == ":wiki" and isinstance(target, Literal):
-                if target.text != "-":
-                    wikis[variable] = target.text.replace("_", " ")
-                    named.update(e.target for e in edges if e.defines)
-                break
+        if variable != skip:
+            wiki = _wiki_link(edges, named)
+            if wiki is not None:
+                wikis[variable] = wiki
     return wikis, named
 
 
@@ -259,57 +268,107 @@ def _int_value(variable: str, role: str, literal: Literal | None) -> int | None:
     return int(text)
 
 
-# --- traversal state machine
+# --- traversal
+#
+# Both traversals below emit a node's concepts when they reach it: a name
+# (unless a wiki-linked parent defined it: the wiki string is the
+# standardized form of the same entity, so it replaces the name and
+# duplicates never arise), else the instance unless the node is wiki-linked
+# or a date-entity, then the wiki string, then the date. The name rule is
+# structural, which keeps the emitted multiset identical under every order.
+
+
+def _distill_in_order(
+    graph: AmrGraph, stoplist: frozenset[str], labels: dict[str, str | None]
+) -> list[Concept]:
+    """The ``dfs`` traversal in one pass, formatted.
+
+    ``graph.nodes`` is in definition order, which is the depth-first
+    pre-order, so each sentence's nodes are the run of it that starts at the
+    sentence's root. Runs are taken in :sntN order, whatever the textual
+    order. A node is reached before the nodes it defines, so its wiki link is
+    found then, and an instance is dropped or sense-stripped as its concept
+    is made (``labels`` memoizes :func:`_format_label`).
+    """
+    nodes = graph.nodes
+    children = graph.children
+    roots = split_sentences(graph)
+    if roots == [graph.root]:
+        runs = [nodes]
+    else:
+        # the root defines only its sentences' roots (split_sentences checks
+        # that), so its defining edges list them in textual order
+        textual = [edge.target for edge in children[graph.root] if edge.defines]
+        variables = list(nodes)
+        starts = [1]
+        for root in textual:
+            starts.append(variables.index(root, starts[-1]))
+        starts.append(len(variables))
+        run_of = {root: variables[start:end]
+                  for root, start, end in zip(textual, starts[1:], starts[2:])}
+        runs = [run_of[root] for root in roots]
+    for label in set(nodes.values()).difference(labels):
+        labels[label] = _format_label(label, stoplist)
+    concepts: list[Concept] = []
+    append = concepts.append
+    named: set[str] = set()
+    for sentence_index, run in enumerate(runs, start=1):
+        for variable in run:
+            instance = nodes[variable]
+            edges = children[variable]
+            wiki = _wiki_link(edges, named)
+            if instance == "name":
+                if variable not in named:
+                    append(handle_name(variable, edges, sentence_index))
+            elif wiki is None and instance != "date-entity":
+                text = labels[instance]
+                if text is not None:
+                    append(_new(Concept, (text, "instance", sentence_index, None)))
+                continue
+            if wiki is not None:
+                append(_new(Concept, (wiki, "wiki", sentence_index, None)))
+            if instance == "date-entity":
+                date = handle_date(variable, edges, sentence_index)
+                if date is not None:
+                    append(date)
+    return concepts
 
 
 def _run_stream(
     graph: AmrGraph, stream: list[tuple[int, str]], wikis: dict[str, str], named: set[str]
 ) -> list[Concept]:
-    """Feed (sentence_index, variable) items through the role-buffering loop:
-    special-role nodes (names, date-entities and the wiki-linked nodes of
-    ``wikis``) accumulate, any other node flushes the buffer before appending
-    its own instance, and the stream end flushes the remainder.
-
-    A name in ``named``, defined by a wiki-linked entity, contributes nothing:
-    the wiki string is the standardized form of the same entity, so it
-    replaces the name and duplicates never arise. The decision is structural,
-    which keeps the emitted multiset identical under every traversal order.
-    """
+    """The concepts of (sentence_index, variable) items in stream order,
+    unformatted; ``wikis`` and ``named`` are :func:`_wiki_links`'s."""
     nodes = graph.nodes
     children = graph.children
     concepts: list[Concept] = []
-    role_buffer: list[Concept] = []
+    append = concepts.append
     for sentence_index, variable in stream:
         instance = nodes[variable]
         wiki = wikis.get(variable)
         if instance == "name":
             if variable not in named:
-                role_buffer.append(handle_name(variable, children[variable], sentence_index))
+                append(handle_name(variable, children[variable], sentence_index))
         elif wiki is None and instance != "date-entity":
-            if role_buffer:
-                concepts.extend(role_buffer)
-                role_buffer = []
-            concepts.append(_new(Concept, (instance, "instance", sentence_index, None)))
+            append(_new(Concept, (instance, "instance", sentence_index, None)))
             continue
         if wiki is not None:
-            role_buffer.append(_new(Concept, (wiki, "wiki", sentence_index, None)))
+            append(_new(Concept, (wiki, "wiki", sentence_index, None)))
         if instance == "date-entity":
             date = handle_date(variable, children[variable], sentence_index)
             if date is not None:
-                role_buffer.append(date)
-    concepts.extend(role_buffer)
+                append(date)
     return concepts
 
 
 def _traversal_streams(
     graph: AmrGraph, config: DistillConfig
 ) -> list[list[tuple[int, str]]]:
+    """The (sentence_index, variable) streams of a random traversal."""
     per_sentence = [
         [(index, variable) for variable in dfs_nodes(graph, root)]
         for index, root in enumerate(split_sentences(graph), start=1)
     ]
-    if config.traversal == "dfs":
-        return per_sentence
     rng = random.Random(config.seed)
     if config.traversal == "local-random":
         for sentence in per_sentence:
@@ -330,16 +389,24 @@ def concept_format(
     for concept in concepts:
         label, provenance, sentence_index, span = concept
         if provenance == "instance":
-            if label in stoplist:
+            text = _format_label(label, stoplist)
+            if text is None:
                 continue
-            if label[-3:-2] == "-":  # can end in a sense suffix
-                text = strip_sense(label)
-                if text in stoplist:
-                    continue
-                if text != label:
-                    concept = _new(Concept, (text, provenance, sentence_index, span))
+            if text != label:
+                concept = _new(Concept, (text, provenance, sentence_index, span))
         out.append(concept)
     return out
+
+
+def _format_label(label: str, stoplist: frozenset[str]) -> str | None:
+    """An instance label's concept text, its sense suffixes stripped; None
+    when the label or its stripped form is stoplisted."""
+    if label in stoplist:
+        return None
+    if label[-3:-2] != "-":  # cannot end in a sense suffix
+        return label
+    text = strip_sense(label)
+    return None if text in stoplist else text
 
 
 def strip_sense(label: str) -> str:
@@ -515,13 +582,17 @@ def distill_documents(
 ) -> list[ConceptSet]:
     """Distill each graph against its source document, stage by stage: every
     graph is traversed in ``config.traversal`` order, with a random stream of
-    its own, and formatted; then every result is backtraced, and a concept
+    its own, and formatted (``dfs`` in one pass); then every result is backtraced, and a concept
     whose text, lowercased, is in ``common`` (see :func:`common_terms`) is
     dropped. The first graph, in order, that breaks a role's rule raises."""
     config = config or DistillConfig()
     stoplist = config.stoplist()
+    labels: dict[str, str | None] = {}  # instance label -> concept text
     formatted = []
     for graph in graphs:
+        if config.traversal == "dfs":
+            formatted.append(_distill_in_order(graph, stoplist, labels))
+            continue
         wikis, named = _wiki_links(graph)
         concepts: list[Concept] = []
         for stream in _traversal_streams(graph, config):

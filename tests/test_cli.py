@@ -1125,8 +1125,8 @@ class TestExitCodes:
             (gc.enable if was_on else gc.disable)()
         assert collecting == [False, False]
 
-    # no cycle is built per pair: what a run leaves for the collector is the
-    # manifest encoder's, whatever the run's size
+    # no cycle is built per pair, and none per run: records and manifest go
+    # through json's C encoder, so a run leaves the collector nothing
     @pytest.mark.parametrize("max_parallel", [1, 2])
     def test_garbage_a_run_leaves_does_not_grow_with_its_size(
         self, max_parallel, tmp_path, fixture_dataset_path, capsys
@@ -1153,7 +1153,7 @@ class TestExitCodes:
             small, large = unreachable_after_eval(2), unreachable_after_eval(20)
         finally:
             (gc.enable if was_on else gc.disable)()
-        assert small == large
+        assert small == large == 0
 
     def test_entrypoint_exits_with_the_code_of_main(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["conceptrag", "stats", str(tmp_path / "missing.jsonl")])

@@ -476,11 +476,54 @@ class TestDistill:
                 return _func(*args, **kwargs)
 
             monkeypatch.setattr(distill, name, counted)
-        concepts = distill_concepts(parse_amr(table_a1_penman), table_a1_doc)
-        assert len(concepts.concepts) == 7
+        graph = parse_amr(table_a1_penman)
+        # dfs: one pass over the definition order, with no walk and no format step
+        assert len(distill_concepts(graph, table_a1_doc).concepts) == 7
+        assert calls == {"split_sentences": 1, "concept_backtrace": 1}
+        # a random order: a walk per sentence, then one format step
+        calls.clear()
+        config = DistillConfig(traversal="local-random", seed=7)
+        assert len(distill_concepts(graph, table_a1_doc, config).concepts) == 7
         assert calls == {
             "split_sentences": 1, "dfs_nodes": 2, "concept_format": 1, "concept_backtrace": 1
         }
+
+    # sentences go in :sntN order whatever the textual order, so the first
+    # sentence that breaks a rule is sentence 1 on every traversal
+    SWAPPED = (
+        '(m / multi-sentence'
+        ' :snt2 (w / want-01 :ARG0 (p / person :name (n2 / name :op1 "A" :op1 "B")))'
+        ' :snt1 (c / city :name (n1 / name :op2 "C")))'
+    )
+
+    @pytest.mark.parametrize("traversal", TRAVERSAL_KINDS)
+    def test_sentence_one_breaks_its_rule_first_wherever_it_is_written(self, traversal):
+        # global-random shuffles one stream of both sentences, in :sntN order:
+        # at seed 2 the shuffle reaches n1 first, and of the textual order n2
+        config = DistillConfig(traversal=traversal, seed=2)
+        with pytest.raises(DistillError, match="name node 'n1' is missing :op1"):
+            distill_concepts(parse_amr(self.SWAPPED), "", config)
+        # with sentence 1 mended, sentence 2's fault is raised
+        with pytest.raises(DistillError, match="name node 'n2' repeats op index 1"):
+            distill_concepts(parse_amr(self.SWAPPED.replace(":op2", ":op1")), "", config)
+
+    @pytest.mark.parametrize("traversal", TRAVERSAL_KINDS)
+    def test_sentences_written_out_of_order_distill_in_snt_order(self, traversal):
+        graph = parse_amr(
+            '(m / multi-sentence :snt3 (g / gamma)'
+            ' :snt1 (a / alpha-01 :ARG1 (c / city :wiki "Big_City" :name (n / name :op1 "B")))'
+            ' :snt2 (b / beta :time (d / date-entity :year 1999)))'
+        )
+        config = DistillConfig(traversal=traversal, seed=7)
+        concepts = distill_concepts(graph, "", config).concepts
+        if traversal != "global-random":
+            order = [c.sentence_index for c in concepts]
+            assert order == sorted(order)
+        assert Counter((c.text, c.sentence_index) for c in concepts) == Counter(
+            [("alpha", 1), ("Big City", 1), ("beta", 2), ("1999", 2), ("gamma", 3)]
+        )
+        if traversal == "dfs":
+            assert [c.text for c in concepts] == ["alpha", "Big City", "beta", "1999", "gamma"]
 
     def test_bench_trace_targets_resolve(self):
         # the benchmark's tracer wraps each target by module and name; a

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conceptrag import cli
+from conceptrag import cli, schema
 from conceptrag.cli import _BLOCK_ITEMS, EXIT_DATA, EXIT_OK, _load_records, main
 from conceptrag.corpus import DatasetError
 from conceptrag.ragpipe import PipelineRecord
-from conceptrag.schema import _raise_fault, from_json
+from conceptrag.schema import _raise_fault, from_json, from_json_block
 
 PINNED = Path(__file__).parent / "data" / "report"
 
@@ -279,6 +279,26 @@ def test_a_fault_at_a_block_edge_is_found_as_record_by_record(
     write_records(tmp_path, json.dumps(items))
     assert per_record(items) == message
     assert_reported(tmp_path, message, capsys)
+
+
+def test_only_a_block_with_a_fault_is_read_record_by_record(monkeypatch):
+    # the output is the same either way; what the block check saves is the
+    # per-record reading, which a clean block must never reach
+    items = [full_record(i) for i in range(5)]
+    expected = per_record(items)
+    calls = []
+
+    def spy(cls, data, kind):
+        calls.append(data)
+        return _raise_fault(cls, data, kind)
+
+    monkeypatch.setattr(schema, "_raise_fault", spy)
+    assert from_json_block(PipelineRecord, items, "record") == expected
+    assert calls == []
+    items[3]["k"] = "x"
+    with pytest.raises(DatasetError, match="record key 'k' must be an integer"):
+        from_json_block(PipelineRecord, items, "record")
+    assert calls == items[:4]
 
 
 def test_a_good_file_across_blocks_gives_the_records_record_by_record(tmp_path):
