@@ -13,7 +13,7 @@ import json
 import re
 import sys
 from pathlib import Path
-from types import SimpleNamespace
+from types import FunctionType, SimpleNamespace
 from typing import Iterator
 
 from . import __version__
@@ -22,6 +22,7 @@ from .distill import TRAVERSAL_KINDS, DistillConfig, distill_concepts
 from .metrics import (
     LONG_INTERVAL,
     NORMAL_INTERVAL,
+    PipelineRecord,
     build_report,
     parse_interval,
     render_accuracy_svg,
@@ -29,16 +30,7 @@ from .metrics import (
     write_report,
 )
 from .penman import parse_amr, parse_corpus
-from .ragpipe import (
-    MODES,
-    BackendError,
-    LlmBackendSpec,
-    PipelineRecord,
-    build_run_manifest,
-    fork_map,
-    run_pipeline,
-    usable_cpus,
-)
+from .pool import fork_map, usable_cpus
 from .schema import from_json, from_json_block, to_json
 
 EXIT_OK = 0
@@ -93,11 +85,22 @@ def _load_distill_config(args) -> DistillConfig:
     return from_json(DistillConfig, data, "distill config")
 
 
+def _modes() -> tuple[str, ...]:
+    from .ragpipe import MODES
+
+    return MODES
+
+
+def _choices(kind):
+    return kind() if type(kind) is FunctionType else kind
+
+
 # Each command's help, positionals (name, help) and options (flag, kind, required,
-# help). A kind is str (a value), int, a tuple of choices, bool (a store-true flag) or
-# list (a repeatable value). Each option's destination is argparse's: the flag without
-# its dashes, with - as _. build_parser makes the argparse parser of these, and
-# _read_args reads a well-formed command line from them without it.
+# help). A kind is str (a value), int, a tuple of choices, a function that returns
+# them (called only where the command's options are read), bool (a store-true flag)
+# or list (a repeatable value). Each option's destination is argparse's: the flag
+# without its dashes, with - as _. build_parser makes the argparse parser of these,
+# and _read_args reads a well-formed command line from them without it.
 _DISTILL_OPTIONS = (
     ("--config", str, False, "distill config JSON file"),
     ("--seed", int, False, "seed for random traversal modes"),
@@ -121,7 +124,7 @@ _ARGUMENTS = {
         *_DISTILL_OPTIONS,
         *_SCREEN_OPTIONS,
         ("--backend", str, True, "backend spec JSON file"),
-        ("--mode", MODES, True, "compression mode"),
+        ("--mode", _modes, True, "compression mode"),
         ("--out", str, True, "output directory"),
         ("--parse-endpoint", str, False, "text-to-AMR parse endpoint URL"),
     ]),
@@ -142,7 +145,7 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
     if not argv or argv[0] not in _ARGUMENTS:
         return None
     _, positionals, options = _ARGUMENTS[argv[0]]
-    kinds = {flag: kind for flag, kind, _, _ in options}
+    kinds = {flag: _choices(kind) for flag, kind, _, _ in options}
     values = {flag: False if kind is bool else None for flag, kind in kinds.items()}
     words, found = iter(argv[1:]), []
     for word in words:
@@ -199,7 +202,7 @@ def build_parser():
         for positional, text in positionals:
             command.add_argument(positional, help=text)
         for flag, kind, required, text in options:
-            how = kinds[kind] if kind in kinds else {"choices": kind}
+            how = kinds[kind] if kind in kinds else {"choices": _choices(kind)}
             command.add_argument(flag, required=required, help=text, **how)
     return parser
 
@@ -260,6 +263,19 @@ def cmd_stats(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # eval is the one command that reaches a backend
+    from .ragpipe import BackendError
+
+    try:
+        return _run_eval(args)
+    except BackendError as exc:
+        print(f"backend error: {exc}", file=sys.stderr)
+        return EXIT_BACKEND
+
+
+def _run_eval(args) -> int:
+    from .ragpipe import BackendError, LlmBackendSpec, build_run_manifest, run_pipeline
+
     _check_screen_flags(args)
     config = _load_distill_config(args)
     spec = _read_json(Path(args.backend), "backend spec")
@@ -404,9 +420,6 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except BackendError as exc:
-        print(f"backend error: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

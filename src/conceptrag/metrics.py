@@ -12,10 +12,7 @@ import math
 import re
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .ragpipe import PipelineRecord
+from typing import Iterable, NamedTuple
 
 _WS_RE = re.compile(r"\s+")
 # deletes the characters of string.punctuation
@@ -24,6 +21,29 @@ _PUNCT_TABLE = str.maketrans("", "", "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~")
 
 class MetricsError(ValueError):
     """Invalid metric input (e.g. a curve missing points inside an interval)."""
+
+
+class PipelineRecord(NamedTuple):
+    """Outcome of one question, as one entry of ``records.json``: the prompt
+    sent, the raw answer, latency, whether it matched a gold answer, the
+    whitespace-split word counts of the documents before and after
+    compression, and a failed pair's error with its kind, "backend" or "data".
+    Fields are in key order; :mod:`conceptrag.schema` reads and writes them."""
+
+    question: str = ""
+    gold_answers: tuple[str, ...] = ()
+    k: int = 0
+    mode: str = ""
+    backend: str = ""
+    prompt: str = ""
+    raw_answer: str = ""
+    latency_ms: float = 0.0
+    correct: bool = False
+    original_words: int = 0
+    compressed_words: int = 0
+    error: str | None = None
+    error_kind: str | None = None
+    _required = ("k", "correct")  # for from_json; the defaults only keep the key order
 
 
 class _IntervalFields(NamedTuple):
@@ -107,7 +127,7 @@ def answer_match(candidate: str, gold_answers: list[str]) -> bool:
     return False
 
 
-def tally(records: Iterable["PipelineRecord"]) -> tuple:
+def tally(records: Iterable[PipelineRecord]) -> tuple:
     """One pass over a run that keeps only sums. Returns its per-K accuracy points, its
     latency rows, each marked as the ``"run"``, and its counts of records, failures, and
     words before and after compression (failed records left out): plain values, which
@@ -136,7 +156,7 @@ def tally(records: Iterable["PipelineRecord"]) -> tuple:
     return points, rows, count, count - sum(map(len, groups.values())), original, compressed
 
 
-def accuracy_curve(records: Iterable["PipelineRecord"], label: str = "") -> EvalCurve:
+def accuracy_curve(records: Iterable[PipelineRecord], label: str = "") -> EvalCurve:
     """Per-K accuracy: 100 x correct / total among pairs with that K."""
     return EvalCurve(tally(records)[0], label)
 
@@ -181,7 +201,7 @@ def _nearest_rank(ordered: list[float], q: float) -> float:
     return ordered[min(rank, len(ordered)) - 1]
 
 
-def latency_summary(records: Iterable["PipelineRecord"]) -> list[dict]:
+def latency_summary(records: Iterable[PipelineRecord]) -> list[dict]:
     """Mean/p50/p95 latency in ms per (backend, mode) group, each row marked as
     the ``"run"``. Failed records are left out: their latency is 0, not the time they took."""
     return tally(records)[1]

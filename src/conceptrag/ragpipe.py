@@ -21,7 +21,9 @@ from urllib.parse import unquote, urlsplit
 from . import metrics
 from .corpus import DatasetError, QadPair
 from .distill import DistillConfig, common_terms, distill_documents
+from .metrics import PipelineRecord
 from .penman import parse_amr
+from .pool import fork_map, usable_cpus
 from .schema import to_json
 
 FACT_PROMPT_PREFIX = "Refer to the following facts to answer the question. Facts: "
@@ -124,29 +126,6 @@ class LlmBackendSpec(_LlmBackendSpecFields):
         return f"http:{self.model or self.endpoint_url}"
 
 
-class PipelineRecord(NamedTuple):
-    """Outcome of one question, as one entry of ``records.json``: the prompt
-    sent, the raw answer, latency, whether it matched a gold answer, the
-    whitespace-split word counts of the documents before and after
-    compression, and a failed pair's error with its kind, "backend" or "data".
-    Fields are in key order; :mod:`conceptrag.schema` reads and writes them."""
-
-    question: str = ""
-    gold_answers: tuple[str, ...] = ()
-    k: int = 0
-    mode: str = ""
-    backend: str = ""
-    prompt: str = ""
-    raw_answer: str = ""
-    latency_ms: float = 0.0
-    correct: bool = False
-    original_words: int = 0
-    compressed_words: int = 0
-    error: str | None = None
-    error_kind: str | None = None
-    _required = ("k", "correct")  # for from_json; the defaults only keep the key order
-
-
 # --- prompts -----------------------------------------------------------------
 
 
@@ -221,12 +200,21 @@ _local = threading.local()
 
 class _Connections(dict):
     """One thread's kept-alive connections, keyed by (scheme, host, port);
-    each value is a route from :func:`_open_route`. Closed when the thread
-    ends and drops them."""
+    each value is a route from :func:`_open_route` and the reader of its
+    replies. Closed when the thread ends and drops them."""
 
     def __del__(self):
-        for conn, _, _ in self.values():
-            conn.close()
+        for route in self.values():
+            _close_route(route)
+
+
+def _close_route(route) -> None:
+    """Close a route's connection and its reply reader, if it has one: the
+    socket is closed for real only once no reader refers to it."""
+    conn, _, _, reader = route
+    if reader is not None:
+        reader.close()
+    conn.close()
 
 
 def _post_json(
@@ -237,10 +225,11 @@ def _post_json(
     messages name the endpoint as ``what``.
 
     Each thread keeps one connection per (scheme, host, port) alive between
-    calls. A kept connection that the server has closed in the meantime gets
-    one reconnect and resend; any other failure drops the connection.
-    ``http.client`` only opens the connection (:func:`_open_route`); the
-    request goes out in one write, and :func:`_read_reply` reads the reply."""
+    calls, with one reader of its replies. A kept connection that the server
+    has closed in the meantime gets one reconnect and resend; any other
+    failure drops the connection. ``http.client`` only opens the connection
+    (:func:`_open_route`); the request goes out in one write, and
+    :func:`_read_reply` reads the reply."""
     import http.client
 
     try:
@@ -262,13 +251,13 @@ def _post_json(
     connections = getattr(_local, "connections", None)
     if connections is None:
         connections = _local.connections = _Connections()
-    route = connections.pop(key, None)
+    route = connections.pop(key, None)  # (connection, prefix, proxy headers, reader)
     reused = route is not None
     while True:
         try:
             if route is None:
-                route = _open_route(*key, authority, timeout_s)
-            conn, prefix, proxy_headers = route
+                route = (*_open_route(*key, authority, timeout_s), None)
+            conn, prefix, proxy_headers, reader = route
             request_target = prefix + target
             control = _CONTROL_RE.search(request_target)
             if control:  # http.client's check and message
@@ -279,16 +268,18 @@ def _post_json(
                            for name, value in {**headers, **proxy_headers}.items())
             request = (f"POST {request_target} HTTP/1.1\r\n".encode("ascii")
                        + f"{head}\r\n".encode("latin-1") + body)
-            if conn.sock is None:
+            if reader is None:  # a new connection, read through one reader while kept
                 conn.connect()
+                reader = conn.sock.makefile("rb")
+                route = conn, prefix, proxy_headers, reader
             else:  # a kept connection, given this call's timeout
                 conn.sock.settimeout(timeout_s)
             conn.sock.sendall(request)
-            status, data, will_close = _read_reply(conn.sock)
+            status, data, will_close = _read_reply(reader)
             break
         except (OSError, ValueError, http.client.HTTPException) as exc:
             if route is not None:
-                route[0].close()
+                _close_route(route)
                 route = None
             # RemoteDisconnected is a ConnectionResetError
             if reused and isinstance(exc, (ConnectionResetError, BrokenPipeError)):
@@ -301,63 +292,62 @@ def _post_json(
             raise BackendTimeout(f"{what} unreachable: {exc}") from exc
 
     if not 200 <= status < 300:
-        conn.close()
+        _close_route(route)
         raise BackendHttpError(status, data.decode("utf-8", "replace"))
     try:
         reply = json.loads(data)
     except ValueError as exc:
-        conn.close()
+        _close_route(route)
         raise BackendProtocolError(f"malformed {what} response: {exc}") from exc
     if will_close:
-        conn.close()
+        _close_route(route)
     else:
         connections[key] = route
     return reply
 
 
-def _read_reply(sock) -> tuple[int, bytes, bool]:
+def _read_reply(fp) -> tuple[int, bytes, bool]:
     """The status, body and whether the server will close the connection, of
-    the reply on ``sock``. Interim 1xx heads are skipped. The body is framed
-    by chunked transfer coding (its trailer discarded), else by
-    Content-Length, else by the end of the stream. The head's bounds, the
-    close rule and the errors are ``http.client``'s."""
+    the next reply that the buffered reader ``fp`` holds. Interim 1xx heads
+    are skipped. The body is framed by chunked transfer coding (its trailer
+    discarded), else by Content-Length, else by the end of the stream. The
+    head's bounds, the close rule and the errors are ``http.client``'s."""
     import http.client
 
-    with sock.makefile("rb") as fp:
-        status = 100
-        while status < 200:  # until the head after any interim 1xx heads
-            line = fp.readline(_MAX_LINE + 1)
-            if len(line) > _MAX_LINE:
-                raise http.client.LineTooLong("status line")
-            if not line:
-                raise http.client.RemoteDisconnected(
-                    "Remote end closed connection without response")
-            try:
-                version, status = line.split(None, 2)[:2]
-                status = int(status)
-            except ValueError:
-                version = b""
-            if not version.startswith(b"HTTP/") or not 100 <= status <= 999:
-                raise http.client.BadStatusLine(str(line, "iso-8859-1"))
-            fields = _read_fields(fp)
-        http_1_0 = version in (b"HTTP/1.0", b"HTTP/0.9")
-        if not http_1_0 and not version.startswith(b"HTTP/1."):
-            raise http.client.UnknownProtocol(str(version, "iso-8859-1"))
-        connection = fields.get(b"connection", b"").lower()
-        if http_1_0:  # persistent only when the reply says so
-            will_close = not (fields.get(b"keep-alive") or b"keep-alive" in connection
-                              or b"keep-alive" in fields.get(b"proxy-connection", b"").lower())
-        else:
-            will_close = b"close" in connection
-        length = fields.get(b"content-length", b"")
-        if status in (204, 304):
-            body = b""
-        elif fields.get(b"transfer-encoding", b"").lower() == b"chunked":
-            body = _read_chunked(fp)
-        elif length.isdigit():
-            body = _read_exact(fp, int(length))
-        else:
-            body, will_close = fp.read(), True
+    status = 100
+    while status < 200:  # until the head after any interim 1xx heads
+        line = fp.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise http.client.LineTooLong("status line")
+        if not line:
+            raise http.client.RemoteDisconnected(
+                "Remote end closed connection without response")
+        try:
+            version, status = line.split(None, 2)[:2]
+            status = int(status)
+        except ValueError:
+            version = b""
+        if not version.startswith(b"HTTP/") or not 100 <= status <= 999:
+            raise http.client.BadStatusLine(str(line, "iso-8859-1"))
+        fields = _read_fields(fp)
+    http_1_0 = version in (b"HTTP/1.0", b"HTTP/0.9")
+    if not http_1_0 and not version.startswith(b"HTTP/1."):
+        raise http.client.UnknownProtocol(str(version, "iso-8859-1"))
+    connection = fields.get(b"connection", b"").lower()
+    if http_1_0:  # persistent only when the reply says so
+        will_close = not (fields.get(b"keep-alive") or b"keep-alive" in connection
+                          or b"keep-alive" in fields.get(b"proxy-connection", b"").lower())
+    else:
+        will_close = b"close" in connection
+    length = fields.get(b"content-length", b"")
+    if status in (204, 304):
+        body = b""
+    elif fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+        body = _read_chunked(fp)
+    elif length.isdigit():
+        body = _read_exact(fp, int(length))
+    else:
+        body, will_close = fp.read(), True
     return status, body, will_close
 
 
@@ -606,56 +596,6 @@ def _compress_in_workers(pairs: list[QadPair], compress, parse_endpoint: str | N
         shares = fork_map([functools.partial(list, map(compress, pairs[i::n])) for i in range(n)])
         for i, share in enumerate(shares):
             out[i::n] = share
-
-
-def usable_cpus() -> int:
-    """The CPUs forked workers could run on: 1 where ``sched_getaffinity`` is missing, or
-    for a caller with more than one thread (a fork copies only the calling one)."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def fork_map(jobs: list) -> list:
-    """The results of ``jobs``, each called in a forked process of its own and its
-    result marshalled back through its own pipe. The job of a worker that failed, died or
-    never started (after a failed fork) is called again here, in order, once every worker
-    is reaped: its exception, if any, is raised as in process. Ctrl-C stops this process
-    alone, and leaves no worker behind."""
-    import marshal
-    import signal
-
-    done, pids, pipes = {}, {}, []  # pids of workers not yet reaped
-    # the workers keep SIGINT blocked from the fork on
-    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        for i, job in enumerate(jobs):
-            read, write = os.pipe()
-            pipes.append(open(read, "rb"))
-            with open(write, "wb") as writer:
-                pids[i] = os.fork()
-                if pids[i] == 0:  # a worker never returns, runs no atexit, flushes no buffer
-                    try:
-                        writer.write(marshal.dumps(job()))
-                        writer.flush()
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-        for i, pipe in enumerate(pipes):
-            data, (_, status) = pipe.read(), os.waitpid(pids.pop(i), 0)
-            if status == 0:
-                done[i] = marshal.loads(data)
-    except OSError:  # a pipe, fork or wait failed: what is not done is done in process
-        pass
-    finally:  # after Ctrl-C, a failed fork or an error, no worker is left
-        for pid in pids.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for pipe in pipes:
-            pipe.close()
-        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-    return [done[i] if i in done else job() for i, job in enumerate(jobs)]
 
 
 # --- run manifest ------------------------------------------------------------

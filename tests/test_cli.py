@@ -682,7 +682,7 @@ class TestEvalAndReport:
         def run_pipeline(*args, **kwargs):
             pytest.fail("eval answered pairs although --out cannot be made")
 
-        monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+        monkeypatch.setattr(ragpipe, "run_pipeline", run_pipeline)
         out = tmp_path / "file"
         out.write_text("x")
         code = main(
@@ -1263,7 +1263,7 @@ def command_lines(draw):
             if kind is bool:
                 units.append([flag])
                 continue
-            value = draw(st.sampled_from([*VALID.get(kind, kind), *ODD]))
+            value = draw(st.sampled_from([*VALID.get(kind, cli._choices(kind)), *ODD]))
             well_formed &= value not in ODD
             units.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
     argv = [command, *(word for unit in draw(st.permutations(units)) for word in unit)]
@@ -1358,7 +1358,7 @@ def test_cli_import_loads_no_http_client():
 
 
 @pytest.mark.parametrize("command", [
-    "distill", "eval", "report", "help",
+    "import", "parse", "distill", "stats", "eval", "report", "help",
     pytest.param("eval-workers", marks=pytest.mark.skipif(
         len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
         reason="concepts mode compresses in workers only with two usable CPUs")),
@@ -1371,18 +1371,30 @@ def test_cli_start_up_loads_only_what_a_command_runs(
     # three copies of it (330 documents) fork them, with os.fork alone. No
     # command imports the rest, nor what dataclasses would load. The
     # baseline is the stdlib that the package itself imports, so a site that
-    # preloads a module cannot fail this.
+    # preloads a module cannot fail this. The pipeline is loaded for eval, and
+    # for the help that lists eval's modes.
     src = str(Path(__file__).resolve().parents[1] / "src")
     data = Path(__file__).parent / "data"
     unused = {"calendar", "datetime", "string", "hashlib", "concurrent.futures", "logging",
               "multiprocessing", "dataclasses", "inspect", "ast", "dis", "tokenize",
               "argparse", "gettext", "locale"}
+    pipeline = {"conceptrag.ragpipe"}
     exit_code = EXIT_OK
-    if command == "help":  # argparse writes the help, so it is loaded for it alone
+    if command == "import":  # the package's import alone, with no command run
+        argv, exit_code = [], None
+        unused |= pipeline
+    elif command == "help":  # argparse writes the help, so it is loaded for it alone
         argv, exit_code = ["--help"], "SystemExit(0)"
         unused -= {"argparse", "gettext", "locale"}
+    elif command == "parse":
+        argv = ["parse", str(data / "table_a1.amr")]
+        unused |= pipeline
     elif command == "distill":
         argv = ["distill", str(data / "table_a1.amr"), str(data / "table_a1.txt")]
+        unused |= pipeline
+    elif command == "stats":
+        argv = ["stats", str(fixture_dataset_path)]
+        unused |= pipeline
     elif command.startswith("eval"):
         dataset = fixture_dataset_path
         if command == "eval-workers":
@@ -1393,6 +1405,7 @@ def test_cli_start_up_loads_only_what_a_command_runs(
         unused.remove("hashlib")
     else:
         argv = ["report", str(run_eval(tmp_path, fixture_dataset_path, stub_backend_file))]
+        unused |= pipeline
     code = (
         "import sys, json, os\n"
         "import pathlib, re, typing, threading, urllib.parse\n"
@@ -1402,7 +1415,7 @@ def test_cli_start_up_loads_only_what_a_command_runs(
         "os.fork = lambda: forks.append(1) or fork()\n"
         "from conceptrag.cli import main\n"
         "try:\n"
-        "    code = main(sys.argv[2:])\n"
+        "    code = main(sys.argv[2:]) if sys.argv[2:] else None\n"
         "except SystemExit as exc:\n"
         "    code = f'SystemExit({exc.code})'\n"
         "unused = set(json.loads(sys.argv[1]))\n"

@@ -797,6 +797,67 @@ class TestReplyFraming:
         assert self.ask(server) == "many"
 
 
+@pytest.fixture
+def client_readers(monkeypatch):
+    """The (socket, reader) pairs that ``makefile`` makes on this thread, in order;
+    the loopback servers' own readers, made on their threads, are not listed."""
+    made, here, makefile = [], threading.get_ident(), socket.socket.makefile
+
+    def spy(sock, *args, **kwargs):
+        reader = makefile(sock, *args, **kwargs)
+        if threading.get_ident() == here:
+            made.append((sock, reader))
+        return reader
+
+    monkeypatch.setattr(socket.socket, "makefile", spy)
+    return made
+
+
+def closed_for_real(sock, reader):
+    # a socket with a live reader stays open after its close()
+    return reader.closed and sock.fileno() == -1
+
+
+class TestReplyReader:
+    """A kept connection reads its replies through one reader, closed with it."""
+
+    def ask(self, server, prompt="hi"):
+        return query_llm(http_backend(f"{server.url}/v1/chat", timeout_s=5), prompt)[0]
+
+    def test_kept_connection_keeps_one_reader(self, scripted_server, client_readers):
+        # the server drops the connection after the third reply without saying so
+        server = scripted_server([(chat_reply(f"r{i}"), i == 2) for i in range(5)])
+        assert [self.ask(server) for _ in range(3)] == ["r0", "r1", "r2"]
+        assert len(client_readers) == 1 and not client_readers[0][1].closed
+        # the resend goes over a new connection, through a new reader
+        assert [self.ask(server) for _ in range(2)] == ["r3", "r4"]
+        assert server.connections == 2
+        assert len(client_readers) == 2
+        assert closed_for_real(*client_readers[0]) and not client_readers[1][1].closed
+        vars(ragpipe._local).pop("connections")  # as when the thread ends
+        assert all(closed_for_real(*made) for made in client_readers)
+
+    @pytest.mark.parametrize("reply, error", [
+        (chat_reply("once", head="Connection: close\r\n"), None),
+        (b"HTTP/1.1 500 Oops\r\nContent-Length: 2\r\n\r\nno", BackendHttpError),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nno", BackendProtocolError),
+        (b"ICY 200 OK\r\n\r\n", BackendTimeout),
+    ])
+    def test_dropped_connection_closes_its_reader(
+        self, reply, error, scripted_server, client_readers
+    ):
+        # the server keeps the connection open: only the client closes it
+        server = scripted_server([(reply, False)])
+        if error is None:
+            assert self.ask(server) == "once"
+        else:
+            with pytest.raises(error):
+                self.ask(server)
+        assert not ragpipe._local.connections
+        [made] = client_readers
+        assert closed_for_real(*made)
+
+
 class CountingSocket:
     """A socket that counts the calls that write to it."""
 
