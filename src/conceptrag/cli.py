@@ -13,7 +13,7 @@ import json
 import re
 import sys
 from pathlib import Path
-from types import FunctionType, SimpleNamespace
+from types import SimpleNamespace
 from typing import Iterator
 
 from . import __version__
@@ -21,6 +21,7 @@ from .corpus import DatasetError, count_by_k, format_stats_tsv, load_dataset, sc
 from .distill import TRAVERSAL_KINDS, DistillConfig, distill_concepts
 from .metrics import (
     LONG_INTERVAL,
+    MODES,
     NORMAL_INTERVAL,
     PipelineRecord,
     build_report,
@@ -85,22 +86,11 @@ def _load_distill_config(args) -> DistillConfig:
     return from_json(DistillConfig, data, "distill config")
 
 
-def _modes() -> tuple[str, ...]:
-    from .ragpipe import MODES
-
-    return MODES
-
-
-def _choices(kind):
-    return kind() if type(kind) is FunctionType else kind
-
-
 # Each command's help, positionals (name, help) and options (flag, kind, required,
-# help). A kind is str (a value), int, a tuple of choices, a function that returns
-# them (called only where the command's options are read), bool (a store-true flag)
-# or list (a repeatable value). Each option's destination is argparse's: the flag
-# without its dashes, with - as _. build_parser makes the argparse parser of these,
-# and _read_args reads a well-formed command line from them without it.
+# help). A kind is str (a value), int, a tuple of choices, bool (a store-true flag) or
+# list (a repeatable value). Each option's destination is argparse's: the flag without
+# its dashes, with - as _. build_parser makes the argparse parser of these, and
+# _read_args reads a well-formed command line from them without it.
 _DISTILL_OPTIONS = (
     ("--config", str, False, "distill config JSON file"),
     ("--seed", int, False, "seed for random traversal modes"),
@@ -124,7 +114,7 @@ _ARGUMENTS = {
         *_DISTILL_OPTIONS,
         *_SCREEN_OPTIONS,
         ("--backend", str, True, "backend spec JSON file"),
-        ("--mode", _modes, True, "compression mode"),
+        ("--mode", MODES, True, "compression mode"),
         ("--out", str, True, "output directory"),
         ("--parse-endpoint", str, False, "text-to-AMR parse endpoint URL"),
     ]),
@@ -145,7 +135,7 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
     if not argv or argv[0] not in _ARGUMENTS:
         return None
     _, positionals, options = _ARGUMENTS[argv[0]]
-    kinds = {flag: _choices(kind) for flag, kind, _, _ in options}
+    kinds = {flag: kind for flag, kind, _, _ in options}
     values = {flag: False if kind is bool else None for flag, kind in kinds.items()}
     words, found = iter(argv[1:]), []
     for word in words:
@@ -202,7 +192,7 @@ def build_parser():
         for positional, text in positionals:
             command.add_argument(positional, help=text)
         for flag, kind, required, text in options:
-            how = kinds[kind] if kind in kinds else {"choices": _choices(kind)}
+            how = kinds[kind] if kind in kinds else {"choices": kind}
             command.add_argument(flag, required=required, help=text, **how)
     return parser
 
@@ -263,57 +253,51 @@ def cmd_stats(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    # eval is the one command that reaches a backend
-    from .ragpipe import BackendError
+    # only eval runs the pipeline, so only eval compiles it
+    from .ragpipe import BackendError, LlmBackendSpec, build_run_manifest, run_pipeline
 
     try:
-        return _run_eval(args)
+        _check_screen_flags(args)
+        config = _load_distill_config(args)
+        spec = _read_json(Path(args.backend), "backend spec")
+        backend = from_json(LlmBackendSpec, spec, "backend spec")
+        pairs = load_dataset(args.dataset)
+        if not args.no_screen:
+            pairs = screen_pairs(pairs, s_pop_max=args.s_pop_max)
+        # before the run, so that an --out that cannot be made costs no backend call
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+
+        records = run_pipeline(
+            pairs, args.mode, backend, config=config, parse_endpoint=args.parse_endpoint
+        )
+        # one record per line: json.dump with indent runs the pure-Python encoder
+        encode = json.JSONEncoder(ensure_ascii=False).encode
+        with open(out_dir / "records.json", "w", encoding="utf-8") as handle:
+            for n, record in enumerate(records):
+                handle.write(f"{',' if n else '['}\n{encode(to_json(record))}")
+            handle.write("\n]\n" if records else "[]\n")
+        manifest = build_run_manifest(
+            args.mode, backend, config, args.dataset,
+            screen=not args.no_screen, s_pop_max=args.s_pop_max,
+        )
+        # one key per line through the same encoder: with indent, json.dump's
+        # pure-Python encoder would leave a cycle of closures for the collector
+        items = (f"  {encode(key)}: {encode(value)}" for key, value in manifest.items())
+        with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
+            handle.write("{\n" + ",\n".join(items) + "\n}\n")
+        failures = [r for r in records if r.error_kind]
+        print(f"evaluated {len(records)} pairs ({len(failures)} failed); results in {out_dir}")
+        # partial failures are recorded and non-fatal; a run where every pair
+        # failed is a backend outage if any pair died on the backend, else bad data
+        if records and len(failures) == len(records):
+            if any(r.error_kind == "backend" for r in failures):
+                raise BackendError("every pair failed against the backend")
+            raise DatasetError(f"every pair failed, the first with {failures[0].error}")
+        return EXIT_OK
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-
-
-def _run_eval(args) -> int:
-    from .ragpipe import BackendError, LlmBackendSpec, build_run_manifest, run_pipeline
-
-    _check_screen_flags(args)
-    config = _load_distill_config(args)
-    spec = _read_json(Path(args.backend), "backend spec")
-    backend = from_json(LlmBackendSpec, spec, "backend spec")
-    pairs = load_dataset(args.dataset)
-    if not args.no_screen:
-        pairs = screen_pairs(pairs, s_pop_max=args.s_pop_max)
-    # before the run, so that an --out that cannot be made costs no backend call
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    records = run_pipeline(
-        pairs, args.mode, backend, config=config, parse_endpoint=args.parse_endpoint
-    )
-    # one record per line: json.dump with indent runs the pure-Python encoder
-    encode = json.JSONEncoder(ensure_ascii=False).encode
-    with open(out_dir / "records.json", "w", encoding="utf-8") as handle:
-        for n, record in enumerate(records):
-            handle.write(f"{',' if n else '['}\n{encode(to_json(record))}")
-        handle.write("\n]\n" if records else "[]\n")
-    manifest = build_run_manifest(
-        args.mode, backend, config, args.dataset,
-        screen=not args.no_screen, s_pop_max=args.s_pop_max,
-    )
-    # one key per line through the same encoder: with indent, json.dump's
-    # pure-Python encoder would leave a cycle of closures for the collector
-    items = (f"  {encode(key)}: {encode(value)}" for key, value in manifest.items())
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
-        handle.write("{\n" + ",\n".join(items) + "\n}\n")
-    failures = [r for r in records if r.error_kind]
-    print(f"evaluated {len(records)} pairs ({len(failures)} failed); results in {out_dir}")
-    # partial failures are recorded and non-fatal; a run where every pair
-    # failed is a backend outage if any pair died on the backend, else bad data
-    if records and len(failures) == len(records):
-        if any(r.error_kind == "backend" for r in failures):
-            raise BackendError("every pair failed against the backend")
-        raise DatasetError(f"every pair failed, the first with {failures[0].error}")
-    return EXIT_OK
 
 
 _SEPARATOR_RE = re.compile(r"[ \t\n\r]*([\[,\]])[ \t\n\r]*")

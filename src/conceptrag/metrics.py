@@ -46,6 +46,10 @@ class PipelineRecord(NamedTuple):
     _required = ("k", "correct")  # for from_json; the defaults only keep the key order
 
 
+# a record's mode: which representation of the documents reached the model
+MODES = ("vanilla", "concepts", "keywords", "summary")
+
+
 class _IntervalFields(NamedTuple):
     x_s: int
     x_e: int

@@ -169,22 +169,14 @@ def _lex(text: str) -> list[_Token]:
 # value is a node head, a string or a symbol, or the end of input. Each
 # piece cuts the text where the lexer would, so text that this regex takes
 # lexes without error.
-def _grammar(skip: str, align: str) -> str:
-    return (
-        f"{skip}(?:(?P<close>(?:\\){align}{skip})+)|)"
-        f"(?:(?:(?P<role>{_ROLE}){align}{skip}|)"
-        f"(?:\\({align}{skip}(?P<variable>[a-z][a-z0-9']*(?!{_SYMBOL})){align}"
-        f"{skip}/{align}{skip}(?P<node>{_SYMBOL}){align}"
-        f"|{_STRING}{align}|(?P<symbol>{_SYMBOL}){align})|(?P<end>\\Z))"
-    )
-
-
-# On text that holds no '#' and no '~', the skip's comment loop and every
-# alignment match empty, so the grammar without them takes each unit with the
-# same groups and spans. It is compiled at import; the full grammar only for
-# text that holds either character, through re's cache.
-_GRAMMAR_RE = re.compile(_grammar(r"\s*(?!\s)", ""), re.S)
-_FULL_GRAMMAR = _grammar(_SKIP, _ALIGN)
+_GRAMMAR_RE = re.compile(
+    f"{_SKIP}(?:(?P<close>(?:\\){_ALIGN}{_SKIP})+)|)"
+    f"(?:(?:(?P<role>{_ROLE}){_ALIGN}{_SKIP}|)"
+    f"(?:\\({_ALIGN}{_SKIP}(?P<variable>[a-z][a-z0-9']*(?!{_SYMBOL})){_ALIGN}"
+    f"{_SKIP}/{_ALIGN}{_SKIP}(?P<node>{_SYMBOL}){_ALIGN}"
+    f"|{_STRING}{_ALIGN}|(?P<symbol>{_SYMBOL}){_ALIGN})|(?P<end>\\Z))",
+    re.S,
+)
 
 
 def parse_amr(text: str) -> AmrGraph:
@@ -203,10 +195,7 @@ def parse_amr(text: str) -> AmrGraph:
     # each call matches where the last match ended, so m.end() is read only
     # at a stop. Pattern.scanner is undocumented, though CPython's re has long
     # had it; it saves a few percent of the parse.
-    grammar = _GRAMMAR_RE
-    if "#" in text or "~" in text:
-        grammar = re.compile(_FULL_GRAMMAR, re.S)
-    match = grammar.scanner(text).match
+    match = _GRAMMAR_RE.scanner(text).match
     new = tuple.__new__  # builds a NamedTuple without a call to its Python __new__
     m = match()
     if m is None or m["variable"] is None or m["close"] or m["role"]:

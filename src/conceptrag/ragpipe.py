@@ -21,7 +21,7 @@ from urllib.parse import unquote, urlsplit
 from . import metrics
 from .corpus import DatasetError, QadPair
 from .distill import DistillConfig, common_terms, distill_documents
-from .metrics import PipelineRecord
+from .metrics import MODES, PipelineRecord
 from .penman import parse_amr
 from .pool import fork_map, usable_cpus
 from .schema import to_json
@@ -31,8 +31,6 @@ BASELINE_INSTRUCTIONS = {
     "keywords": "Extract a few keywords from the following content.",
     "summary": "Generate a short summary of the following content.",
 }
-# which representation of the documents reaches the model
-MODES = ("vanilla", "concepts", "keywords", "summary")
 _FACTS_SEGMENT_RE = re.compile(r"Facts: (.*)\. Question:", re.S)
 _INPUT_SEGMENT_RE = re.compile(r"### Input: \{(.*)\}\n### Response: \Z", re.S)
 _USERINFO_RE = re.compile(r"[^/?#]*//[^/?#]*@")  # a URL whose authority names a user

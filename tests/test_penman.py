@@ -2,17 +2,13 @@
 
 import random
 import re
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conceptrag import penman
 from conceptrag.distill import distill_concepts
 from conceptrag.penman import (
-    AmrEdge,
-    AmrGraph,
     AmrParseError,
     GraphError,
     Literal,
@@ -142,78 +138,6 @@ class TestParseErrors:
     def test_trailing_content(self):
         with pytest.raises(AmrParseError):
             parse_amr("(w / work-01) (x / extra)")
-
-
-FULL_GRAMMAR_RE = re.compile(penman._FULL_GRAMMAR, re.S)
-# the tokens of a generated graph: a string literal, a parenthesis, a slash or a run
-# of other non-blank characters
-PIECE_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[()/]|[^\s()"/]+')
-# what may stand between two of them: nothing, which can join two tokens into one,
-# or ASCII and Unicode whitespace, which the skip takes but which ends no symbol
-GAPS = st.lists(st.sampled_from([" ", "\t", "\n", "\r", "\x0b", "\x0c", "\xa0", "\x1c",
-                                 "\x85", "\u2028", "\u3000"]), max_size=3).map("".join)
-BLANKS = st.lists(st.sampled_from([" ", "\t", "\n", "\r"]), min_size=1, max_size=3).map("".join)
-
-
-def units(pattern, text):
-    """Each grammar unit that ``pattern`` takes in turn, with the span of every
-    group, up to the end of input or the first text no unit takes."""
-    found, match = [], pattern.scanner(text).match
-    while (m := match()) is not None:
-        found.append((m.groups(), [m.span(i) for i in range(pattern.groups + 1)]))
-        if m["end"] is not None:
-            break
-    return found
-
-
-def parsed(text):
-    try:
-        return parse_amr(text)
-    except AmrParseError as exc:
-        return str(exc), exc.offset
-
-
-class TestGrammars:
-    """The grammar compiled at import, which has no comment or alignment, takes
-    text holding neither '#' nor '~' as the full grammar does."""
-
-    @given(st.integers(min_value=0, max_value=10_000), st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_same_units_without_comments_or_alignments(self, seed, data):
-        # where asked, an ASCII blank ends each symbol and role, so that the text parses
-        spaced, text = data.draw(st.booleans()), ""
-        for piece in [*PIECE_RE.findall(random_penman(seed)), ""]:
-            after_word = text[-1:] not in ("", "(", ")", "/", '"')
-            text += data.draw(BLANKS if spaced and after_word else GAPS) + piece
-        assert "#" not in text and "~" not in text
-        assert units(penman._GRAMMAR_RE, text) == units(FULL_GRAMMAR_RE, text)
-        with mock.patch.object(penman, "_GRAMMAR_RE", FULL_GRAMMAR_RE):
-            full = parsed(text)
-        assert parsed(text) == full
-
-    def test_comments_and_alignments_parse_with_the_full_grammar(self):
-        text = ('# ::snt The boy wants Ann to go\n'
-                '(w / want-01~e.2 # the frame (wants)\n'
-                '   :ARG0 (b / boy~1\n'
-                '      :name (n / name :op1 "Ann #1 ~e.3"~e.4)) # two ) in a comment: ))\n'
-                '   :ARG1 (g / go-02~e.5 :ARG0 b~e.6 :polarity -~e.7))\n')
-        assert parse_amr(text) == AmrGraph("w", {
-            "w": "want-01", "b": "boy", "n": "name", "g": "go-02",
-        }, {
-            "w": [AmrEdge("w", ":ARG0", "b", True), AmrEdge("w", ":ARG1", "g", True)],
-            "b": [AmrEdge("b", ":name", "n", True)],
-            "n": [AmrEdge("n", ":op1", Literal("Ann #1 ~e.3", True))],
-            "g": [AmrEdge("g", ":ARG0", "b"), AmrEdge("g", ":polarity", Literal("-"))],
-        })
-        assert parsed("(w / want-01 # ) closes nothing\n :ARG0 (b / boy~e.1 :mod #c\n))) ") == (
-            "expected a value after :mod (byte offset 60)", 60)
-        # alignments without a comment, and a string literal alone holding '#' and '~'
-        assert parse_amr("(w / want-01~e.1 :ARG0 (b / boy~e.2)~e.3 :mod -~4)") == (
-            parse_amr("(w / want-01 :ARG0 (b / boy) :mod -)"))
-        assert parse_amr('(w / a :ARG0 "x#y~z")').children["w"] == [
-            AmrEdge("w", ":ARG0", Literal("x#y~z", True))]
-        assert parsed('(w / a :ARG0 "x#y~z" :ARG1 q)') == (
-            "reference to undefined variable 'q' (byte offset 27)", 27)
 
 
 class TestSerialize:
