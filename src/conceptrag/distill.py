@@ -14,9 +14,10 @@ import random
 import re
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from typing import NamedTuple
 
-from .penman import AmrEdge, AmrGraph, Literal, dfs_nodes, split_sentences
+from .penman import AmrEdge, AmrGraph, Literal, split_sentences
 
 _SENSE_RE = re.compile(r"-[0-9]{2}\Z")
 # one group, so that split() returns the tokens as well as the text between them
@@ -189,21 +190,6 @@ def _wiki_link(edges: list[AmrEdge], named: set[str]) -> str | None:
     return None
 
 
-def _wiki_links(graph: AmrGraph) -> tuple[dict[str, str], set[str]]:
-    """:func:`_wiki_link` of every node at once, for an order that can reach a
-    name before its wiki-linked parent. A ``multi-sentence`` root, in no
-    sentence, links nothing."""
-    wikis: dict[str, str] = {}
-    named: set[str] = set()
-    skip = graph.root if graph.nodes[graph.root] == "multi-sentence" else None
-    for variable, edges in graph.children.items():
-        if variable != skip:
-            wiki = _wiki_link(edges, named)
-            if wiki is not None:
-                wikis[variable] = wiki
-    return wikis, named
-
-
 def handle_name(variable: str, edges: list[AmrEdge], sentence_index: int = 1) -> Concept:
     """Join the literals of a name node's :opN edges (ascending N) into one
     concept. The indices must run 1..N, each once (``:op01`` is index 1)."""
@@ -270,49 +256,55 @@ def _int_value(variable: str, role: str, literal: Literal | None) -> int | None:
 
 # --- traversal
 #
-# Both traversals below emit a node's concepts when they reach it: a name
-# (unless a wiki-linked parent defined it: the wiki string is the
-# standardized form of the same entity, so it replaces the name and
-# duplicates never arise), else the instance unless the node is wiki-linked
-# or a date-entity, then the wiki string, then the date. The name rule is
-# structural, which keeps the emitted multiset identical under every order.
+# Every order emits a node's concepts when it reaches it: a name (unless a
+# wiki-linked parent defined it: the wiki string is the standardized form of
+# the same entity, so it replaces the name and duplicates never arise), else
+# the instance unless the node is wiki-linked or a date-entity, then the wiki
+# string, then the date. The name rule is structural, which keeps the emitted
+# multiset identical under every order.
 
 
-def _distill_in_order(
-    graph: AmrGraph, stoplist: frozenset[str], labels: dict[str, str | None]
-) -> list[Concept]:
-    """The ``dfs`` traversal in one pass, formatted.
+def _sentence_runs(graph: AmrGraph) -> list[list[str]]:
+    """Each sentence's variables, in :sntN order, whatever the textual order.
 
     ``graph.nodes`` is in definition order, which is the depth-first
     pre-order, so each sentence's nodes are the run of it that starts at the
-    sentence's root. Runs are taken in :sntN order, whatever the textual
-    order. A node is reached before the nodes it defines, so its wiki link is
-    found then, and an instance is dropped or sense-stripped as its concept
-    is made (``labels`` memoizes :func:`_format_label`).
+    sentence's root. A ``multi-sentence`` root is in no run.
+    """
+    variables = list(graph.nodes)
+    roots = split_sentences(graph)
+    if roots == [graph.root]:
+        return [variables]
+    # the root defines only its sentences' roots (split_sentences checks
+    # that), so its defining edges list them in textual order
+    textual = [edge.target for edge in graph.children[graph.root] if edge.defines]
+    starts = [1]
+    for root in textual:
+        starts.append(variables.index(root, starts[-1]))
+    starts.append(len(variables))
+    run_of = {root: variables[start:end]
+              for root, start, end in zip(textual, starts[1:], starts[2:])}
+    return [run_of[root] for root in roots]
+
+
+def _distill_runs(
+    graph: AmrGraph, runs: list[tuple[int, Sequence[str]]], stoplist: frozenset[str],
+    labels: dict[str, str | None], named: set[str],
+) -> list[Concept]:
+    """The formatted concepts of (sentence_index, variables) runs, in order.
+
+    Each node's wiki link is found when it is reached, which in definition
+    order is before the nodes it defines; ``named`` holds the variables that
+    a wiki-linked node defines. An instance is dropped or sense-stripped as
+    its concept is made (``labels`` memoizes :func:`_format_label`).
     """
     nodes = graph.nodes
     children = graph.children
-    roots = split_sentences(graph)
-    if roots == [graph.root]:
-        runs = [nodes]
-    else:
-        # the root defines only its sentences' roots (split_sentences checks
-        # that), so its defining edges list them in textual order
-        textual = [edge.target for edge in children[graph.root] if edge.defines]
-        variables = list(nodes)
-        starts = [1]
-        for root in textual:
-            starts.append(variables.index(root, starts[-1]))
-        starts.append(len(variables))
-        run_of = {root: variables[start:end]
-                  for root, start, end in zip(textual, starts[1:], starts[2:])}
-        runs = [run_of[root] for root in roots]
     for label in set(nodes.values()).difference(labels):
         labels[label] = _format_label(label, stoplist)
     concepts: list[Concept] = []
     append = concepts.append
-    named: set[str] = set()
-    for sentence_index, run in enumerate(runs, start=1):
+    for sentence_index, run in runs:
         for variable in run:
             instance = nodes[variable]
             edges = children[variable]
@@ -332,52 +324,6 @@ def _distill_in_order(
                 if date is not None:
                     append(date)
     return concepts
-
-
-def _run_stream(
-    graph: AmrGraph, stream: list[tuple[int, str]], wikis: dict[str, str], named: set[str]
-) -> list[Concept]:
-    """The concepts of (sentence_index, variable) items in stream order,
-    unformatted; ``wikis`` and ``named`` are :func:`_wiki_links`'s."""
-    nodes = graph.nodes
-    children = graph.children
-    concepts: list[Concept] = []
-    append = concepts.append
-    for sentence_index, variable in stream:
-        instance = nodes[variable]
-        wiki = wikis.get(variable)
-        if instance == "name":
-            if variable not in named:
-                append(handle_name(variable, children[variable], sentence_index))
-        elif wiki is None and instance != "date-entity":
-            append(_new(Concept, (instance, "instance", sentence_index, None)))
-            continue
-        if wiki is not None:
-            append(_new(Concept, (wiki, "wiki", sentence_index, None)))
-        if instance == "date-entity":
-            date = handle_date(variable, children[variable], sentence_index)
-            if date is not None:
-                append(date)
-    return concepts
-
-
-def _traversal_streams(
-    graph: AmrGraph, config: DistillConfig
-) -> list[list[tuple[int, str]]]:
-    """The (sentence_index, variable) streams of a random traversal."""
-    per_sentence = [
-        [(index, variable) for variable in dfs_nodes(graph, root)]
-        for index, root in enumerate(split_sentences(graph), start=1)
-    ]
-    rng = random.Random(config.seed)
-    if config.traversal == "local-random":
-        for sentence in per_sentence:
-            rng.shuffle(sentence)
-        return per_sentence
-    # global-random: one stream over the whole document
-    merged = [item for sentence in per_sentence for item in sentence]
-    rng.shuffle(merged)
-    return [merged]
 
 
 def concept_format(
@@ -582,7 +528,7 @@ def distill_documents(
 ) -> list[ConceptSet]:
     """Distill each graph against its source document, stage by stage: every
     graph is traversed in ``config.traversal`` order, with a random stream of
-    its own, and formatted (``dfs`` in one pass); then every result is backtraced, and a concept
+    its own, and formatted; then every result is backtraced, and a concept
     whose text, lowercased, is in ``common`` (see :func:`common_terms`) is
     dropped. The first graph, in order, that breaks a role's rule raises."""
     config = config or DistillConfig()
@@ -590,14 +536,24 @@ def distill_documents(
     labels: dict[str, str | None] = {}  # instance label -> concept text
     formatted = []
     for graph in graphs:
-        if config.traversal == "dfs":
-            formatted.append(_distill_in_order(graph, stoplist, labels))
-            continue
-        wikis, named = _wiki_links(graph)
-        concepts: list[Concept] = []
-        for stream in _traversal_streams(graph, config):
-            concepts.extend(_run_stream(graph, stream, wikis, named))
-        formatted.append(concept_format(concepts, stoplist))
+        runs = _sentence_runs(graph)
+        named: set[str] = set()
+        ordered = list(enumerate(runs, start=1))
+        if config.traversal != "dfs":
+            # a shuffle can reach a name before its wiki-linked parent, so
+            # every wiki link is found first
+            for run in runs:
+                for variable in run:
+                    _wiki_link(graph.children[variable], named)
+            rng = random.Random(config.seed)
+            if config.traversal == "local-random":
+                for run in runs:
+                    rng.shuffle(run)
+            else:  # global-random: one shuffle over the whole document
+                merged = [(i, variable) for i, run in ordered for variable in run]
+                rng.shuffle(merged)
+                ordered = [(i, (variable,)) for i, variable in merged]
+        formatted.append(_distill_runs(graph, ordered, stoplist, labels, named))
     sets = []
     for concepts, source_doc in zip(formatted, source_docs, strict=True):
         concepts = concept_backtrace(concepts, source_doc, config.min_backtrace_overlap)

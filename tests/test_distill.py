@@ -466,27 +466,23 @@ class TestDistill:
                  if c.source_span and c.provenance != "date"]
         assert spans == sorted(spans)
 
-    def test_traced_layers_are_called_by_name(self, table_a1_penman, table_a1_doc, monkeypatch):
+    @pytest.mark.parametrize("traversal", TRAVERSAL_KINDS)
+    def test_traced_layers_are_called_by_name(
+        self, table_a1_penman, table_a1_doc, monkeypatch, traversal
+    ):
         # per-layer tracing wraps these module-level names; a layer that
         # distill_concepts stops calling by name would read as zero time
         calls = Counter()
-        for name in ("split_sentences", "dfs_nodes", "concept_format", "concept_backtrace"):
+        for name in ("split_sentences", "concept_format", "concept_backtrace"):
             def counted(*args, _name=name, _func=getattr(distill, name), **kwargs):
                 calls[_name] += 1
                 return _func(*args, **kwargs)
 
             monkeypatch.setattr(distill, name, counted)
-        graph = parse_amr(table_a1_penman)
-        # dfs: one pass over the definition order, with no walk and no format step
-        assert len(distill_concepts(graph, table_a1_doc).concepts) == 7
+        # every order: one pass over each sentence's run, with no format step
+        config = DistillConfig(traversal=traversal, seed=7)
+        assert len(distill_concepts(parse_amr(table_a1_penman), table_a1_doc, config).concepts) == 7
         assert calls == {"split_sentences": 1, "concept_backtrace": 1}
-        # a random order: a walk per sentence, then one format step
-        calls.clear()
-        config = DistillConfig(traversal="local-random", seed=7)
-        assert len(distill_concepts(graph, table_a1_doc, config).concepts) == 7
-        assert calls == {
-            "split_sentences": 1, "dfs_nodes": 2, "concept_format": 1, "concept_backtrace": 1
-        }
 
     # sentences go in :sntN order whatever the textual order, so the first
     # sentence that breaks a rule is sentence 1 on every traversal

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conceptrag import distill
 from conceptrag.distill import distill_concepts
 from conceptrag.penman import (
     AmrParseError,
@@ -222,7 +223,10 @@ class TestSplitSentences:
     @settings(max_examples=100, deadline=None)
     def test_partition_of_non_root_nodes(self, seed):
         graph = parse_amr(random_penman(seed))
-        owned = [v for root in split_sentences(graph) for v in dfs_nodes(graph, root)]
+        runs = [dfs_nodes(graph, root) for root in split_sentences(graph)]
+        # distill's runs, which the random orders shuffle, are the reference order
+        assert distill._sentence_runs(graph) == runs
+        owned = [v for run in runs for v in run]
         assert len(owned) == len(set(owned))
         non_root = set(graph.nodes) - {graph.root}
         if graph.nodes[graph.root] == "multi-sentence":
